@@ -12,7 +12,6 @@ from .arith import (
     h1_order,
     lens_homeomorphic,
     lens_normalize,
-    lens_reverse,
     square_ratio_check,
 )
 from .classify import (

@@ -93,10 +93,6 @@ def lens_normalize(p: int, q: int) -> LensSpace:
     return LensSpace(p, q)
 
 
-def lens_reverse(lens: LensSpace) -> LensSpace:
-    return lens.reverse()
-
-
 def lens_homeomorphic(a: LensSpace, b: LensSpace, oriented: bool = True) -> bool:
     """Homeomorphism test: q2 = q1 or q1*q2 = 1 (mod p); unoriented also allows
     q2 = -q1 or q1*q2 = -1 (mod p)."""

@@ -10,7 +10,7 @@ no names the obstruction; oracle-dependent branches degrade to
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import gcd
 from typing import Callable, Iterable
@@ -215,38 +215,20 @@ def ribbon_leq_lens(
 ) -> Verdict:
     """Is there a ribbon cobordism from one lens space to the other?
 
-    Yes exactly when, up to simultaneous reversal, the spaces agree, or the
-    source is L(n, 1) with the target fraction in the n-th square-multiple
-    family, or the source is S^3 and the target bounds a rational ball.
+    The one-summand case of :func:`ribbon_leq_sum`: yes exactly when, up to
+    simultaneous reversal, the spaces agree, or the source is L(n, 1) with the
+    target fraction in the n-th square-multiple family, or the source is S^3
+    and the target bounds a rational ball.  S^3 -> S^3 keeps an explicit T1
+    piece, and a "no" past the necessary conditions is "no-matching-case".
     """
-    trace = _Trace(_resolve_oracle(oracle, budget, cache))
-    report = necessary_conditions(ConnectedSum.of(l1), ConnectedSum.of(l2))
-    if not report.all_pass:
-        return Verdict(NO, obstruction=report.first_failure)
-    if lens_homeomorphic(l1, l2, oriented=True):
+    if l1.is_s3 and l2.is_s3:
         return Verdict(YES, (PairType("T1", (l1,), (l2,)),))
-    for rev in (False, True):
-        a, b = (l1, l2) if not rev else (l1.reverse(), l2.reverse())
-        n = _is_ln1(a)
-        if n is None or b.is_s3:
-            continue
-        wit = _fn_witness_for(b, n)
-        if wit is not None:
-            assert not fn_membership(Fraction(n, 1))
-            return Verdict(YES, (PairType("T2", (l1,), (l2,), reversed=rev, n=n, witness=wit),))
-    pending = False
-    for rev in (False, True):
-        a, b = (l1, l2) if not rev else (l1.reverse(), l2.reverse())
-        if not a.is_s3 or b.is_s3:
-            continue
-        outcome = trace(b.fraction())
-        if outcome == "member":
-            return Verdict(YES, (PairType("T3", (), (l2,), reversed=rev),), oracle_trace=trace.calls)
-        if outcome == "inconclusive":
-            pending = True
-    if pending:
-        return Verdict(INCONCLUSIVE, obstruction="oracle-budget", oracle_trace=trace.calls)
-    return Verdict(NO, obstruction="no-matching-case", oracle_trace=trace.calls)
+    verdict = ribbon_leq_sum(
+        ConnectedSum.of(l1), ConnectedSum.of(l2), oracle=oracle, budget=budget, cache=cache
+    )
+    if verdict.obstruction == "no-decomposition":
+        return replace(verdict, obstruction="no-matching-case")
+    return verdict
 
 
 def two_summand_ball(m1: LensSpace, m2: LensSpace) -> Verdict:

@@ -16,7 +16,7 @@ from fractions import Fraction
 from math import gcd
 
 from . import search, selfcheck
-from .arith import LensSpace, cf_evaluate, cf_expand, fn_membership, lens_homeomorphic, lens_normalize
+from .arith import FnWitness, LensSpace, cf_evaluate, cf_expand, fn_membership, lens_homeomorphic, lens_normalize
 from .classify import (
     ConnectedSum,
     PairType,
@@ -26,7 +26,6 @@ from .classify import (
     ribbon_leq_lens,
     ribbon_leq_sum,
 )
-from .arith import FnWitness
 
 SCHEMA = "ribbonlens/1"
 
@@ -234,7 +233,13 @@ def _verdict_exit(verdict: Verdict) -> int:
 
 
 def _budget(args) -> search.SearchBudget:
-    base = search.SearchBudget.from_env()
+    for flag, value in (("--max-nodes", args.max_nodes), ("--max-seconds", args.max_seconds)):
+        if value is not None and not value > 0:
+            raise UsageError(f"{flag} must be positive, got {value}")
+    try:
+        base = search.SearchBudget.from_env()
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     nodes = args.max_nodes if args.max_nodes is not None else base.max_nodes
     seconds = args.max_seconds if args.max_seconds is not None else base.max_seconds
     return search.SearchBudget(max_nodes=nodes, max_seconds=seconds)
@@ -246,17 +251,24 @@ def _cache_path(args) -> str | None:
     return os.environ.get("RIBBONLENS_CACHE")
 
 
-def _load_cache(args) -> tuple[search.EmbeddingCache, str | None]:
+def _cached(args, query, *operands):
+    """Answer query(*operands) against the cache file, then save the file.
+
+    An unreadable cache file costs a warning, never the answer: the query
+    runs against an empty cache and the save replaces the file.
+    """
+    budget = _budget(args)
     cache = search.EmbeddingCache()
     path = _cache_path(args)
     if path and os.path.exists(path):
-        cache.load(path)
-    return cache, path
-
-
-def _save_cache(cache: search.EmbeddingCache, path: str | None) -> None:
+        try:
+            cache.load(path)
+        except (OSError, ValueError) as exc:
+            print(f"warning: ignoring unreadable cache {path}: {exc}", file=args.stderr)
+    result = query(*operands, budget=budget, cache=cache)
     if path:
         cache.save(path)
+    return result
 
 
 def cmd_cf(args) -> tuple[int, dict, list[str]]:
@@ -305,9 +317,7 @@ def cmd_in_r(args) -> tuple[int, dict, list[str]]:
     f = parse_fraction(args.fraction)
     if f != 1 and not f.numerator > f.denominator > 0:
         raise UsageError(f"need p > q > 0 or the trivial fraction: {args.fraction!r}")
-    cache, path = _load_cache(args)
-    result = search.r_membership(f, budget=_budget(args), cache=cache)
-    _save_cache(cache, path)
+    result = _cached(args, search.r_membership, f)
     doc = {
         "fraction": str(f),
         "outcome": result.outcome,
@@ -315,7 +325,7 @@ def cmd_in_r(args) -> tuple[int, dict, list[str]]:
         "searches": [
             {"fraction": g, **outcome_to_json(out)} for g, out in result.searches
         ],
-        "cache_path": path,
+        "cache_path": _cache_path(args),
     }
     text = [f"{f}: {result.outcome} ({result.reason})"]
     code = {"member": EXIT_YES, "non-member": EXIT_NO, "inconclusive": EXIT_INCONCLUSIVE}
@@ -325,9 +335,7 @@ def cmd_in_r(args) -> tuple[int, dict, list[str]]:
 def cmd_ribbon(args) -> tuple[int, dict, list[str]]:
     a = parse_lens(args.first)
     b = parse_lens(args.second)
-    cache, path = _load_cache(args)
-    verdict = ribbon_leq_lens(a, b, budget=_budget(args), cache=cache)
-    _save_cache(cache, path)
+    verdict = _cached(args, ribbon_leq_lens, a, b)
     doc = {
         "first": lens_to_json(a),
         "second": lens_to_json(b),
@@ -339,9 +347,7 @@ def cmd_ribbon(args) -> tuple[int, dict, list[str]]:
 def cmd_ribbon_sum(args) -> tuple[int, dict, list[str]]:
     y1 = parse_sum(args.first)
     y2 = parse_sum(args.second)
-    cache, path = _load_cache(args)
-    verdict = ribbon_leq_sum(y1, y2, budget=_budget(args), cache=cache)
-    _save_cache(cache, path)
+    verdict = _cached(args, ribbon_leq_sum, y1, y2)
     doc = {
         "first": [lens_to_json(x) for x in y1.summands],
         "second": [lens_to_json(x) for x in y2.summands],
@@ -353,9 +359,7 @@ def cmd_ribbon_sum(args) -> tuple[int, dict, list[str]]:
 def cmd_bridge(args) -> tuple[int, dict, list[str]]:
     k1 = parse_links(args.first)
     k2 = parse_links(args.second)
-    cache, path = _load_cache(args)
-    verdict = chi_leq_bridge(k1, k2, budget=_budget(args), cache=cache)
-    _save_cache(cache, path)
+    verdict = _cached(args, chi_leq_bridge, k1, k2)
     doc = {
         "first": [{"p": str(k.p), "q": str(k.q)} for k in k1],
         "second": [{"p": str(k.p), "q": str(k.q)} for k in k2],
@@ -366,20 +370,16 @@ def cmd_bridge(args) -> tuple[int, dict, list[str]]:
 
 def cmd_embed(args) -> tuple[int, dict, list[str]]:
     summands = tuple(parse_terms(token) for token in args.summands)
-    cache, path = _load_cache(args)
     if args.ribbon_split is not None:
         if args.ribbon_split != 1 or len(summands) != 2:
             raise UsageError("--ribbon-split takes the value 1 with exactly two --summands")
-        outcome = search.find_ribbon_embedding(
-            summands[0], summands[1], budget=_budget(args), cache=cache
-        )
+        outcome = _cached(args, search.find_ribbon_embedding, summands[0], summands[1])
     else:
         try:
             problem = search.plain_problem(summands)
         except ValueError as exc:
             raise UsageError(str(exc)) from None
-        outcome = search.find_embedding(problem, budget=_budget(args), cache=cache)
-    _save_cache(cache, path)
+        outcome = _cached(args, search.find_embedding, problem)
     doc = {
         "summands": [[str(a) for a in terms] for terms in summands],
         "ribbon_split": None if args.ribbon_split is None else str(args.ribbon_split),
@@ -394,7 +394,7 @@ def cmd_embed(args) -> tuple[int, dict, list[str]]:
 
 
 def cmd_selfcheck(args) -> tuple[int, dict, list[str]]:
-    results = selfcheck.run_all(max_p=args.max_p, jobs=args.jobs)
+    results = selfcheck.run_all(max_p=args.max_p)
     doc = {
         "results": [
             {"name": r.name, "passed": r.passed, "detail": r.detail} for r in results
@@ -461,7 +461,6 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("selfcheck", help="run the acceptance cross-validation suites")
     p.add_argument("--max-p", type=int, default=None)
-    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=cmd_selfcheck)
 
     return parser
@@ -473,6 +472,7 @@ def run(argv, stdout=None, stderr=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        args.stderr = stderr
         code, doc, text = args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=stderr)

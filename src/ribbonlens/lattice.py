@@ -39,7 +39,6 @@ def freeze(rows) -> Matrix:
 def mat_mul(a, b) -> Matrix:
     if not a or not b:
         return tuple(tuple() for _ in a)
-    cols = len(b[0])
     bt = list(zip(*b))
     return tuple(
         tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
@@ -387,16 +386,31 @@ def strip_unit_summands(lattice: GramLattice) -> tuple[int, GramLattice]:
     return k, g
 
 
+def _norm(gram: Matrix, v: Vector) -> int:
+    n = len(gram)
+    return sum(v[i] * sum(gram[i][j] * v[j] for j in range(n)) for i in range(n))
+
+
+def _shorts_by_norm(lattice: GramLattice, bound: int) -> dict[int, list[Vector]]:
+    """Short vectors of norm <= bound, bucketed by norm in enumeration order."""
+    by_norm: dict[int, list[Vector]] = {}
+    for v in enumerate_short_vectors(lattice, bound):
+        by_norm.setdefault(_norm(lattice.gram, v), []).append(v)
+    return by_norm
+
+
 def _chain_basis(
     lattice: GramLattice,
-    terms: CF,
-    shorts_by_norm: dict[int, list[Vector]],
+    norms_at,
+    by_norm: dict[int, list[Vector]],
     tick=None,
 ) -> tuple[Vector, ...] | None:
-    """Search a basis v1..vn with v_i.v_i = terms[i], consecutive pairings 1,
-    all other pairings 0.  Returns coordinates in the abstract lattice."""
+    """Search a basis v1..vn with v_i.v_i drawn from norms_at(i), consecutive
+    pairings 1, all other pairings 0, and Gram determinant equal to the
+    lattice's.  Returns coordinates in the abstract lattice."""
     n = lattice.rank
     gram = lattice.gram
+    target_det = lattice.determinant()
     gw_cache: dict[Vector, Vector] = {}
 
     def gw(w: Vector) -> Vector:
@@ -413,22 +427,22 @@ def _chain_basis(
         if tick is not None:
             tick()
         if pos == n:
-            return True
-        wanted = terms[pos]
-        candidates = shorts_by_norm.get(wanted, ())
-        for base in candidates:
-            for cand in ((base, tuple(-x for x in base)) if pos else (base,)):
-                if pos:
-                    if dot(cand, gw_chain[-1]) != 1:
-                        continue
-                    if any(dot(cand, gw_chain[j]) for j in range(pos - 1)):
-                        continue
-                chain.append(cand)
-                gw_chain.append(gw(cand))
-                if extend(pos + 1):
-                    return True
-                chain.pop()
-                gw_chain.pop()
+            g = tuple(tuple(dot(v, gwv) for gwv in gw_chain) for v in chain)
+            return det(g) == target_det
+        for norm in norms_at(pos):
+            for base in by_norm.get(norm, ()):
+                for cand in ((base, tuple(-x for x in base)) if pos else (base,)):
+                    if pos:
+                        if dot(cand, gw_chain[-1]) != 1:
+                            continue
+                        if any(dot(cand, gw_chain[j]) for j in range(pos - 1)):
+                            continue
+                    chain.append(cand)
+                    gw_chain.append(gw(cand))
+                    if extend(pos + 1):
+                        return True
+                    chain.pop()
+                    gw_chain.pop()
         return False
 
     if extend(0):
@@ -451,11 +465,7 @@ def chain_basis_for(lattice: GramLattice, terms: CF, tick=None) -> tuple[Vector,
         return ()
     if lattice.determinant() != continuant(terms):
         return None
-    shorts = enumerate_short_vectors(lattice, max(terms))
-    by_norm: dict[int, list[Vector]] = {}
-    for v in shorts:
-        norm = sum(v[i] * sum(lattice.gram[i][j] * v[j] for j in range(lattice.rank)) for i in range(lattice.rank))
-        by_norm.setdefault(norm, []).append(v)
+    by_norm = _shorts_by_norm(lattice, max(terms))
     if by_norm.get(1):
         # chain lattices with all terms >= 2 have minimum norm 2
         return None
@@ -463,7 +473,7 @@ def chain_basis_for(lattice: GramLattice, terms: CF, tick=None) -> tuple[Vector,
         return None
     attempts = (terms,) if terms == terms[::-1] else (terms, terms[::-1])
     for attempt in attempts:
-        found = _chain_basis(lattice, attempt, by_norm, tick=tick)
+        found = _chain_basis(lattice, lambda pos: (attempt[pos],), by_norm, tick=tick)
         if found is not None:
             return found
     return None
@@ -483,51 +493,15 @@ def recognize_linear(lattice: GramLattice, limit: int | None = None) -> CF | Non
         raise RecognitionLimitExceeded(f"rank {n} exceeds recognition limit {limit}")
     if n == 0:
         return ()
-    bound = lattice.determinant()  # every chain norm is bounded by the determinant
-    shorts = enumerate_short_vectors(lattice, bound)
-    by_norm: dict[int, list[Vector]] = {}
-    for v in shorts:
-        norm = sum(v[i] * sum(lattice.gram[i][j] * v[j] for j in range(n)) for i in range(n))
-        by_norm.setdefault(norm, []).append(v)
+    # every chain norm is bounded by the determinant
+    by_norm = _shorts_by_norm(lattice, lattice.determinant())
     if by_norm.get(1):
         raise ValueError("lattice has norm-1 vectors; strip unit summands first")
-
-    gram = lattice.gram
-
-    def gw(w: Vector) -> Vector:
-        return tuple(sum(gram[i][j] * w[j] for j in range(n)) for i in range(n))
-
-    target_det = bound
-    chain: list[Vector] = []
-    gw_chain: list[Vector] = []
-
-    def extend(pos: int) -> CF | None:
-        if pos == n:
-            g = tuple(tuple(dot(v, gwv) for gwv in gw_chain) for v in chain)
-            if det(g) == target_det:
-                return tuple(g[i][i] for i in range(n))
-            return None
-        for norm in sorted(by_norm):
-            if norm < 2:
-                continue
-            for base in by_norm[norm]:
-                for cand in ((base, tuple(-x for x in base)) if pos else (base,)):
-                    if pos:
-                        if dot(cand, gw_chain[-1]) != 1:
-                            continue
-                        if any(dot(cand, gw_chain[j]) for j in range(pos - 1)):
-                            continue
-                    chain.append(cand)
-                    gw_chain.append(gw(cand))
-                    got = extend(pos + 1)
-                    if got is not None:
-                        return got
-                    chain.pop()
-                    gw_chain.pop()
+    norms = tuple(sorted(by_norm))
+    chain = _chain_basis(lattice, lambda pos: norms, by_norm)
+    if chain is None:
         return None
-
-    found = extend(0)
-    return canonical_cf(found) if found is not None else None
+    return canonical_cf(_norm(lattice.gram, v) for v in chain)
 
 
 def stably_isometric_linear(embedded: EmbeddedLattice, target: CF) -> bool:

@@ -40,12 +40,25 @@ class SearchBudget:
 
     @classmethod
     def from_env(cls) -> SearchBudget:
-        nodes = os.environ.get("RIBBONLENS_MAX_NODES")
-        seconds = os.environ.get("RIBBONLENS_MAX_SECONDS")
+        """Budget from RIBBONLENS_MAX_NODES / RIBBONLENS_MAX_SECONDS; ValueError
+        naming the variable when one is set to anything but a positive number."""
         return cls(
-            max_nodes=int(nodes) if nodes else cls.max_nodes,
-            max_seconds=float(seconds) if seconds else cls.max_seconds,
+            max_nodes=_env_positive("RIBBONLENS_MAX_NODES", int, cls.max_nodes),
+            max_seconds=_env_positive("RIBBONLENS_MAX_SECONDS", float, cls.max_seconds),
         )
+
+
+def _env_positive(name: str, kind, default):
+    raw = os.environ.get(name)
+    if not raw:
+        return default
+    try:
+        value = kind(raw)
+        if value > 0:
+            return value
+    except ValueError:
+        pass
+    raise ValueError(f"{name} must be a positive number, got {raw!r}")
 
 
 def _resolve_budget(budget: SearchBudget | None) -> SearchBudget:
@@ -401,32 +414,48 @@ class EmbeddingCache:
                 }
             )
         doc = {"schema": CACHE_SCHEMA, "engine": ENGINE_VERSION, "entries": entries}
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(doc, handle, indent=1, sort_keys=True)
-            handle.write("\n")
+        # write beside the target and rename over it, so a run killed
+        # mid-write leaves the previous file intact
+        tmp = f"{path}.{os.getpid()}.tmp"
+        try:
+            with open(tmp, "w", encoding="utf-8") as handle:
+                json.dump(doc, handle, indent=1, sort_keys=True)
+                handle.write("\n")
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.remove(tmp)
+            raise
 
     def load(self, path) -> int:
-        """Merge entries from a cache file; returns how many were accepted."""
+        """Merge entries from a cache file; returns how many were accepted.
+
+        Raises OSError or ValueError when the file cannot be read as a cache
+        document; a single entry that does not parse is skipped.
+        """
         with open(path, "r", encoding="utf-8") as handle:
             doc = json.load(handle)
+        if not isinstance(doc, dict):
+            raise ValueError("cache document is not a JSON object")
         if doc.get("schema") != CACHE_SCHEMA or doc.get("engine") != ENGINE_VERSION:
             return 0
+        entries = doc.get("entries", [])
+        if not isinstance(entries, list):
+            raise ValueError("cache entries are not a JSON list")
         accepted = 0
-        for entry in doc.get("entries", []):
+        for entry in entries:
             try:
                 problem = SearchProblem.from_key(entry["key"])
-            except (ValueError, KeyError):
+                nodes = int(entry.get("nodes", "0"))
+                groups = tuple(
+                    tuple(tuple(int(x) for x in v) for v in group)
+                    for group in entry.get("vectors") or ()
+                )
+            except (ValueError, KeyError, TypeError):
                 continue
             status = entry.get("outcome")
-            nodes = int(entry.get("nodes", "0"))
             if status == "found":
-                raw = entry.get("vectors")
-                if raw is None:
-                    continue
-                cert = Certificate(
-                    tuple(tuple(tuple(int(x) for x in v) for v in group) for group in raw),
-                    nodes,
-                )
+                cert = Certificate(groups, nodes)
                 if not verify_certificate(problem, cert):
                     continue
                 outcome = SearchOutcome("found", cert, nodes, 0.0)

@@ -17,7 +17,7 @@ from math import gcd
 
 from . import cli, search
 from .arith import LensSpace, cf_evaluate, cf_expand, fn_membership, is_perfect_square, lens_normalize
-from .classify import ConnectedSum, ribbon_leq_lens, ribbon_leq_sum, replay_witness, two_summand_ball
+from .classify import ConnectedSum, ribbon_leq_lens, ribbon_leq_sum, replay_witness
 from .lattice import (
     EmbeddedLattice,
     orthogonal_complement,
@@ -313,26 +313,16 @@ _DEFAULT_SCALE = {
 }
 
 
-def _run_one(item) -> CheckResult:
-    name, max_p = item
-    func = next(f for n, f, _ in CRITERIA if n == name)
-    takes_scale = next(s for n, _, s in CRITERIA if n == name)
-    start = time.monotonic()
-    try:
-        if takes_scale:
-            passed, detail = func(max_p if max_p is not None else _DEFAULT_SCALE[name])
-        else:
-            passed, detail = func()
-    except Exception as exc:  # a crash is a failed check, not a crashed CLI
-        passed, detail = False, f"raised {type(exc).__name__}: {exc}"
-    return CheckResult(name, passed, detail, time.monotonic() - start)
-
-
-def run_all(max_p: int | None = None, jobs: int = 1) -> list[CheckResult]:
-    items = [(name, max_p) for name, _, _ in CRITERIA]
-    if jobs and jobs > 1:
-        import multiprocessing
-
-        with multiprocessing.get_context("fork").Pool(jobs) as pool:
-            return pool.map(_run_one, items)
-    return [_run_one(item) for item in items]
+def run_all(max_p: int | None = None) -> list[CheckResult]:
+    results = []
+    for name, func, takes_scale in CRITERIA:
+        start = time.monotonic()
+        try:
+            if takes_scale:
+                passed, detail = func(max_p if max_p is not None else _DEFAULT_SCALE[name])
+            else:
+                passed, detail = func()
+        except Exception as exc:  # a crash is a failed check, not a crashed CLI
+            passed, detail = False, f"raised {type(exc).__name__}: {exc}"
+        results.append(CheckResult(name, passed, detail, time.monotonic() - start))
+    return results

@@ -17,7 +17,6 @@ from ribbonlens.arith import (
     is_perfect_square,
     lens_homeomorphic,
     lens_normalize,
-    lens_reverse,
     square_ratio_check,
 )
 
@@ -94,13 +93,13 @@ class TestLensSpaces:
             lens_normalize(4, 2)
 
     def test_reverse_examples(self):
-        assert lens_reverse(LensSpace(4, 1)) == LensSpace(4, 3)
-        assert lens_reverse(LensSpace(1, 0)) == LensSpace(1, 0)
-        assert lens_reverse(LensSpace(7, 3)) == LensSpace(7, 4)
+        assert LensSpace(4, 1).reverse() == LensSpace(4, 3)
+        assert LensSpace(1, 0).reverse() == LensSpace(1, 0)
+        assert LensSpace(7, 3).reverse() == LensSpace(7, 4)
 
     @given(lens_spaces())
     def test_reverse_is_involution(self, lens):
-        assert lens_reverse(lens_reverse(lens)) == lens
+        assert lens.reverse().reverse() == lens
 
     def test_homeomorphism_examples(self):
         assert lens_homeomorphic(LensSpace(7, 2), LensSpace(7, 4), oriented=True)

@@ -7,6 +7,7 @@ import pytest
 from ribbonlens.arith import LensSpace, fn_membership, lens_homeomorphic, lens_normalize, square_ratio_check
 from ribbonlens.classify import (
     ConnectedSum,
+    PairType,
     TwoBridgeLink,
     chi_leq_bridge,
     necessary_conditions,
@@ -52,6 +53,22 @@ class TestRibbonLeqLens:
         verdict = ribbon_leq_lens(L(2, 1), L(8, 3), cache=CACHE)
         pair = verdict.witness[0]
         assert verdict.yes and pair.tag == "T2" and pair.reversed
+
+    def test_sphere_to_sphere_keeps_t1_piece(self):
+        verdict = ribbon_leq_lens(L(1, 0), L(1, 0), cache=CACHE)
+        assert verdict.yes
+        assert verdict.witness == (PairType("T1", (L(1, 0),), (L(1, 0),)),)
+
+    def test_no_names_the_single_case(self):
+        verdict = ribbon_leq_lens(L(3, 1), L(12, 5), cache=CACHE)
+        assert verdict.answer == "no"
+        assert verdict.obstruction == "no-matching-case"
+
+    def test_sphere_to_non_ball_asks_the_oracle_once(self):
+        # r_membership already searches 9/1 and 9/8, so 9/8 is not asked again
+        verdict = ribbon_leq_lens(L(1, 0), L(9, 1), cache=CACHE)
+        assert verdict.answer == "no"
+        assert verdict.oracle_trace == (("9", "non-member"),)
 
     def test_trichotomy_on_yes_pairs(self):
         spaces = all_lens_spaces(14)

@@ -1,6 +1,8 @@
 import io
 import json
 
+import pytest
+
 from ribbonlens import cli
 from ribbonlens.arith import lens_normalize
 from ribbonlens.classify import ribbon_leq_lens, ribbon_leq_sum, ConnectedSum
@@ -41,6 +43,22 @@ class TestExitCodes:
             assert code == 64, argv
             assert err
 
+    @pytest.mark.parametrize(
+        "env, argv, named",
+        [
+            ({"RIBBONLENS_MAX_NODES": "abc"}, ["in-r", "4/3"], "RIBBONLENS_MAX_NODES"),
+            ({"RIBBONLENS_MAX_SECONDS": "abc"}, ["in-r", "4/3"], "RIBBONLENS_MAX_SECONDS"),
+            ({}, ["--max-nodes", "-5", "in-r", "4/3"], "--max-nodes"),
+            ({}, ["--max-seconds", "0", "in-r", "4/3"], "--max-seconds"),
+        ],
+    )
+    def test_bad_budget_is_usage_error(self, monkeypatch, env, argv, named):
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        code, out, err = run_cli(*argv)
+        assert code == 64
+        assert named in err and not out
+
 
 class TestParsing:
     def test_negative_lens_token_reverses(self):
@@ -54,6 +72,12 @@ class TestParsing:
             lens_normalize(7, 3),
             lens_normalize(7, 4),
         )
+
+    def test_reversed_operand_after_double_dash(self):
+        assert run_cli("ribbon", "-7/4", "7/3")[0] == 64  # read as an option
+        code, out, _ = run_cli("ribbon", "--", "-7/4", "7/3")
+        assert code == 0
+        assert "T1 L(7,3) -> L(7,3)" in out
 
     def test_link_tokens(self):
         links = cli.parse_links("U")
@@ -151,3 +175,23 @@ class TestCacheFile:
         code, out2, _ = run_cli("--cache", str(path), "--format", "json", "in-r", "4/3")
         assert code == 0
         assert json.loads(out1)["result"]["searches"] == json.loads(out2)["result"]["searches"]
+
+    def test_unparsable_cache_file_is_skipped_with_warning(self, tmp_path):
+        clean = run_cli("ribbon", "2/1", "8/5")
+        path = tmp_path / "bad.json"
+        path.write_text("{not json")
+        code, out, err = run_cli("--cache", str(path), "ribbon", "2/1", "8/5")
+        assert code == 0 and out == clean[1]
+        assert err.startswith("warning:") and str(path) in err
+        assert json.loads(path.read_text())["schema"] == "ribbonlens-cache/1"
+
+    def test_unparsable_cache_entry_is_skipped(self, tmp_path):
+        path = tmp_path / "cache.json"
+        argv = ("--cache", str(path), "--format", "json", "in-r", "4/3")
+        clean = run_cli(*argv)
+        doc = json.loads(path.read_text())
+        for entry in doc["entries"]:
+            entry["nodes"] = "x"
+        path.write_text(json.dumps(doc))
+        assert clean[0] == 0
+        assert run_cli(*argv) == clean

@@ -331,3 +331,23 @@ class TestCache:
             plain_problem([()]),
         ):
             assert SearchProblem.from_key(problem.key) == problem
+
+    def test_failed_save_keeps_previous_file(self, tmp_path, monkeypatch):
+        cache = fresh_cache()
+        find_embedding(plain_problem([(2, 2, 2)]), cache=cache)
+        path = tmp_path / "cache.json"
+        cache.save(path)
+        before = path.read_bytes()
+        find_embedding(plain_problem([(2, 2)]), cache=cache)
+
+        def dump_then_fail(doc, handle, **kwargs):
+            handle.write('{"schema": "ribbonlens-cache/1", "entr')
+            raise OSError("disk full")
+
+        monkeypatch.setattr(json, "dump", dump_then_fail)
+        with pytest.raises(OSError):
+            cache.save(path)
+        monkeypatch.undo()
+        assert path.read_bytes() == before
+        assert fresh_cache().load(path) == 1
+        assert list(tmp_path.iterdir()) == [path]
