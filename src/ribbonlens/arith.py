@@ -144,24 +144,23 @@ def canonical_cf(terms: Iterable[int]) -> CF:
 
 
 def fn_membership(f: Fraction) -> list[FnWitness]:
-    """All witnesses (n, m, k), n >= 2, with f = n*m**2 / (n*m*k + 1).
+    """The witness (n, m, k), n >= 2, with f = n*m**2 / (n*m*k + 1), if any.
 
-    An empty list certifies that f lies in no such family.
+    The list holds at most one entry; an empty list certifies that f lies in
+    no such family.
     """
     p, q = f.numerator, f.denominator
     if not p > q > 0:
         raise ValueError(f"need p > q > 0, got {f}")
-    found = []
-    m = 2
-    while m * m <= p:
-        if p % (m * m) == 0:
-            n = p // (m * m)
-            if n >= 2 and q > 1 and (q - 1) % (n * m) == 0:
-                k = (q - 1) // (n * m)
-                if 0 < k < m and gcd(m, k) == 1:
-                    found.append(FnWitness(n, m, k))
-        m += 1
-    return sorted(found)
+    # A witness gives gcd(p, q - 1) = gcd(n*m*m, n*m*k) = n*m, as gcd(m, k) = 1,
+    # so n = g**2 / p, m = p / g, k = (q - 1) / g with g = gcd(p, q - 1).
+    # Conversely these values satisfy the identity, with gcd(m, k) = 1 and
+    # 0 < k < m whenever 1 < q < p; so the witness is unique.
+    g = gcd(p, q - 1)
+    n, rest = divmod(g * g, p)
+    if q == 1 or rest or n < 2:
+        return []
+    return [FnWitness(n, p // g, (q - 1) // g)]
 
 
 def _lens_iter(y) -> Iterable[LensSpace]:

@@ -49,10 +49,6 @@ class ConnectedSum:
     def of(cls, *summands: LensSpace) -> ConnectedSum:
         return cls(tuple(sorted(lens for lens in summands if not lens.is_s3)))
 
-    @classmethod
-    def from_fractions(cls, fractions: Iterable[Fraction]) -> ConnectedSum:
-        return cls.of(*(lens_normalize(f.numerator, f.denominator) for f in fractions))
-
     @property
     def is_s3(self) -> bool:
         return not self.summands
@@ -154,23 +150,6 @@ class _Trace:
         return tuple(self._seen.items())
 
 
-def _default_oracle(
-    budget: search.SearchBudget | None, cache: search.EmbeddingCache | None
-) -> Oracle:
-    def call(f: Fraction) -> str:
-        return search.r_membership(f, budget=budget, cache=cache).outcome
-
-    return call
-
-
-def _resolve_oracle(
-    oracle: Oracle | None,
-    budget: search.SearchBudget | None,
-    cache: search.EmbeddingCache | None,
-) -> Oracle:
-    return oracle if oracle is not None else _default_oracle(budget, cache)
-
-
 def _is_ln1(lens: LensSpace) -> int | None:
     """The n >= 2 with lens oriented-homeomorphic to L(n, 1), if any."""
     if not lens.is_s3 and lens.q == 1:
@@ -178,14 +157,11 @@ def _is_ln1(lens: LensSpace) -> int | None:
     return None
 
 
-def _fn_witness_for(lens: LensSpace, n: int) -> FnWitness | None:
+def _fn_witness(lens: LensSpace) -> FnWitness | None:
+    """The unique square-multiple family witness of the lens fraction, if any."""
     f = lens.fraction()
-    if f is None:
-        return None
-    for wit in fn_membership(f):
-        if wit.n == n:
-            return wit
-    return None
+    witnesses = fn_membership(f) if f is not None else ()
+    return witnesses[0] if witnesses else None
 
 
 def _first_pair_options(a: LensSpace, b: LensSpace) -> list[PairType]:
@@ -196,12 +172,10 @@ def _first_pair_options(a: LensSpace, b: LensSpace) -> list[PairType]:
     for rev in (False, True):
         aa, bb = (a, b) if not rev else (a.reverse(), b.reverse())
         n = _is_ln1(aa)
-        if n is None or bb.is_s3:
+        if n is None:
             continue
-        wit = _fn_witness_for(bb, n)
-        if wit is not None:
-            # sanity required of every T2 witness: n/1 never lies in its own family
-            assert not fn_membership(Fraction(n, 1))
+        wit = _fn_witness(bb)
+        if wit is not None and wit.n == n:
             options.append(PairType("T2", (a,), (b,), reversed=rev, n=n, witness=wit))
     return options
 
@@ -249,23 +223,23 @@ def two_summand_ball(m1: LensSpace, m2: LensSpace) -> Verdict:
         for x, y, swapped in ((a, b, False), (b, a, True)):
             # L(n, n-1) # (fraction in the n-th family)
             if x.q == x.p - 1 and x.p >= 2:
-                wit = _fn_witness_for(y, x.p)
-                if wit is not None:
+                wit = _fn_witness(y)
+                if wit is not None and wit.n == x.p:
                     return Verdict(
                         YES, (PairType("T5", (), pair, reversed=rev, n=x.p, witness=wit),)
                     )
     for rev in (False, True):
         a, b = pair if not rev else (m1.reverse(), m2.reverse())
         for x, y in ((a, b), (b, a)):
-            for wit_x in fn_membership(x.reverse().fraction()) if not x.reverse().is_s3 else ():
-                wit_y = _fn_witness_for(y, wit_x.n)
-                if wit_y is not None:
-                    return Verdict(
-                        YES, (PairType("T6", (), pair, reversed=rev, n=wit_x.n, witness=wit_y),)
-                    )
+            wit_x, wit_y = _fn_witness(x.reverse()), _fn_witness(y)
+            if wit_x is not None and wit_y is not None and wit_x.n == wit_y.n:
+                return Verdict(
+                    YES, (PairType("T6", (), pair, reversed=rev, n=wit_x.n, witness=wit_y),)
+                )
     for rev in (False, True):
         a, b = pair if not rev else (m1.reverse(), m2.reverse())
-        if _fn_witness_for(a, 2) is not None and _fn_witness_for(b, 2) is not None:
+        wit_a, wit_b = _fn_witness(a), _fn_witness(b)
+        if wit_a is not None and wit_a.n == 2 and wit_b is not None and wit_b.n == 2:
             return Verdict(YES, (PairType("T7", (), pair, reversed=rev, n=2),))
     return Verdict(NO, obstruction="no-two-summand-shape")
 
@@ -285,7 +259,11 @@ def ribbon_leq_sum(
     remaining multisets; an inconclusive oracle poisons only the branches
     that need it.
     """
-    trace = _Trace(_resolve_oracle(oracle, budget, cache))
+    trace = _Trace(
+        oracle
+        if oracle is not None
+        else lambda f: search.r_membership(f, budget=budget, cache=cache).outcome
+    )
     report = necessary_conditions(y1, y2)
     if not report.all_pass:
         return Verdict(NO, obstruction=report.first_failure)

@@ -3,12 +3,13 @@
 Every subcommand answers one query, prints either human text or a single
 versioned JSON document (all integers rendered as decimal strings, never a
 float), and exits 0 for yes/success, 1 for no, 2 for inconclusive, 64 for a
-usage error.
+usage error and 70 for an internal error.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -33,6 +34,7 @@ EXIT_YES = 0
 EXIT_NO = 1
 EXIT_INCONCLUSIVE = 2
 EXIT_USAGE = 64
+EXIT_SOFTWARE = 70
 
 
 class UsageError(Exception):
@@ -42,6 +44,14 @@ class UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse would sys.exit(2); we want 64
         raise UsageError(message)
+
+    def parse_args(self, args=None, namespace=None):
+        parsed = super().parse_args(args, namespace)
+        # argparse hands a positional an empty list when a second "--" ends argv
+        for name, value in vars(parsed).items():
+            if value == []:
+                raise UsageError(f"missing operand: {name}")
+        return parsed
 
 
 # -- token parsing -------------------------------------------------------------
@@ -254,8 +264,9 @@ def _cache_path(args) -> str | None:
 def _cached(args, query, *operands):
     """Answer query(*operands) against the cache file, then save the file.
 
-    An unreadable cache file costs a warning, never the answer: the query
-    runs against an empty cache and the save replaces the file.
+    A cache file that cannot be read or written costs a warning, never the
+    answer: the query runs against an empty cache and the save replaces the
+    file, or is skipped.
     """
     budget = _budget(args)
     cache = search.EmbeddingCache()
@@ -267,7 +278,10 @@ def _cached(args, query, *operands):
             print(f"warning: ignoring unreadable cache {path}: {exc}", file=args.stderr)
     result = query(*operands, budget=budget, cache=cache)
     if path:
-        cache.save(path)
+        try:
+            cache.save(path)
+        except OSError as exc:
+            print(f"warning: could not write cache {path}: {exc}", file=args.stderr)
     return result
 
 
@@ -471,12 +485,18 @@ def run(argv, stdout=None, stderr=None) -> int:
     stderr = stderr if stderr is not None else sys.stderr
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        with contextlib.redirect_stdout(stdout):  # where --help prints before exiting 0
+            args = parser.parse_args(argv)
         args.stderr = stderr
         code, doc, text = args.func(args)
+    except SystemExit as exc:
+        return exc.code
     except UsageError as exc:
         print(f"usage error: {exc}", file=stderr)
         return EXIT_USAGE
+    except Exception as exc:  # a bug must not read as "no" (exit 1)
+        print(f"internal error: {type(exc).__name__}: {exc}", file=stderr)
+        return EXIT_SOFTWARE
     if args.format == "json":
         envelope = {"schema": SCHEMA, "command": args.command, "result": doc}
         print(json.dumps(envelope, sort_keys=True, separators=(",", ":")), file=stdout)

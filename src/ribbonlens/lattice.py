@@ -98,10 +98,6 @@ class GramLattice:
     def rank(self) -> int:
         return len(self.gram)
 
-    def is_positive_definite(self) -> bool:
-        g = self.gram
-        return all(det([row[: k + 1] for row in g[: k + 1]]) > 0 for k in range(self.rank))
-
     def determinant(self) -> int:
         return det(self.gram)
 

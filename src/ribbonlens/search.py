@@ -61,10 +61,6 @@ def _env_positive(name: str, kind, default):
     raise ValueError(f"{name} must be a positive number, got {raw!r}")
 
 
-def _resolve_budget(budget: SearchBudget | None) -> SearchBudget:
-    return budget if budget is not None else SearchBudget.from_env()
-
-
 @dataclass(frozen=True)
 class SearchProblem:
     """Chain lattices to embed into Z^ambient_rank.
@@ -510,7 +506,7 @@ def _search_cached(
     hit = cache.get(problem)
     if hit is not None:
         return hit
-    outcome = _run_problem(problem, _resolve_budget(budget))
+    outcome = _run_problem(problem, budget if budget is not None else SearchBudget.from_env())
     cache.put(problem, outcome)
     return outcome
 

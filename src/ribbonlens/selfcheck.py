@@ -305,21 +305,14 @@ CRITERIA = (
     ("golden-transcripts", check_golden_transcripts, None),
 )
 
-_DEFAULT_SCALE = {
-    "cf-round-trip": 200,
-    "oracle-classifier-agreement": 12,
-    "r-oracle-invariance": 36,
-    "witness-replay-monotonicity": 12,
-}
-
 
 def run_all(max_p: int | None = None) -> list[CheckResult]:
     results = []
     for name, func, takes_scale in CRITERIA:
         start = time.monotonic()
         try:
-            if takes_scale:
-                passed, detail = func(max_p if max_p is not None else _DEFAULT_SCALE[name])
+            if takes_scale and max_p is not None:
+                passed, detail = func(max_p)
             else:
                 passed, detail = func()
         except Exception as exc:  # a crash is a failed check, not a crashed CLI

@@ -156,10 +156,6 @@ def irreducible_components(subset: LinearSubset) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(sorted(b)) for b in sorted(blocks.values()))
 
 
-def is_irreducible(subset: LinearSubset) -> bool:
-    return len(irreducible_components(subset)) <= 1
-
-
 # -- canonical form under signed coordinate permutations ----------------------
 
 

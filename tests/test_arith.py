@@ -127,6 +127,22 @@ class TestLensSpaces:
         assert lens_homeomorphic(a, b, oriented=True) == same_strings
 
 
+def fn_membership_by_search(f):
+    """Reference: every witness found by trying each m with m*m <= p."""
+    p, q = f.numerator, f.denominator
+    found = []
+    m = 2
+    while m * m <= p:
+        if p % (m * m) == 0:
+            n = p // (m * m)
+            if n >= 2 and q > 1 and (q - 1) % (n * m) == 0:
+                k = (q - 1) // (n * m)
+                if 0 < k < m and gcd(m, k) == 1:
+                    found.append(FnWitness(n, m, k))
+        m += 1
+    return sorted(found)
+
+
 class TestFnMembership:
     def test_eight_fifths(self):
         assert fn_membership(Fraction(8, 5)) == [FnWitness(2, 2, 1)]
@@ -138,20 +154,27 @@ class TestFnMembership:
         for n in range(2, 40):
             assert fn_membership(Fraction(n, 1)) == []
 
+    def test_matches_search_for_small_p(self):
+        for p in range(2, 401):
+            for q in range(1, p):
+                if gcd(p, q) == 1:
+                    f = Fraction(p, q)
+                    assert fn_membership(f) == fn_membership_by_search(f), f
+
+    def test_huge_non_member_is_instant(self):
+        assert fn_membership(Fraction(10**32 + 1, 3)) == []
+
     @given(
-        st.integers(min_value=2, max_value=6),
-        st.integers(min_value=2, max_value=7),
-        st.integers(min_value=1, max_value=6),
+        st.integers(min_value=2, max_value=10**6),
+        st.integers(min_value=2, max_value=10**6),
+        st.integers(min_value=1, max_value=10**6),
     )
     def test_witness_reconstruction(self, n, m, k):
         if not (m > k > 0 and gcd(m, k) == 1):
             return
         f = Fraction(n * m * m, n * m * k + 1)
-        witnesses = fn_membership(f)
-        assert FnWitness(n, m, k) in witnesses
-        for w in witnesses:
-            assert w.fraction() == f
-            assert f.numerator == w.n * w.m * w.m
+        assert fn_membership(f) == [FnWitness(n, m, k)]
+        assert FnWitness(n, m, k).fraction() == f
 
 
 class TestHomologyOrder:

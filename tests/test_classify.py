@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from ribbonlens.arith import LensSpace, fn_membership, lens_homeomorphic, lens_normalize, square_ratio_check
+from ribbonlens.arith import FnWitness, LensSpace, fn_membership, lens_homeomorphic, lens_normalize, square_ratio_check
 from ribbonlens.classify import (
     ConnectedSum,
     PairType,
@@ -105,6 +105,13 @@ class TestTwoSummandBall:
     def test_double_family_pair(self):
         verdict = two_summand_ball(L(8, 3), L(8, 5))
         assert verdict.yes and verdict.witness[0].tag in ("T4", "T6")
+
+    def test_reversed_family_member_with_family_member(self):
+        # -L(8,3) = L(8,5) has witness (2,2,1) and L(18,7) has (2,3,1)
+        verdict = two_summand_ball(L(8, 3), L(18, 7))
+        assert verdict.yes and verdict.witness == (
+            PairType("T6", (), (L(8, 3), L(18, 7)), n=2, witness=FnWitness(2, 3, 1)),
+        )
 
     def test_two_family_members_without_reversal(self):
         verdict = two_summand_ball(L(8, 5), L(8, 5))

@@ -2,6 +2,8 @@ import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ribbonlens import cli
 from ribbonlens.arith import lens_normalize
@@ -38,10 +40,15 @@ class TestExitCodes:
             ["cf", "3/4"],
             ["embed", "--summands", "1,2"],
             ["nope"],
+            ["ribbon-sum", "2/1", "--", "--"],
         ):
             code, _, err = run_cli(*argv)
             assert code == 64, argv
             assert err
+
+    def test_help_is_zero_on_the_given_stdout(self):
+        code, out, _ = run_cli("ribbon", "--help")
+        assert code == 0 and out.startswith("usage:")
 
     @pytest.mark.parametrize(
         "env, argv, named",
@@ -153,6 +160,10 @@ class TestLensAndFn:
         assert json.loads(out)["result"]["witnesses"] == [{"n": "2", "m": "2", "k": "1"}]
         assert run_cli("fn", "7/4")[0] == 1
 
+    def test_fn_huge_non_member(self):
+        code, out, _ = run_cli("fn", "100000000000000000000000000000001/3")
+        assert code == 1 and "no square-multiple family" in out
+
 
 class TestBridgeCommand:
     def test_bridge_yes(self):
@@ -195,3 +206,64 @@ class TestCacheFile:
         path.write_text(json.dumps(doc))
         assert clean[0] == 0
         assert run_cli(*argv) == clean
+
+    def test_unwritable_cache_file_costs_a_warning(self, tmp_path):
+        clean = run_cli("ribbon", "2/1", "8/5")
+        path = tmp_path / "dir"
+        path.mkdir()
+        code, out, err = run_cli("--cache", str(path), "ribbon", "2/1", "8/5")
+        assert code == 0 and out == clean[1]
+        assert "warning: could not write cache" in err
+        assert not list(tmp_path.glob("*.tmp"))
+
+
+class TestInternalErrors:
+    def test_handler_crash_is_seventy(self, monkeypatch):
+        def crash(f):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "fn_membership", crash)
+        code, out, err = run_cli("fn", "8/5")
+        assert code == cli.EXIT_SOFTWARE == 70
+        assert not out and err.startswith("internal error:") and err.count("\n") == 1
+
+
+FUZZ_COMMANDS = (
+    ["cf"],
+    ["lens", "cmp"],
+    ["fn"],
+    ["in-r"],
+    ["ribbon"],
+    ["ribbon-sum"],
+    ["bridge"],
+    ["embed", "--summands"],
+)
+FUZZ_TOKENS = st.one_of(
+    st.sampled_from(
+        ["2/1", "8/5", "-7/4", "7/3", "S3", "U", "16/7", "2/1,3/1", "2,3,2", "1",
+         "0", "-1", "1/0", "4/2", "", ",", "--", "--oriented", "--ribbon-split",
+         "--summands", "-h", "x"]
+    ),
+    st.builds(
+        lambda p, q, sign: f"{sign}{p}/{q}",
+        st.integers(-3, 40),
+        st.integers(-1, 40),
+        st.sampled_from(["", "-"]),
+    ),
+    st.text(max_size=6),
+)
+
+
+@settings(max_examples=150)
+@given(
+    st.sampled_from(FUZZ_COMMANDS),
+    st.lists(FUZZ_TOKENS, max_size=4),
+    st.sampled_from(["text", "json"]),
+)
+def test_fuzz_exit_codes(command, tokens, fmt):
+    argv = ["--max-nodes", "2000", "--max-seconds", "2", "--format", fmt, *command, *tokens]
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("RIBBONLENS_CACHE", "RIBBONLENS_MAX_NODES", "RIBBONLENS_MAX_SECONDS"):
+            mp.delenv(name, raising=False)
+        code, _, err = run_cli(*argv)
+    assert code in (0, 1, 2, 64, 70), (argv, err)
