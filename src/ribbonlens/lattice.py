@@ -403,7 +403,8 @@ def _chain_basis(
 ) -> tuple[Vector, ...] | None:
     """Search a basis v1..vn with v_i.v_i drawn from norms_at(i), consecutive
     pairings 1, all other pairings 0, and Gram determinant equal to the
-    lattice's.  Returns coordinates in the abstract lattice."""
+    lattice's.  Returns coordinates in the abstract lattice.  Prefix continuants
+    rise for norms >= 2, so a norm taking one past that determinant is skipped."""
     n = lattice.rank
     gram = lattice.gram
     target_det = lattice.determinant()
@@ -418,6 +419,7 @@ def _chain_basis(
 
     chain: list[Vector] = []
     gw_chain: list[Vector] = []
+    conts = [0, 1]  # K_{-1}, K_0, K_1, ..., K_pos: the prefix continuants
 
     def extend(pos: int) -> bool:
         if tick is not None:
@@ -426,6 +428,9 @@ def _chain_basis(
             g = tuple(tuple(dot(v, gwv) for gwv in gw_chain) for v in chain)
             return det(g) == target_det
         for norm in norms_at(pos):
+            cont = norm * conts[-1] - conts[-2]
+            if cont > target_det:
+                continue
             for base in by_norm.get(norm, ()):
                 for cand in ((base, tuple(-x for x in base)) if pos else (base,)):
                     if pos:
@@ -435,10 +440,12 @@ def _chain_basis(
                             continue
                     chain.append(cand)
                     gw_chain.append(gw(cand))
+                    conts.append(cont)
                     if extend(pos + 1):
                         return True
                     chain.pop()
                     gw_chain.pop()
+                    conts.pop()
         return False
 
     if extend(0):
@@ -489,8 +496,9 @@ def recognize_linear(lattice: GramLattice, limit: int | None = None) -> CF | Non
         raise RecognitionLimitExceeded(f"rank {n} exceeds recognition limit {limit}")
     if n == 0:
         return ()
-    # every chain norm is bounded by the determinant
-    by_norm = _shorts_by_norm(lattice, lattice.determinant())
+    # a continuant grows in each term and is smallest with its largest term
+    # at an end and the others 2, so det >= n * (a - 1) + 1 for every norm a
+    by_norm = _shorts_by_norm(lattice, (lattice.determinant() - 1) // n + 1)
     if by_norm.get(1):
         raise ValueError("lattice has norm-1 vectors; strip unit summands first")
     norms = tuple(sorted(by_norm))

@@ -4,7 +4,9 @@ The engine assigns one chain vector at a time in string order, propagating the
 required pairings, and breaks the signed-permutation symmetry of Z^N by
 (a) consuming fresh coordinates in order with positive non-increasing
 coefficients and (b) forcing non-increasing coefficients on any block of
-coordinates whose columns over the partial assignment coincide.  The pruned
+coordinates whose columns over the partial assignment coincide.  So the used
+coordinates are a prefix and such blocks are contiguous runs, which the engine
+carries down an explicit stack; nothing in it recurses.  The pruned
 tree still contains a representative of every solution orbit, so an exhausted
 search is a proof of absence.  Exceeding a budget turns into a distinct
 "inconclusive" outcome, never into "absent".
@@ -18,7 +20,8 @@ import threading
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from itertools import accumulate
+from math import isqrt, prod
 
 from .arith import CF, cf_expand, continuant, is_perfect_square
 from .lattice import GramLattice, Vector, chain_basis_for, det, dot, integer_kernel
@@ -63,7 +66,7 @@ def _env_positive(name: str, kind, default):
 
 @dataclass(frozen=True)
 class SearchProblem:
-    """Chain lattices to embed into Z^ambient_rank.
+    """Chain lattices to embed into Z^N, N the total rank of the summands.
 
     ``ribbon_split`` is None for a plain full-rank embedding; the value 1
     marks the constrained mode where the first summand must coincide with the
@@ -71,18 +74,18 @@ class SearchProblem:
     """
 
     summands: tuple[CF, ...]
-    ambient_rank: int
     ribbon_split: int | None = None
 
     def __post_init__(self) -> None:
         for terms in self.summands:
             if any(a < 2 for a in terms):
                 raise ValueError("all chain terms must be >= 2")
-        total = sum(len(t) for t in self.summands)
-        if total != self.ambient_rank:
-            raise ValueError("ambient rank must equal the total rank")
         if self.ribbon_split is not None and (len(self.summands) != 2 or self.ribbon_split != 1):
             raise ValueError("constrained mode takes exactly two summands split at 1")
+
+    @property
+    def ambient_rank(self) -> int:
+        return sum(len(t) for t in self.summands)
 
     @property
     def key(self) -> str:
@@ -93,25 +96,21 @@ class SearchProblem:
     def from_key(cls, key: str) -> SearchProblem:
         mode, _, rest = key.partition("|")
         summands = tuple(
-            tuple(int(a) for a in part.split(",")) if part else ()
-            for part in rest.split(";")
-        ) if rest else ((),)
-        total = sum(len(t) for t in summands)
+            tuple(int(a) for a in part.split(",")) if part else () for part in rest.split(";")
+        )
         if mode == "plain":
-            return cls(summands, total, None)
+            return cls(summands)
         if mode == "ribbon":
-            return cls(summands, total, 1)
+            return cls(summands, 1)
         raise ValueError(f"unknown problem key {key!r}")
 
 
 def plain_problem(summands) -> SearchProblem:
-    summands = tuple(tuple(t) for t in summands)
-    return SearchProblem(summands, sum(len(t) for t in summands), None)
+    return SearchProblem(tuple(tuple(t) for t in summands))
 
 
 def ribbon_problem(lambda1: CF, lambda2: CF) -> SearchProblem:
-    lambda1, lambda2 = tuple(lambda1), tuple(lambda2)
-    return SearchProblem((lambda1, lambda2), len(lambda1) + len(lambda2), 1)
+    return SearchProblem((tuple(lambda1), tuple(lambda2)), 1)
 
 
 @dataclass(frozen=True)
@@ -134,17 +133,24 @@ class SearchOutcome:
         return self.status == "found"
 
 
-def _square_partitions(total: int, max_len: int, max_coeff: int):
-    """Non-increasing positive integers whose squares sum to total."""
-    if total == 0:
-        yield ()
-        return
-    if max_len == 0:
-        return
-    top = min(max_coeff, isqrt(total))
-    for c in range(top, 0, -1):
-        for rest in _square_partitions(total - c * c, max_len - 1, c):
-            yield (c,) + rest
+def _square_partitions(total: int, max_len: int):
+    """Non-increasing positive integers whose squares sum to total, in
+    decreasing lexicographic order; an odometer, so it does not recurse."""
+    parts: list[int] = []
+    left, c = total, isqrt(total)
+    while True:
+        if left == 0:
+            yield tuple(parts)
+        elif c and len(parts) < max_len:
+            parts.append(c)
+            left -= c * c
+            c = min(c, isqrt(left))
+            continue
+        if not parts:
+            return
+        c = parts.pop()
+        left += c * c
+        c -= 1
 
 
 class _Engine:
@@ -152,15 +158,12 @@ class _Engine:
 
     def __init__(self, summands: tuple[CF, ...], ambient: int, budget: SearchBudget):
         self.N = ambient
-        self.flat: list[tuple[int, int, int]] = []  # (block, position, norm)
-        for bi, terms in enumerate(summands):
-            for ti, a in enumerate(terms):
-                self.flat.append((bi, ti, a))
+        # (pairs with the previous vector, norm), in string order
+        self.flat = [(ti > 0, a) for terms in summands for ti, a in enumerate(terms)]
         self.n = len(self.flat)
         self.budget = budget
         self.nodes = 0
         self.deadline = time.monotonic() + budget.max_seconds
-        self.vecs: list[Vector] = []
 
     def _tick(self) -> None:
         self.nodes += 1
@@ -170,105 +173,94 @@ class _Engine:
             raise BudgetExceededError
 
     def run(self, leaf_check):
-        return self._assign(0, leaf_check)
+        # frame d holds the remaining candidates for vector d together with
+        # the used prefix u and the run starts left by vectors 0..d-1
+        vecs: list[Vector] = []
+        tails: list[list[int]] = []
+        frames = []
+        u, starts = 0, ()
+        while True:
+            if len(vecs) == self.n:
+                got = leaf_check(tuple(vecs))
+                if got is not None:
+                    return got
+            else:
+                frames.append((iter(self._candidates(vecs, tails, u, starts)), u, starts))
+            while frames:
+                cands, u, starts = frames[-1]
+                del vecs[len(frames) - 1 :], tails[len(frames) - 1 :]
+                vec = next(cands, None)
+                if vec is not None:
+                    break
+                frames.pop()
+            else:
+                return None
+            vecs.append(vec)
+            tails.append([*accumulate(x * x for x in reversed(vec))][::-1] + [0])
+            # vec[u:] holds its positive fresh coefficients, then zeros
+            fresh_end = self.N - vec[u:].count(0)
+            # a run starts where a column differs from its left neighbour
+            starts = tuple(
+                k == u or (k < u and starts[k]) or vec[k] != vec[k - 1] for k in range(fresh_end)
+            )
+            u = fresh_end
 
-    def _assign(self, i: int, leaf_check):
-        if i == self.n:
-            return leaf_check(tuple(self.vecs))
-        for cand in self._candidates(i):
-            self.vecs.append(cand)
-            got = self._assign(i + 1, leaf_check)
-            if got is not None:
-                return got
-            self.vecs.pop()
-        return None
-
-    def _candidates(self, i: int) -> list[Vector]:
-        N = self.N
-        bi, ti, norm = self.flat[i]
-        prev = self.vecs
-        dreq = [1 if (bj == bi and tj == ti - 1) else 0 for bj, tj, _ in self.flat[:i]]
-
-        # column classes of the partial assignment; equal columns are
-        # interchangeable, untouched coordinates also admit sign flips
-        used: list[int] = []
-        pattern: dict[int, tuple[int, ...]] = {}
-        for c in range(N):
-            col = tuple(v[c] for v in prev)
-            if any(col):
-                used.append(c)
-                pattern[c] = col
-        order: list[tuple[int, ...]] = []
-        groups: dict[tuple[int, ...], list[int]] = {}
-        for c in used:
-            p = pattern[c]
-            if p not in groups:
-                groups[p] = []
-                order.append(p)
-            groups[p].append(c)
-        coord_seq: list[int] = []
-        group_start: list[bool] = []
-        for p in order:
-            for idx, c in enumerate(groups[p]):
-                coord_seq.append(c)
-                group_start.append(idx == 0)
-        u = len(coord_seq)
-        unused = [c for c in range(N) if c not in pattern]
-        tails = []
-        for j in range(i):
-            t = [0] * (u + 1)
-            row = prev[j]
-            for k in range(u - 1, -1, -1):
-                xk = row[coord_seq[k]]
-                t[k] = t[k + 1] + xk * xk
-            tails.append(t)
-
+    def _candidates(self, vecs, tails, u: int, starts) -> list[Vector]:
+        """Vectors of the next norm, non-increasing inside each run of
+        [0, u), then fresh coordinates in order with positive non-increasing
+        coefficients."""
+        i = len(vecs)
+        pairs, norm = self.flat[i]
+        req = [0] * i
+        if pairs:
+            req[-1] = 1
+        fresh = self.N - u
+        # odometer over coordinates: x[k] runs down from its top to lo[k];
+        # lefts[k] and parts[k] are the norm left and the pairings so far
         x = [0] * u
+        lo = [0] * u
+        lefts = [norm] * (u + 1)
+        parts = [(0,) * i] * (u + 1)
         out: list[Vector] = []
-        max_coeff = isqrt(norm)
-
-        def rec(k: int, left: int, partials: tuple[int, ...]) -> None:
+        k = 0
+        while True:
             self._tick()
-            for j in range(i):
-                need = dreq[j] - partials[j]
-                if need * need > left * tails[j][k]:
-                    return
-            if k == u:
-                cap = min(len(unused), left)
-                for part in _square_partitions(left, cap, max_coeff):
-                    vec = [0] * N
-                    for kk, c in enumerate(coord_seq):
-                        vec[c] = x[kk]
-                    for idx, coeff in enumerate(part):
-                        vec[unused[idx]] = coeff
-                    out.append(tuple(vec))
-                return
-            c = coord_seq[k]
-            cmax = isqrt(left)
-            top = cmax if group_start[k] else min(cmax, x[k - 1])
-            col = [prev[j][c] for j in range(i)]
-            for val in range(top, -cmax - 1, -1):
-                nb = left - val * val
-                if nb < 0:
-                    continue
-                x[k] = val
-                rec(k + 1, nb, tuple(p + val * cj for p, cj in zip(partials, col)))
-            x[k] = 0
-
-        rec(0, norm, (0,) * i)
-        return out
+            left, part = lefts[k], parts[k]
+            # Cauchy-Schwarz: coordinates k.. must still supply each pairing
+            if all((r - p) ** 2 <= left * t[k] for r, p, t in zip(req, part, tails)):
+                if k == u:
+                    for fill in _square_partitions(left, fresh):
+                        out.append(tuple(x) + fill + (0,) * (fresh - len(fill)))
+                        # held candidates count against the node budget, not as nodes
+                        if self.nodes + len(out) > self.budget.max_nodes:
+                            self.nodes = self.budget.max_nodes + 1  # as the tick reports
+                            raise BudgetExceededError
+                        if not (len(out) & 2047) and time.monotonic() > self.deadline:
+                            raise BudgetExceededError
+                else:
+                    # start one above the top, so the step below takes the top
+                    cmax = isqrt(left)
+                    x[k] = (cmax if starts[k] else min(cmax, x[k - 1])) + 1
+                    lo[k] = -cmax
+                    k += 1
+            # the deepest level with a value left takes its next value
+            k -= 1
+            while k >= 0 and x[k] <= lo[k]:
+                k -= 1
+            if k < 0:
+                return out
+            x[k] -= 1
+            val = x[k]
+            lefts[k + 1] = lefts[k] - val * val
+            parts[k + 1] = tuple(p + val * v[k] for p, v in zip(parts[k], vecs))
+            k += 1
 
 
 def _plain_leaf(problem: SearchProblem):
-    sizes = [len(t) for t in problem.summands]
+    ends = list(accumulate(len(t) for t in problem.summands))
 
     def leaf(vecs: tuple[Vector, ...]):
-        groups = []
-        at = 0
-        for size in sizes:
-            groups.append(tuple(vecs[at : at + size]))
-            at += size
-        return tuple(groups)
+        return tuple(vecs[end - len(t) : end] for t, end in zip(problem.summands, ends))
 
     return leaf
 
@@ -299,10 +291,7 @@ def _run_problem(problem: SearchProblem, budget: SearchBudget) -> SearchOutcome:
     start = time.monotonic()
     if problem.ribbon_split is None:
         # a full-rank sublattice of Z^N has square determinant (index formula)
-        total_det = 1
-        for terms in problem.summands:
-            total_det *= continuant(terms)
-        if not is_perfect_square(total_det):
+        if not is_perfect_square(prod(continuant(t) for t in problem.summands)):
             return SearchOutcome("absent", None, 0, time.monotonic() - start)
         engine = _Engine(problem.summands, problem.ambient_rank, budget)
         leaf = _plain_leaf(problem)
@@ -335,23 +324,19 @@ def verify_certificate(problem: SearchProblem, cert: Certificate) -> bool:
     if len(groups) != len(problem.summands):
         return False
     N = problem.ambient_rank
-    flat: list[Vector] = []
-    flat_terms: list[tuple[int, int, int]] = []
-    for bi, (terms, group) in enumerate(zip(problem.summands, groups)):
+    flat: list[tuple[Vector, bool, int]] = []  # (vector, pairs with the previous, norm)
+    for terms, group in zip(problem.summands, groups):
         if len(group) != len(terms):
             return False
         for ti, (a, v) in enumerate(zip(terms, group)):
             if len(v) != N:
                 return False
-            flat.append(tuple(v))
-            flat_terms.append((bi, ti, a))
-    for idx, (bi, ti, a) in enumerate(flat_terms):
-        if dot(flat[idx], flat[idx]) != a:
+            flat.append((tuple(v), ti > 0, a))
+    for idx, (v, pairs, a) in enumerate(flat):
+        if dot(v, v) != a:
             return False
-        for jdx in range(idx):
-            bj, tj, _ = flat_terms[jdx]
-            want = 1 if (bj == bi and tj == ti - 1) else 0
-            if dot(flat[idx], flat[jdx]) != want:
+        for jdx, (w, _, _) in enumerate(flat[:idx]):
+            if dot(v, w) != (1 if pairs and jdx == idx - 1 else 0):
                 return False
     # the realized Gram matrix is positive definite, so the vectors are
     # automatically linearly independent; in plain mode they fill Z^N by count

@@ -232,6 +232,17 @@ class TestRecognition:
         conjugated = mat_mul(mat_mul(u, freeze(gram)), tuple(zip(*u)))
         assert recognize_linear(GramLattice(freeze(conjugated))) == canonical_cf(terms)
 
+    def test_conjugated_rank_five_chain(self):
+        # a rank-5 chain the unpruned search needed minutes to recognize
+        terms = (2, 2, 3, 2, 3)
+        gram = tuple(
+            tuple(terms[i] if i == j else int(abs(i - j) == 1) for j in range(5)) for i in range(5)
+        )
+        u = random_unimodular(random.Random(5), 5)
+        conjugated = freeze(mat_mul(mat_mul(u, gram), tuple(zip(*u))))
+        assert conjugated != gram and det(conjugated) == 26
+        assert recognize_linear(GramLattice(conjugated)) == (2, 2, 3, 2, 3)
+
     def test_chain_basis_for_targets(self):
         a3 = GramLattice(((2, 1, 0), (1, 2, 1), (0, 1, 2)))
         assert chain_basis_for(a3, (2, 2, 2)) is not None

@@ -1,12 +1,16 @@
+import hashlib
 import itertools
 import json
+import sys
 from fractions import Fraction
 from math import gcd, isqrt
 
 import pytest
 
+from ribbonlens import search
 from ribbonlens.arith import cf_expand
 from ribbonlens.search import (
+    ENGINE_VERSION,
     Certificate,
     EmbeddingCache,
     SearchBudget,
@@ -118,6 +122,81 @@ class TestPlainSearch:
         second = find_embedding(plain_problem([(2, 2, 2), (4,)]), cache=fresh_cache())
         assert first.certificate.groups == second.certificate.groups
         assert first.nodes == second.nodes
+
+
+# sha256 of engine_fingerprint(), per engine version
+ENGINE_FINGERPRINTS = {
+    "1": "dd550649a24e4fb6279779a789604d7c9648dbff86d2b17ef39c5bed8486c35d",
+}
+
+
+def engine_fingerprint() -> str:
+    """(key, status, groups, nodes) of a fixed problem set, with and without a
+    tight node budget: plain chains of p/q for square p <= 64 and ribbon pairs
+    with p <= 8."""
+    from ribbonlens.selfcheck import all_lens_spaces
+
+    problems = [
+        plain_problem((cf_expand(Fraction(p, q)),))
+        for p in range(2, 65)
+        if isqrt(p) ** 2 == p
+        for q in range(1, p)
+        if gcd(p, q) == 1
+    ]
+    spaces = all_lens_spaces(8)
+    problems += [ribbon_problem(l1.reverse().cf(), l2.cf()) for l1 in spaces for l2 in spaces]
+    rows = []
+    for budget in (SearchBudget(), SearchBudget(max_nodes=50)):
+        for problem in problems:
+            if problem.ribbon_split is None:
+                outcome = find_embedding(problem, budget=budget, cache=fresh_cache())
+            else:
+                outcome = find_ribbon_embedding(*problem.summands, budget=budget, cache=fresh_cache())
+            groups = outcome.certificate.groups if outcome.found else None
+            rows.append((problem.key, outcome.status, groups, outcome.nodes))
+    return hashlib.sha256(json.dumps(rows, separators=(",", ":")).encode()).hexdigest()
+
+
+class TestEngine:
+    def test_fingerprint(self):
+        assert engine_fingerprint() == ENGINE_FINGERPRINTS.get(ENGINE_VERSION), (
+            "search outcomes changed: bump ENGINE_VERSION, run scripts/regenerate_golden.py "
+            "and record the new fingerprint"
+        )
+
+    def test_long_chain_under_low_recursion_limit(self):
+        # the engine keeps no frame per chain vector or per coordinate
+        frame, depth = sys._getframe(), 0
+        while frame is not None:
+            frame, depth = frame.f_back, depth + 1
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 60)
+        try:
+            outcome = find_embedding(
+                plain_problem([(2,) * 120]), SearchBudget(20000, 60), cache=fresh_cache()
+            )
+        finally:
+            sys.setrecursionlimit(limit)
+        assert outcome.status == "inconclusive"
+
+    def test_node_budget_caps_candidates_of_one_vector(self, monkeypatch):
+        # (a, 2 x a) has determinant a^2; its first vector alone has
+        # thousands of candidates for a = 100
+        drawn = []
+        partitions = search._square_partitions
+
+        def counting(*args):
+            for part in partitions(*args):
+                drawn.append(part)
+                yield part
+
+        monkeypatch.setattr(search, "_square_partitions", counting)
+        outcome = find_embedding(
+            plain_problem([(100,) + (2,) * 100]), SearchBudget(max_nodes=10), cache=fresh_cache()
+        )
+        assert outcome.status == "inconclusive"
+        assert outcome.nodes == 11
+        assert len(drawn) <= 10
 
 
 class TestRibbonSearch:
