@@ -11,9 +11,8 @@ no names the obstruction; oracle-dependent branches degrade to
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from math import gcd
-from typing import Callable, Iterable
+from typing import Iterable
 
 from . import search
 from .arith import (
@@ -25,8 +24,6 @@ from .arith import (
     lens_normalize,
     square_ratio_check,
 )
-
-Oracle = Callable[[Fraction], str]
 
 YES = "yes"
 NO = "no"
@@ -132,24 +129,6 @@ def necessary_conditions(y1: ConnectedSum, y2: ConnectedSum) -> ConditionReport:
     return ConditionReport(tuple(conditions))
 
 
-class _Trace:
-    """Records distinct oracle calls in first-use order."""
-
-    def __init__(self, oracle: Oracle):
-        self._oracle = oracle
-        self._seen: dict[str, str] = {}
-
-    def __call__(self, f: Fraction) -> str:
-        key = str(f)
-        if key not in self._seen:
-            self._seen[key] = self._oracle(f)
-        return self._seen[key]
-
-    @property
-    def calls(self) -> tuple[tuple[str, str], ...]:
-        return tuple(self._seen.items())
-
-
 def _is_ln1(lens: LensSpace) -> int | None:
     """The n >= 2 with lens oriented-homeomorphic to L(n, 1), if any."""
     if not lens.is_s3 and lens.q == 1:
@@ -183,7 +162,6 @@ def _first_pair_options(a: LensSpace, b: LensSpace) -> list[PairType]:
 def ribbon_leq_lens(
     l1: LensSpace,
     l2: LensSpace,
-    oracle: Oracle | None = None,
     budget: search.SearchBudget | None = None,
     cache: search.EmbeddingCache | None = None,
 ) -> Verdict:
@@ -197,9 +175,7 @@ def ribbon_leq_lens(
     """
     if l1.is_s3 and l2.is_s3:
         return Verdict(YES, (PairType("T1", (l1,), (l2,)),))
-    verdict = ribbon_leq_sum(
-        ConnectedSum.of(l1), ConnectedSum.of(l2), oracle=oracle, budget=budget, cache=cache
-    )
+    verdict = ribbon_leq_sum(ConnectedSum.of(l1), ConnectedSum.of(l2), budget=budget, cache=cache)
     if verdict.obstruction == "no-decomposition":
         return replace(verdict, obstruction="no-matching-case")
     return verdict
@@ -247,7 +223,6 @@ def two_summand_ball(m1: LensSpace, m2: LensSpace) -> Verdict:
 def ribbon_leq_sum(
     y1: ConnectedSum,
     y2: ConnectedSum,
-    oracle: Oracle | None = None,
     budget: search.SearchBudget | None = None,
     cache: search.EmbeddingCache | None = None,
 ) -> Verdict:
@@ -259,21 +234,16 @@ def ribbon_leq_sum(
     remaining multisets; an inconclusive oracle poisons only the branches
     that need it.
     """
-    trace = _Trace(
-        oracle
-        if oracle is not None
-        else lambda f: search.r_membership(f, budget=budget, cache=cache).outcome
-    )
     report = necessary_conditions(y1, y2)
     if not report.all_pass:
         return Verdict(NO, obstruction=report.first_failure)
 
     memo: dict[tuple, tuple[str, tuple[PairType, ...] | None]] = {}
+    calls: dict[str, str] = {}  # oracle outcome per fraction, in first-use order
 
     def solve(rem1: tuple[LensSpace, ...], rem2: tuple[LensSpace, ...]):
-        key = (rem1, rem2)
-        if key in memo:
-            return memo[key]
+        """Decide one subproblem: yields each smaller (rem1, rem2) it needs and
+        is sent back its (answer, witness)."""
         blocked = False
         result: tuple[str, tuple[PairType, ...] | None] = (NO, None)
         if not rem1 and not rem2:
@@ -287,7 +257,7 @@ def ribbon_leq_sum(
                     continue
                 rest2 = rem2[:idx] + rem2[idx + 1 :]
                 for option in _first_pair_options(a, b):
-                    sub, wit = solve(rest1, rest2)
+                    sub, wit = yield (rest1, rest2)
                     if sub == YES:
                         result = (YES, (option,) + wit)
                         break
@@ -297,9 +267,12 @@ def ribbon_leq_sum(
                     break
         else:
             b, rest = rem2[0], rem2[1:]
-            outcome = trace(b.fraction())
+            f = b.fraction()
+            if str(f) not in calls:
+                calls[str(f)] = search.r_membership(f, budget=budget, cache=cache).outcome
+            outcome = calls[str(f)]
             if outcome == "member":
-                sub, wit = solve((), rest)
+                sub, wit = yield ((), rest)
                 if sub == YES:
                     result = (YES, (PairType("T3", (), (b,)),) + wit)
                 elif sub == INCONCLUSIVE:
@@ -314,7 +287,7 @@ def ribbon_leq_sum(
                     pair_verdict = two_summand_ball(b, b2)
                     if not pair_verdict.yes:
                         continue
-                    sub, wit = solve((), rest[:jdx] + rest[jdx + 1 :])
+                    sub, wit = yield ((), rest[:jdx] + rest[jdx + 1 :])
                     if sub == YES:
                         result = (YES, pair_verdict.witness + wit)
                         break
@@ -322,15 +295,33 @@ def ribbon_leq_sum(
                         blocked = True
         if result[0] == NO and blocked:
             result = (INCONCLUSIVE, None)
-        memo[key] = result
         return result
 
-    answer, witness = solve(y1.summands, y2.summands)
+    # one frame per subproblem in progress, on an explicit stack so that long
+    # sums cannot hit the recursion limit; a memoized subproblem is answered
+    # without a frame
+    root = (y1.summands, y2.summands)
+    stack = [(root, solve(*root))]
+    result = None
+    while stack:
+        key, frame = stack[-1]
+        try:
+            sub = frame.send(result)
+        except StopIteration as stop:
+            result = memo[key] = stop.value
+            stack.pop()
+            continue
+        result = memo.get(sub)
+        if result is None:
+            stack.append((sub, solve(*sub)))
+
+    answer, witness = result
+    trace = tuple(calls.items())
     if answer == YES:
-        return Verdict(YES, witness, oracle_trace=trace.calls)
+        return Verdict(YES, witness, oracle_trace=trace)
     if answer == INCONCLUSIVE:
-        return Verdict(INCONCLUSIVE, obstruction="oracle-budget", oracle_trace=trace.calls)
-    return Verdict(NO, obstruction="no-decomposition", oracle_trace=trace.calls)
+        return Verdict(INCONCLUSIVE, obstruction="oracle-budget", oracle_trace=trace)
+    return Verdict(NO, obstruction="no-decomposition", oracle_trace=trace)
 
 
 def replay_witness(verdict: Verdict) -> tuple[ConnectedSum, ConnectedSum]:
@@ -394,7 +385,6 @@ class TwoBridgeLink:
 def chi_leq_bridge(
     k1: Iterable[TwoBridgeLink],
     k2: Iterable[TwoBridgeLink],
-    oracle: Oracle | None = None,
     budget: search.SearchBudget | None = None,
     cache: search.EmbeddingCache | None = None,
 ) -> Verdict:
@@ -412,11 +402,7 @@ def chi_leq_bridge(
     if len(covers1) <= 1 and len(covers2) <= 1:
         l1 = covers1[0] if covers1 else LensSpace(1, 0)
         l2 = covers2[0] if covers2 else LensSpace(1, 0)
-        return ribbon_leq_lens(l1, l2, oracle=oracle, budget=budget, cache=cache)
+        return ribbon_leq_lens(l1, l2, budget=budget, cache=cache)
     return ribbon_leq_sum(
-        ConnectedSum.of(*covers1),
-        ConnectedSum.of(*covers2),
-        oracle=oracle,
-        budget=budget,
-        cache=cache,
+        ConnectedSum.of(*covers1), ConnectedSum.of(*covers2), budget=budget, cache=cache
     )

@@ -36,6 +36,17 @@ EXIT_INCONCLUSIVE = 2
 EXIT_USAGE = 64
 EXIT_SOFTWARE = 70
 
+# the exit code of every answer a query can give
+EXIT_CODES = {
+    "yes": EXIT_YES,
+    "member": EXIT_YES,
+    "found": EXIT_YES,
+    "no": EXIT_NO,
+    "non-member": EXIT_NO,
+    "absent": EXIT_NO,
+    "inconclusive": EXIT_INCONCLUSIVE,
+}
+
 
 class UsageError(Exception):
     pass
@@ -120,8 +131,6 @@ def parse_terms(token: str) -> tuple[int, ...]:
         terms = tuple(int(part) for part in raw.split(","))
     except ValueError:
         raise UsageError(f"malformed chain string: {token!r}") from None
-    if any(a < 2 for a in terms):
-        raise UsageError(f"chain terms must be >= 2: {token!r}")
     return terms
 
 
@@ -235,10 +244,6 @@ def _verdict_lines(verdict: Verdict) -> list[str]:
     return lines
 
 
-def _verdict_exit(verdict: Verdict) -> int:
-    return {"yes": EXIT_YES, "no": EXIT_NO, "inconclusive": EXIT_INCONCLUSIVE}[verdict.answer]
-
-
 # -- subcommand handlers ---------------------------------------------------------
 
 
@@ -342,8 +347,7 @@ def cmd_in_r(args) -> tuple[int, dict, list[str]]:
         "cache_path": _cache_path(args),
     }
     text = [f"{f}: {result.outcome} ({result.reason})"]
-    code = {"member": EXIT_YES, "non-member": EXIT_NO, "inconclusive": EXIT_INCONCLUSIVE}
-    return code[result.outcome], doc, text
+    return EXIT_CODES[result.outcome], doc, text
 
 
 def cmd_ribbon(args) -> tuple[int, dict, list[str]]:
@@ -355,7 +359,7 @@ def cmd_ribbon(args) -> tuple[int, dict, list[str]]:
         "second": lens_to_json(b),
         "verdict": verdict_to_json(verdict),
     }
-    return _verdict_exit(verdict), doc, _verdict_lines(verdict)
+    return EXIT_CODES[verdict.answer], doc, _verdict_lines(verdict)
 
 
 def cmd_ribbon_sum(args) -> tuple[int, dict, list[str]]:
@@ -367,7 +371,7 @@ def cmd_ribbon_sum(args) -> tuple[int, dict, list[str]]:
         "second": [lens_to_json(x) for x in y2.summands],
         "verdict": verdict_to_json(verdict),
     }
-    return _verdict_exit(verdict), doc, _verdict_lines(verdict)
+    return EXIT_CODES[verdict.answer], doc, _verdict_lines(verdict)
 
 
 def cmd_bridge(args) -> tuple[int, dict, list[str]]:
@@ -379,21 +383,16 @@ def cmd_bridge(args) -> tuple[int, dict, list[str]]:
         "second": [{"p": str(k.p), "q": str(k.q)} for k in k2],
         "verdict": verdict_to_json(verdict),
     }
-    return _verdict_exit(verdict), doc, _verdict_lines(verdict)
+    return EXIT_CODES[verdict.answer], doc, _verdict_lines(verdict)
 
 
 def cmd_embed(args) -> tuple[int, dict, list[str]]:
     summands = tuple(parse_terms(token) for token in args.summands)
-    if args.ribbon_split is not None:
-        if args.ribbon_split != 1 or len(summands) != 2:
-            raise UsageError("--ribbon-split takes the value 1 with exactly two --summands")
-        outcome = _cached(args, search.find_ribbon_embedding, summands[0], summands[1])
-    else:
-        try:
-            problem = search.plain_problem(summands)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from None
-        outcome = _cached(args, search.find_embedding, problem)
+    try:
+        problem = search.SearchProblem(summands, args.ribbon_split)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+    outcome = _cached(args, search.find_embedding, problem)
     doc = {
         "summands": [[str(a) for a in terms] for terms in summands],
         "ribbon_split": None if args.ribbon_split is None else str(args.ribbon_split),
@@ -403,8 +402,7 @@ def cmd_embed(args) -> tuple[int, dict, list[str]]:
     if outcome.certificate:
         for group in outcome.certificate.groups:
             text.append("  " + " ".join(str(list(v)) for v in group))
-    code = {"found": EXIT_YES, "absent": EXIT_NO, "inconclusive": EXIT_INCONCLUSIVE}
-    return code[outcome.status], doc, text
+    return EXIT_CODES[outcome.status], doc, text
 
 
 def cmd_selfcheck(args) -> tuple[int, dict, list[str]]:

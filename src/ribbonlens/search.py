@@ -453,22 +453,25 @@ class EmbeddingCache:
 _shared_cache = EmbeddingCache()
 
 
-def shared_cache() -> EmbeddingCache:
-    return _shared_cache
-
-
 def find_embedding(
     problem: SearchProblem,
     budget: SearchBudget | None = None,
     cache: EmbeddingCache | None = None,
 ) -> SearchOutcome:
-    """Full-rank isometric embedding of the summand chains into Z^N.
+    """Embedding of the problem's chains into Z^N: full rank in plain mode; in
+    constrained mode, the second chain with the first as its complement.
 
     Exhaustive up to signed coordinate permutation: "absent" is a proof.
+    Without a cache the process-wide one serves, without a budget the one
+    from the environment.
     """
-    if problem.ribbon_split is not None:
-        raise ValueError("use find_ribbon_embedding for the constrained mode")
-    return _search_cached(problem, budget, cache)
+    cache = cache if cache is not None else _shared_cache
+    hit = cache.get(problem)
+    if hit is not None:
+        return hit
+    outcome = _run_problem(problem, budget if budget is not None else SearchBudget.from_env())
+    cache.put(problem, outcome)
+    return outcome
 
 
 def find_ribbon_embedding(
@@ -479,21 +482,7 @@ def find_ribbon_embedding(
 ) -> SearchOutcome:
     """Embedding of the second chain into Z^N (N = total rank) whose orthogonal
     complement realizes the first chain exactly."""
-    return _search_cached(ribbon_problem(lambda1, lambda2), budget, cache)
-
-
-def _search_cached(
-    problem: SearchProblem,
-    budget: SearchBudget | None,
-    cache: EmbeddingCache | None,
-) -> SearchOutcome:
-    cache = cache if cache is not None else _shared_cache
-    hit = cache.get(problem)
-    if hit is not None:
-        return hit
-    outcome = _run_problem(problem, budget if budget is not None else SearchBudget.from_env())
-    cache.put(problem, outcome)
-    return outcome
+    return find_embedding(ribbon_problem(lambda1, lambda2), budget, cache)
 
 
 @dataclass(frozen=True)
@@ -533,7 +522,7 @@ def r_membership(
     statuses = []
     for g in (Fraction(p, q), Fraction(p, p - q)):
         problem = plain_problem((cf_expand(g),))
-        outcome = _search_cached(problem, budget, cache)
+        outcome = find_embedding(problem, budget, cache)
         searches.append((str(g), outcome))
         statuses.append(outcome.status)
     if "absent" in statuses:

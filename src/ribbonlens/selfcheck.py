@@ -41,6 +41,11 @@ GOLDEN_COMMANDS: dict[str, list[str]] = {
     "ribbon-sum-s3-7-4-7-3": ["--format", "json", "ribbon-sum", "", "7/4,7/3"],
 }
 
+SEED = 20260808
+PRIMITIVITY_SAMPLES = 200
+REPLAY_SAMPLES = 60
+TRIPLE_DEPTH = 3
+
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -72,10 +77,10 @@ def check_cf_round_trip(max_p: int = 200) -> tuple[bool, str]:
     return True, f"{count} fractions round-tripped, all terms >= 2"
 
 
-def check_primitivity_routes(samples: int = 200, seed: int = 20260808) -> tuple[bool, str]:
-    rng = random.Random(seed)
+def check_primitivity_routes() -> tuple[bool, str]:
+    rng = random.Random(SEED)
     accepted = 0
-    while accepted < samples:
+    while accepted < PRIMITIVITY_SAMPLES:
         n = rng.randint(2, 6)
         k = rng.randint(1, n)
         rows = tuple(
@@ -92,14 +97,14 @@ def check_primitivity_routes(samples: int = 200, seed: int = 20260808) -> tuple[
         if not primitivity_test(complement) or not primitivity_test_saturation(complement):
             return False, f"complement of {rows} is not primitive"
         accepted += 1
-    return True, f"{samples} sublattices agreed on both primitivity routes"
+    return True, f"{PRIMITIVITY_SAMPLES} sublattices agreed on both primitivity routes"
 
 
-def check_triple_stability(depth: int = 3) -> tuple[bool, str]:
+def check_triple_stability() -> tuple[bool, str]:
     checked = 0
     for m in (2, 3, 4, 5):
         frontier = [core_triple(m)]
-        for _ in range(depth):
+        for _ in range(TRIPLE_DEPTH):
             grown = []
             for subset in frontier:
                 graph = intersection_graph(subset)
@@ -118,11 +123,7 @@ def check_triple_stability(depth: int = 3) -> tuple[bool, str]:
     return True, f"{checked} expanded subsets kept the stable complement type"
 
 
-def check_family_converse(
-    budget: search.SearchBudget | None = None,
-    cache: search.EmbeddingCache | None = None,
-) -> tuple[bool, str]:
-    cache = cache if cache is not None else search.shared_cache()
+def check_family_converse() -> tuple[bool, str]:
     checked = 0
     for n in (2, 3, 4):
         for m in (2, 3):
@@ -134,14 +135,10 @@ def check_family_converse(
                 witnesses = fn_membership(f)
                 if not any(w == (n, m, k) for w in witnesses):
                     return False, f"missing witness ({n},{m},{k}) for {f}"
-                verdict = ribbon_leq_lens(
-                    lens_normalize(n, 1), lens_normalize(p, q), budget=budget, cache=cache
-                )
+                verdict = ribbon_leq_lens(lens_normalize(n, 1), lens_normalize(p, q))
                 if not verdict.yes or verdict.witness[0].tag != "T2" or verdict.witness[0].n != n:
                     return False, f"classifier missed L({n},1) <= L({p},{q})"
-                outcome = search.find_ribbon_embedding(
-                    (2,) * (n - 1), cf_expand(f), budget=budget, cache=cache
-                )
+                outcome = search.find_ribbon_embedding((2,) * (n - 1), cf_expand(f))
                 if not outcome.found:
                     return False, f"no constrained embedding for L({n},1) <= L({p},{q})"
                 problem = search.ribbon_problem((2,) * (n - 1), cf_expand(f))
@@ -151,20 +148,15 @@ def check_family_converse(
     return True, f"{checked} family members verified end to end"
 
 
-def check_oracle_classifier_agreement(
-    max_p: int = 12,
-    budget: search.SearchBudget | None = None,
-    cache: search.EmbeddingCache | None = None,
-) -> tuple[bool, str]:
-    cache = cache if cache is not None else search.shared_cache()
+def check_oracle_classifier_agreement(max_p: int = 12) -> tuple[bool, str]:
     spaces = all_lens_spaces(max_p)
     pairs = 0
     yes_pairs = 0
     for l1 in spaces:
         lam1 = l1.reverse().cf()
         for l2 in spaces:
-            verdict = ribbon_leq_lens(l1, l2, budget=budget, cache=cache)
-            outcome = search.find_ribbon_embedding(lam1, l2.cf(), budget=budget, cache=cache)
+            verdict = ribbon_leq_lens(l1, l2)
+            outcome = search.find_ribbon_embedding(lam1, l2.cf())
             if verdict.answer == "inconclusive" or outcome.status == "inconclusive":
                 return False, f"inconclusive at ({l1}, {l2}); budgets are undersized"
             if verdict.yes:
@@ -177,15 +169,10 @@ def check_oracle_classifier_agreement(
     return True, f"{pairs} ordered pairs agreed ({yes_pairs} yes instances)"
 
 
-def check_r_oracle_invariance(
-    max_p: int = 36,
-    budget: search.SearchBudget | None = None,
-    cache: search.EmbeddingCache | None = None,
-) -> tuple[bool, str]:
-    cache = cache if cache is not None else search.shared_cache()
+def check_r_oracle_invariance(max_p: int = 36) -> tuple[bool, str]:
     outcomes: dict[tuple[int, int], str] = {}
     for p, q in _coprime_fractions(max_p):
-        result = search.r_membership(Fraction(p, q), budget=budget, cache=cache)
+        result = search.r_membership(Fraction(p, q))
         if result.outcome == "inconclusive":
             return False, f"inconclusive at {p}/{q}; budgets are undersized"
         outcomes[(p, q)] = result.outcome
@@ -203,7 +190,7 @@ def check_r_oracle_invariance(
     return True, f"{len(outcomes)} fractions invariant ({members} members)"
 
 
-def _yes_generators(max_p: int, budget, cache) -> list[tuple[ConnectedSum, ConnectedSum]]:
+def _yes_generators(max_p: int) -> list[tuple[ConnectedSum, ConnectedSum]]:
     spaces = [lens for lens in all_lens_spaces(max_p) if not lens.is_s3]
     pairs: list[tuple[ConnectedSum, ConnectedSum]] = []
     for lens in spaces:
@@ -214,7 +201,7 @@ def _yes_generators(max_p: int, budget, cache) -> list[tuple[ConnectedSum, Conne
             if p <= max_p:
                 pairs.append((ConnectedSum.of(lens_normalize(n, 1)), ConnectedSum.of(lens_normalize(p, q))))
     for lens in spaces:
-        result = search.r_membership(lens.fraction(), budget=budget, cache=cache)
+        result = search.r_membership(lens.fraction())
         if result.outcome == "member":
             pairs.append((ConnectedSum.of(), ConnectedSum.of(lens)))
     for lens in spaces[: max_p]:
@@ -227,32 +214,25 @@ def _yes_generators(max_p: int, budget, cache) -> list[tuple[ConnectedSum, Conne
     return pairs
 
 
-def check_witness_replay(
-    max_p: int = 12,
-    samples: int = 60,
-    seed: int = 20260808,
-    budget: search.SearchBudget | None = None,
-    cache: search.EmbeddingCache | None = None,
-) -> tuple[bool, str]:
-    cache = cache if cache is not None else search.shared_cache()
-    generators = _yes_generators(max_p, budget, cache)
+def check_witness_replay(max_p: int = 12) -> tuple[bool, str]:
+    generators = _yes_generators(max_p)
     yes_checked = 0
     for y1, y2 in generators:
-        verdict = ribbon_leq_sum(y1, y2, budget=budget, cache=cache)
+        verdict = ribbon_leq_sum(y1, y2)
         if not verdict.yes:
             return False, f"expected yes for ({y1}, {y2})"
         if replay_witness(verdict) != (y1, y2):
             return False, f"witness does not replay for ({y1}, {y2})"
         yes_checked += 1
-    rng = random.Random(seed)
-    for _ in range(samples):
+    rng = random.Random(SEED)
+    for _ in range(REPLAY_SAMPLES):
         a1, b1 = rng.choice(generators)
         a2, b2 = rng.choice(generators)
         if len(a1.summands) + len(a2.summands) > 3 or len(b1.summands) + len(b2.summands) > 3:
             continue
         composed1 = ConnectedSum.of(*(a1.summands + a2.summands))
         composed2 = ConnectedSum.of(*(b1.summands + b2.summands))
-        verdict = ribbon_leq_sum(composed1, composed2, budget=budget, cache=cache)
+        verdict = ribbon_leq_sum(composed1, composed2)
         if not verdict.yes:
             return False, f"composition not yes: ({composed1}, {composed2})"
         if replay_witness(verdict) != (composed1, composed2):
@@ -260,10 +240,10 @@ def check_witness_replay(
         yes_checked += 1
     # random pairs: any yes must replay
     spaces = [lens for lens in all_lens_spaces(max_p) if not lens.is_s3]
-    for _ in range(samples):
+    for _ in range(REPLAY_SAMPLES):
         y1 = ConnectedSum.of(*(rng.choice(spaces) for _ in range(rng.randint(0, 2))))
         y2 = ConnectedSum.of(*(rng.choice(spaces) for _ in range(rng.randint(0, 3))))
-        verdict = ribbon_leq_sum(y1, y2, budget=budget, cache=cache)
+        verdict = ribbon_leq_sum(y1, y2)
         if verdict.answer == "inconclusive":
             return False, f"inconclusive at ({y1}, {y2})"
         if verdict.yes and replay_witness(verdict) != (y1, y2):

@@ -19,12 +19,12 @@ def test_criterion_1_cf_round_trip():
 
 
 def test_criterion_2_primitivity_two_routes():
-    ok, detail = selfcheck.check_primitivity_routes(samples=200)
+    ok, detail = selfcheck.check_primitivity_routes()
     _gate(2, "primitivity equivalence on 200 random sublattices", ok, detail)
 
 
 def test_criterion_3_triple_expansion_stability():
-    ok, detail = selfcheck.check_triple_stability(depth=3)
+    ok, detail = selfcheck.check_triple_stability()
     _gate(3, "expansion stability for m in 2..5, depth <= 3", ok, detail)
 
 

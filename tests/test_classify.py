@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -140,6 +141,21 @@ class TestRibbonLeqSum:
     def test_left_summand_must_be_consumed(self):
         verdict = ribbon_leq_sum(_sum((5, 1)), _sum((7, 1)), cache=CACHE)
         assert verdict.answer == "no"
+
+    def test_long_sum_under_low_recursion_limit(self):
+        # the decomposition search keeps no Python frame per summand consumed
+        frame, depth = sys._getframe(), 0
+        while frame is not None:
+            frame, depth = frame.f_back, depth + 1
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 60)
+        try:
+            verdict = ribbon_leq_sum(_sum(), _sum(*[(4, 1)] * 300), cache=CACHE)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert verdict.yes
+        assert [p.tag for p in verdict.witness] == ["T3"] * 300
+        assert verdict.oracle_trace == (("4", "member"),)
 
     def test_reflexivity_on_small_sums(self):
         # every sum of at most three summands with p <= 12 reaches itself

@@ -41,6 +41,8 @@ class TestExitCodes:
             ["embed", "--summands", "1,2"],
             ["nope"],
             ["ribbon-sum", "2/1", "--", "--"],
+            ["embed", "--ribbon-split", "2", "--summands", "2", "--summands", "2,3,2"],
+            ["embed", "--ribbon-split", "1", "--summands", "2"],
         ):
             code, _, err = run_cli(*argv)
             assert code == 64, argv

@@ -148,10 +148,7 @@ def engine_fingerprint() -> str:
     rows = []
     for budget in (SearchBudget(), SearchBudget(max_nodes=50)):
         for problem in problems:
-            if problem.ribbon_split is None:
-                outcome = find_embedding(problem, budget=budget, cache=fresh_cache())
-            else:
-                outcome = find_ribbon_embedding(*problem.summands, budget=budget, cache=fresh_cache())
+            outcome = find_embedding(problem, budget=budget, cache=fresh_cache())
             groups = outcome.certificate.groups if outcome.found else None
             rows.append((problem.key, outcome.status, groups, outcome.nodes))
     return hashlib.sha256(json.dumps(rows, separators=(",", ":")).encode()).hexdigest()
