@@ -34,7 +34,6 @@ from .lattice import (
     gram_of,
     orthogonal_complement,
     primitivity_test,
-    recognize_linear,
     smith_normal_form,
     stably_isometric_linear,
     strip_unit_summands,

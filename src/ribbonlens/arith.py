@@ -123,6 +123,24 @@ def cf_expand(f: Fraction) -> CF:
     return tuple(terms)
 
 
+def cf_length(f: Fraction) -> int:
+    """len(cf_expand(f)) in O(log f) steps, for expansions too long to build:
+    a run of terms 2 keeps p - q fixed, so it is counted in one step."""
+    if f <= 1:
+        raise ValueError(f"negative continued fraction expansion needs f > 1, got {f}")
+    p, q = f.numerator, f.denominator
+    n = 0
+    while q > 0:
+        if 2 * q >= p:
+            run = q // (p - q)
+            n += run
+            p, q = p - run * (p - q), q - run * (p - q)
+        else:
+            n += 1
+            p, q = q, -(-p // q) * q - p
+    return n
+
+
 def cf_evaluate(terms: Iterable[int]) -> Fraction | None:
     """Evaluate [a1,...,an]^-; the empty string yields the rank-0 sentinel None."""
     value: Fraction | None = None
@@ -133,8 +151,11 @@ def cf_evaluate(terms: Iterable[int]) -> Fraction | None:
 
 def continuant(terms: Iterable[int]) -> int:
     """Numerator of [a1,...,an]^-, i.e. the Gram determinant of the chain lattice."""
-    value = cf_evaluate(terms)
-    return 1 if value is None else value.numerator
+    # the tridiagonal determinant, expanded along the last row
+    prev, value = 0, 1
+    for a in terms:
+        prev, value = value, a * value - prev
+    return value
 
 
 def canonical_cf(terms: Iterable[int]) -> CF:

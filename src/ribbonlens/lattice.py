@@ -1,8 +1,8 @@
 """Exact integer-lattice kernel.
 
 Gram matrices, Smith normal form with transforms, orthogonal complements
-inside Z^N, primitivity tests, unit-summand stripping and recognition of
-chain (linear) isometry types.  Everything is integer or Fraction exact;
+inside Z^N, primitivity tests, unit-summand stripping and chain bases of
+a given linear isometry type.  Everything is integer or Fraction exact;
 matrices are tuples of tuples of ints.
 """
 
@@ -12,20 +12,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
-from .arith import CF, canonical_cf, continuant
+from .arith import CF, continuant
 
 Matrix = tuple[tuple[int, ...], ...]
 Vector = tuple[int, ...]
-
-DEFAULT_RECOGNITION_LIMIT = 24
-
-
-class RecognitionLimitExceeded(Exception):
-    """Raised when a lattice is too large for chain recognition.
-
-    Deliberately distinct from a negative answer: "limit exceeded" is not
-    "not a chain lattice".
-    """
 
 
 def identity_matrix(n: int) -> list[list[int]]:
@@ -359,7 +349,7 @@ def enumerate_short_vectors(lattice: GramLattice, bound: int) -> list[Vector]:
     return out
 
 
-# -- unit summands and chain recognition --------------------------------------
+# -- unit summands and chain bases --------------------------------------------
 
 
 def strip_unit_summands(lattice: GramLattice) -> tuple[int, GramLattice]:
@@ -397,17 +387,16 @@ def _shorts_by_norm(lattice: GramLattice, bound: int) -> dict[int, list[Vector]]
 
 def _chain_basis(
     lattice: GramLattice,
-    norms_at,
+    terms: CF,
     by_norm: dict[int, list[Vector]],
     tick=None,
 ) -> tuple[Vector, ...] | None:
-    """Search a basis v1..vn with v_i.v_i drawn from norms_at(i), consecutive
-    pairings 1, all other pairings 0, and Gram determinant equal to the
-    lattice's.  Returns coordinates in the abstract lattice.  Prefix continuants
-    rise for norms >= 2, so a norm taking one past that determinant is skipped."""
+    """Search a basis v1..vn with v_i.v_i = terms[i], consecutive pairings 1
+    and all other pairings 0.  Returns coordinates in the abstract lattice.
+    The caller has checked that the lattice's determinant is the continuant
+    of terms, so any such chain spans the lattice."""
     n = lattice.rank
     gram = lattice.gram
-    target_det = lattice.determinant()
     gw_cache: dict[Vector, Vector] = {}
 
     def gw(w: Vector) -> Vector:
@@ -419,33 +408,25 @@ def _chain_basis(
 
     chain: list[Vector] = []
     gw_chain: list[Vector] = []
-    conts = [0, 1]  # K_{-1}, K_0, K_1, ..., K_pos: the prefix continuants
 
     def extend(pos: int) -> bool:
         if tick is not None:
             tick()
         if pos == n:
-            g = tuple(tuple(dot(v, gwv) for gwv in gw_chain) for v in chain)
-            return det(g) == target_det
-        for norm in norms_at(pos):
-            cont = norm * conts[-1] - conts[-2]
-            if cont > target_det:
-                continue
-            for base in by_norm.get(norm, ()):
-                for cand in ((base, tuple(-x for x in base)) if pos else (base,)):
-                    if pos:
-                        if dot(cand, gw_chain[-1]) != 1:
-                            continue
-                        if any(dot(cand, gw_chain[j]) for j in range(pos - 1)):
-                            continue
-                    chain.append(cand)
-                    gw_chain.append(gw(cand))
-                    conts.append(cont)
-                    if extend(pos + 1):
-                        return True
-                    chain.pop()
-                    gw_chain.pop()
-                    conts.pop()
+            return True
+        for base in by_norm.get(terms[pos], ()):
+            for cand in ((base, tuple(-x for x in base)) if pos else (base,)):
+                if pos:
+                    if dot(cand, gw_chain[-1]) != 1:
+                        continue
+                    if any(dot(cand, gw_chain[j]) for j in range(pos - 1)):
+                        continue
+                chain.append(cand)
+                gw_chain.append(gw(cand))
+                if extend(pos + 1):
+                    return True
+                chain.pop()
+                gw_chain.pop()
         return False
 
     if extend(0):
@@ -476,36 +457,10 @@ def chain_basis_for(lattice: GramLattice, terms: CF, tick=None) -> tuple[Vector,
         return None
     attempts = (terms,) if terms == terms[::-1] else (terms, terms[::-1])
     for attempt in attempts:
-        found = _chain_basis(lattice, lambda pos: (attempt[pos],), by_norm, tick=tick)
+        found = _chain_basis(lattice, attempt, by_norm, tick=tick)
         if found is not None:
             return found
     return None
-
-
-def recognize_linear(lattice: GramLattice, limit: int | None = None) -> CF | None:
-    """Recognize the lattice as a chain lattice, returning the canonical string.
-
-    Requires a positive-definite input with no norm-1 vectors (strip unit
-    summands first).  Returns None when no chain basis exists; raises
-    RecognitionLimitExceeded above the configured rank limit, which is a
-    distinct outcome from a negative answer.
-    """
-    limit = DEFAULT_RECOGNITION_LIMIT if limit is None else limit
-    n = lattice.rank
-    if n > limit:
-        raise RecognitionLimitExceeded(f"rank {n} exceeds recognition limit {limit}")
-    if n == 0:
-        return ()
-    # a continuant grows in each term and is smallest with its largest term
-    # at an end and the others 2, so det >= n * (a - 1) + 1 for every norm a
-    by_norm = _shorts_by_norm(lattice, (lattice.determinant() - 1) // n + 1)
-    if by_norm.get(1):
-        raise ValueError("lattice has norm-1 vectors; strip unit summands first")
-    norms = tuple(sorted(by_norm))
-    chain = _chain_basis(lattice, lambda pos: norms, by_norm)
-    if chain is None:
-        return None
-    return canonical_cf(_norm(lattice.gram, v) for v in chain)
 
 
 def stably_isometric_linear(embedded: EmbeddedLattice, target: CF) -> bool:

@@ -23,7 +23,7 @@ from fractions import Fraction
 from itertools import accumulate
 from math import isqrt, prod
 
-from .arith import CF, cf_expand, continuant, is_perfect_square
+from .arith import CF, cf_expand, cf_length, continuant, is_perfect_square
 from .lattice import GramLattice, Vector, chain_basis_for, det, dot, integer_kernel
 
 ENGINE_VERSION = "1"
@@ -133,12 +133,17 @@ class SearchOutcome:
         return self.status == "found"
 
 
-def _square_partitions(total: int, max_len: int):
+def _square_partitions(total: int, max_len: int, deadline: float):
     """Non-increasing positive integers whose squares sum to total, in
-    decreasing lexicographic order; an odometer, so it does not recurse."""
+    decreasing lexicographic order; an odometer, so it does not recurse.
+    It can step O(total) times between yields, so it watches the deadline."""
     parts: list[int] = []
     left, c = total, isqrt(total)
+    steps = 0
     while True:
+        steps += 1
+        if not steps & 2047 and time.monotonic() > deadline:
+            raise BudgetExceededError
         if left == 0:
             yield tuple(parts)
         elif c and len(parts) < max_len:
@@ -177,6 +182,8 @@ class _Engine:
         # the used prefix u and the run starts left by vectors 0..d-1
         vecs: list[Vector] = []
         tails: list[list[int]] = []
+        # per coordinate, (coefficient, index) of the vectors nonzero there
+        support: list[list[tuple[int, int]]] = [[] for _ in range(self.N)]
         frames = []
         u, starts = 0, ()
         while True:
@@ -185,16 +192,27 @@ class _Engine:
                 if got is not None:
                     return got
             else:
-                frames.append((iter(self._candidates(vecs, tails, u, starts)), u, starts))
+                # a frame costs O(N), so on a long chain the tick's every
+                # 2,048 nodes can come seconds apart
+                if time.monotonic() > self.deadline:
+                    raise BudgetExceededError
+                frames.append((iter(self._candidates(tails, support, u, starts)), u, starts))
             while frames:
                 cands, u, starts = frames[-1]
-                del vecs[len(frames) - 1 :], tails[len(frames) - 1 :]
+                while len(vecs) >= len(frames):
+                    tails.pop()
+                    for k, c in enumerate(vecs.pop()):
+                        if c:
+                            support[k].pop()
                 vec = next(cands, None)
                 if vec is not None:
                     break
                 frames.pop()
             else:
                 return None
+            for k, c in enumerate(vec):
+                if c:
+                    support[k].append((c, len(vecs)))
             vecs.append(vec)
             tails.append([*accumulate(x * x for x in reversed(vec))][::-1] + [0])
             # vec[u:] holds its positive fresh coefficients, then zeros
@@ -205,54 +223,65 @@ class _Engine:
             )
             u = fresh_end
 
-    def _candidates(self, vecs, tails, u: int, starts) -> list[Vector]:
+    def _candidates(self, tails, support, u: int, starts) -> list[Vector]:
         """Vectors of the next norm, non-increasing inside each run of
         [0, u), then fresh coordinates in order with positive non-increasing
         coefficients."""
-        i = len(vecs)
+        i = len(tails)
         pairs, norm = self.flat[i]
-        req = [0] * i
-        if pairs:
-            req[-1] = 1
+        # the pairings still owed to the earlier vectors, nonzero ones only
+        owed = {i - 1: 1} if pairs else {}
         fresh = self.N - u
-        # odometer over coordinates: x[k] runs down from its top to lo[k];
-        # lefts[k] and parts[k] are the norm left and the pairings so far
+        # odometer over coordinates: x[k] runs down from its top to lo[k] and
+        # is 0 while level k is closed; lefts[k] is the norm left for k..
         x = [0] * u
         lo = [0] * u
         lefts = [norm] * (u + 1)
-        parts = [(0,) * i] * (u + 1)
         out: list[Vector] = []
+
+        def shift(k: int, step: int) -> None:
+            # only the vectors nonzero at coordinate k change their pairing
+            x[k] += step
+            for c, j in support[k]:
+                g = owed.pop(j, 0) - step * c
+                if g:
+                    owed[j] = g
+
         k = 0
         while True:
             self._tick()
-            left, part = lefts[k], parts[k]
+            left = lefts[k]
             # Cauchy-Schwarz: coordinates k.. must still supply each pairing
-            if all((r - p) ** 2 <= left * t[k] for r, p, t in zip(req, part, tails)):
+            # owed; a pairing already paid passes whatever k and left are
+            if all(g * g <= left * tails[j][k] for j, g in owed.items()):
                 if k == u:
-                    for fill in _square_partitions(left, fresh):
-                        out.append(tuple(x) + fill + (0,) * (fresh - len(fill)))
+                    prefix = tuple(x)
+                    for fill in _square_partitions(left, fresh, self.deadline):
+                        out.append(prefix + fill + (0,) * (fresh - len(fill)))
                         # held candidates count against the node budget, not as nodes
                         if self.nodes + len(out) > self.budget.max_nodes:
                             self.nodes = self.budget.max_nodes + 1  # as the tick reports
                             raise BudgetExceededError
-                        if not (len(out) & 2047) and time.monotonic() > self.deadline:
-                            raise BudgetExceededError
                 else:
-                    # start one above the top, so the step below takes the top
                     cmax = isqrt(left)
-                    x[k] = (cmax if starts[k] else min(cmax, x[k - 1])) + 1
+                    top = cmax if starts[k] else min(cmax, x[k - 1])
                     lo[k] = -cmax
-                    k += 1
+                    # x[k-1] < -cmax leaves no value to take
+                    if top >= -cmax:
+                        shift(k, top)
+                        lefts[k + 1] = left - top * top
+                        k += 1
+                        continue
             # the deepest level with a value left takes its next value
             k -= 1
             while k >= 0 and x[k] <= lo[k]:
+                if x[k]:
+                    shift(k, -x[k])
                 k -= 1
             if k < 0:
                 return out
-            x[k] -= 1
-            val = x[k]
-            lefts[k + 1] = lefts[k] - val * val
-            parts[k + 1] = tuple(p + val * v[k] for p, v in zip(parts[k], vecs))
+            shift(k, -1)
+            lefts[k + 1] = lefts[k] - x[k] * x[k]
             k += 1
 
 
@@ -518,11 +547,16 @@ def r_membership(
         raise ValueError(f"need p > q > 0 or the trivial fraction, got {f}")
     if not is_perfect_square(p):
         return RMembershipResult(f, "non-member", f"order {p} is not a perfect square")
+    budget = budget if budget is not None else SearchBudget.from_env()
     searches = []
     statuses = []
     for g in (Fraction(p, q), Fraction(p, p - q)):
-        problem = plain_problem((cf_expand(g),))
-        outcome = find_embedding(problem, budget, cache)
+        # every chain vector costs a node, so a longer chain cannot be found
+        # within the budget; it is not expanded either
+        if cf_length(g) > budget.max_nodes:
+            outcome = SearchOutcome("inconclusive", None, budget.max_nodes + 1, 0.0)
+        else:
+            outcome = find_embedding(plain_problem((cf_expand(g),)), budget, cache)
         searches.append((str(g), outcome))
         statuses.append(outcome.status)
     if "absent" in statuses:

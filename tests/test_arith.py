@@ -11,6 +11,7 @@ from ribbonlens.arith import (
     canonical_cf,
     cf_evaluate,
     cf_expand,
+    cf_length,
     continuant,
     fn_membership,
     h1_order,
@@ -71,6 +72,14 @@ class TestContinuedFractions:
     @given(coprime_fractions())
     def test_continuant_is_numerator(self, f):
         assert continuant(cf_expand(f)) == f.numerator
+
+    @given(coprime_fractions())
+    def test_length_without_expanding(self, f):
+        terms = cf_expand(f)
+        assert cf_length(f) == len(terms)
+        # the expansions of p/q and p/(p-q) are Riemenschneider duals
+        dual = Fraction(f.numerator, f.numerator - f.denominator)
+        assert cf_length(dual) == sum(terms) - 2 * len(terms) + 1
 
     def test_canonical_cf(self):
         assert canonical_cf((3, 2)) == (2, 3)

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from ribbonlens.lattice import (
     EmbeddedLattice,
     GramLattice,
-    RecognitionLimitExceeded,
     chain_basis_for,
     det,
     enumerate_short_vectors,
@@ -19,7 +18,6 @@ from ribbonlens.lattice import (
     orthogonal_complement,
     primitivity_test,
     primitivity_test_saturation,
-    recognize_linear,
     saturation,
     smith_normal_form,
     stably_isometric_linear,
@@ -204,23 +202,12 @@ class TestStripRoundTrip:
 
 class TestRecognition:
     def test_examples(self):
-        assert recognize_linear(GramLattice(((2, 1), (1, 2)))) == (2, 2)
-        assert recognize_linear(GramLattice(((3,),))) == (3,)
-        assert recognize_linear(GramLattice(((2, 0), (0, 2)))) is None
-
-    def test_limit_is_a_distinct_outcome(self):
-        big = GramLattice(tuple(tuple(2 if i == j else 0 for j in range(5)) for i in range(5)))
-        with pytest.raises(RecognitionLimitExceeded):
-            recognize_linear(big, limit=4)
-
-    def test_requires_stripped_input(self):
-        with pytest.raises(ValueError):
-            recognize_linear(GramLattice(((1, 0), (0, 2))))
+        assert chain_basis_for(GramLattice(((2, 1), (1, 2))), (2, 2)) is not None
+        assert chain_basis_for(GramLattice(((3,),)), (3,)) is not None
+        assert chain_basis_for(GramLattice(((2, 0), (0, 2))), (2, 2)) is None
 
     @given(st.sampled_from([(2, 2), (3,), (2, 3), (4, 2, 2), (2, 2, 2), (5, 3)]), st.integers(0, 2**30))
     def test_invariant_under_unimodular_conjugation(self, terms, seed):
-        from ribbonlens.arith import canonical_cf
-
         rng = random.Random(seed)
         n = len(terms)
         gram = [[0] * n for _ in range(n)]
@@ -230,7 +217,7 @@ class TestRecognition:
                 gram[i][i + 1] = gram[i + 1][i] = 1
         u = random_unimodular(rng, n)
         conjugated = mat_mul(mat_mul(u, freeze(gram)), tuple(zip(*u)))
-        assert recognize_linear(GramLattice(freeze(conjugated))) == canonical_cf(terms)
+        assert chain_basis_for(GramLattice(freeze(conjugated)), terms) is not None
 
     def test_conjugated_rank_five_chain(self):
         # a rank-5 chain the unpruned search needed minutes to recognize
@@ -241,7 +228,7 @@ class TestRecognition:
         u = random_unimodular(random.Random(5), 5)
         conjugated = freeze(mat_mul(mat_mul(u, gram), tuple(zip(*u))))
         assert conjugated != gram and det(conjugated) == 26
-        assert recognize_linear(GramLattice(conjugated)) == (2, 2, 3, 2, 3)
+        assert chain_basis_for(GramLattice(conjugated), terms) is not None
 
     def test_chain_basis_for_targets(self):
         a3 = GramLattice(((2, 1, 0), (1, 2, 1), (0, 1, 2)))

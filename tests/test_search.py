@@ -1,8 +1,10 @@
 import hashlib
 import itertools
 import json
+import random
 import sys
 from fractions import Fraction
+from itertools import accumulate
 from math import gcd, isqrt
 
 import pytest
@@ -194,6 +196,154 @@ class TestEngine:
         assert outcome.status == "inconclusive"
         assert outcome.nodes == 11
         assert len(drawn) <= 10
+
+
+def full_scan_candidates(engine, vecs, tails, u, starts):
+    """Reference for _Engine._candidates: the same odometer with a full scan,
+    which re-checks every assigned vector at every node and rebuilds every
+    partial pairing on every step."""
+    i = len(vecs)
+    pairs, norm = engine.flat[i]
+    req = [0] * i
+    if pairs:
+        req[-1] = 1
+    fresh = engine.N - u
+    x = [0] * u
+    lo = [0] * u
+    lefts = [norm] * (u + 1)
+    parts = [(0,) * i] * (u + 1)
+    out = []
+    k = 0
+    while True:
+        engine._tick()
+        left, part = lefts[k], parts[k]
+        if all((r - p) ** 2 <= left * t[k] for r, p, t in zip(req, part, tails)):
+            if k == u:
+                for fill in search._square_partitions(left, fresh, engine.deadline):
+                    out.append(tuple(x) + fill + (0,) * (fresh - len(fill)))
+                    if engine.nodes + len(out) > engine.budget.max_nodes:
+                        engine.nodes = engine.budget.max_nodes + 1
+                        raise search.BudgetExceededError
+            else:
+                cmax = isqrt(left)
+                x[k] = (cmax if starts[k] else min(cmax, x[k - 1])) + 1
+                lo[k] = -cmax
+                k += 1
+        k -= 1
+        while k >= 0 and x[k] <= lo[k]:
+            k -= 1
+        if k < 0:
+            return out
+        x[k] -= 1
+        val = x[k]
+        lefts[k + 1] = lefts[k] - val * val
+        parts[k + 1] = tuple(p + val * v[k] for p, v in zip(parts[k], vecs))
+        k += 1
+
+
+def checked_against_full_scan(monkeypatch):
+    """Make every _candidates frame also run the reference on the same engine
+    state and require the same candidates and the same node count; returns
+    the list of checked frame sizes."""
+    incremental = search._Engine._candidates
+    handed_out: list = []  # the candidate each open frame handed out last
+    frames: list = []
+
+    def outcome(candidates, engine, *args):
+        try:
+            return candidates(engine, *args)
+        except search.BudgetExceededError:
+            return None
+
+    def checked(self, tails, support, u, starts):
+        # the reference sees only the vectors this wrapper handed out
+        i = len(tails)
+        vecs = handed_out[:i]
+        ref_tails = [[*accumulate(c * c for c in reversed(v))][::-1] + [0] for v in vecs]
+        start = self.nodes
+        want = outcome(full_scan_candidates, self, vecs, ref_tails, u, starts)
+        want_nodes, self.nodes = self.nodes, start
+        got = outcome(incremental, self, tails, support, u, starts)
+        assert (got, self.nodes) == (want, want_nodes)
+        if got is None:
+            raise search.BudgetExceededError
+        frames.append(len(got))
+
+        def hand_out():
+            for vec in got:
+                handed_out[i:] = [vec]
+                yield vec
+
+        return hand_out()
+
+    monkeypatch.setattr(search._Engine, "_candidates", checked)
+    return frames
+
+
+class TestIncrementalPruning:
+    BUDGETS = (SearchBudget(max_seconds=600), SearchBudget(max_nodes=50, max_seconds=600))
+
+    def test_oracle_searches_match_full_scan(self, monkeypatch):
+        frames = checked_against_full_scan(monkeypatch)
+        orders = (49, 64, 81, 100, 121)
+        fractions = [Fraction(p, q) for p in orders for q in range(1, (p + 1) // 2) if gcd(p, q) == 1]
+        assert len(fractions) == 139
+        for budget in self.BUDGETS:
+            nodes = 0
+            for f in fractions:
+                result = r_membership(f, budget, cache=fresh_cache())
+                nodes += sum(outcome.nodes for _, outcome in result.searches)
+            if budget.max_nodes == SearchBudget.max_nodes:
+                assert nodes == 199_636
+        assert len(frames) > 3_000
+
+    def test_seeded_plain_problems_match_full_scan(self, monkeypatch):
+        frames = checked_against_full_scan(monkeypatch)
+        rng = random.Random(6)
+
+        def chain(p):
+            q = rng.choice([q for q in range(1, p) if gcd(p, q) == 1])
+            return cf_expand(Fraction(p, q))
+
+        statuses = set()
+        for _ in range(200):
+            # equal orders, or a square third order, keep the determinant square
+            p = rng.randrange(2, 12)
+            summands = [chain(p), chain(p)]
+            if rng.random() < 0.5:
+                summands.append(chain(rng.choice((4, 9, 16))))
+            for budget in self.BUDGETS:
+                outcome = find_embedding(plain_problem(summands), budget, cache=fresh_cache())
+                statuses.add(outcome.status)
+        assert statuses == {"found", "absent", "inconclusive"}
+        assert len(frames) > 1_000
+
+
+class TestTimeBudget:
+    BUDGET = SearchBudget(max_nodes=10**6, max_seconds=0.5)
+
+    def test_deadline_holds_while_fresh_coordinates_fill(self):
+        # the first vector's fill steps O(norm) times between a few partitions
+        problem = plain_problem([(3333333334, 2, 2)])
+        outcome = find_embedding(problem, self.BUDGET, cache=fresh_cache())
+        assert (outcome.status, outcome.nodes) == ("inconclusive", 1)
+        assert outcome.seconds < 2.5
+
+    def test_deadline_holds_on_a_long_chain(self):
+        # a node of this 333,333-term chain costs O(N)
+        problem = plain_problem([cf_expand(Fraction(10**6, 10**6 - 3))])
+        outcome = find_embedding(problem, self.BUDGET, cache=fresh_cache())
+        assert outcome.status == "inconclusive"
+        assert outcome.seconds < 2.5
+
+    def test_chain_longer_than_node_budget_is_not_expanded(self, monkeypatch):
+        expanded = []
+        expand = search.cf_expand
+        monkeypatch.setattr(search, "cf_expand", lambda f: expanded.append(f) or expand(f))
+        result = r_membership(Fraction(10**10, 3), self.BUDGET, cache=fresh_cache())
+        assert result.outcome == "inconclusive"
+        assert [outcome.nodes for _, outcome in result.searches] == [1, 10**6 + 1]
+        assert expanded == [Fraction(10**10, 3)]
 
 
 class TestRibbonSearch:
