@@ -158,12 +158,6 @@ def continuant(terms: Iterable[int]) -> int:
     return value
 
 
-def canonical_cf(terms: Iterable[int]) -> CF:
-    """Canonical representative of a string under reversal (lexicographic min)."""
-    t = tuple(terms)
-    return min(t, t[::-1])
-
-
 def fn_membership(f: Fraction) -> list[FnWitness]:
     """The witness (n, m, k), n >= 2, with f = n*m**2 / (n*m*k + 1), if any.
 

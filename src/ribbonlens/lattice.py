@@ -353,23 +353,18 @@ def enumerate_short_vectors(lattice: GramLattice, bound: int) -> list[Vector]:
 
 
 def strip_unit_summands(lattice: GramLattice) -> tuple[int, GramLattice]:
-    """Split off a maximal Z^k orthogonal summand: G = G' + Z^k, G' unit-free."""
-    g = lattice
-    k = 0
-    while g.rank:
-        units = [v for v in enumerate_short_vectors(g, 1)]
-        if not units:
-            break
-        v = units[0]
-        # norm-1 vector splits off: the lattice is Zv + (v-perp), integrally
-        gv = tuple(dot(row, v) for row in g.gram)
-        basis = integer_kernel((gv,), g.rank)
-        gram = tuple(
-            tuple(dot(a, tuple(dot(row, b) for row in g.gram)) for b in basis) for a in basis
-        )
-        g = GramLattice(gram)
-        k += 1
-    return k, g
+    """Split off a maximal Z^k orthogonal summand: G = G' + Z^k, G' unit-free.
+
+    Norm-1 vectors u != +/-v have |u.v| < 1 by Cauchy-Schwarz, so u.v = 0 in
+    an integral lattice: all the units span one Z^k, and G' is its complement.
+    """
+    units = enumerate_short_vectors(lattice, 1)
+    if not units:
+        return 0, lattice
+    g = lattice.gram
+    basis = integer_kernel(tuple(tuple(dot(row, u) for row in g) for u in units), lattice.rank)
+    gram = tuple(tuple(dot(a, tuple(dot(row, b) for row in g)) for b in basis) for a in basis)
+    return len(units), GramLattice(gram)
 
 
 def _norm(gram: Matrix, v: Vector) -> int:
@@ -385,62 +380,18 @@ def _shorts_by_norm(lattice: GramLattice, bound: int) -> dict[int, list[Vector]]
     return by_norm
 
 
-def _chain_basis(
-    lattice: GramLattice,
-    terms: CF,
-    by_norm: dict[int, list[Vector]],
-    tick=None,
-) -> tuple[Vector, ...] | None:
-    """Search a basis v1..vn with v_i.v_i = terms[i], consecutive pairings 1
-    and all other pairings 0.  Returns coordinates in the abstract lattice.
-    The caller has checked that the lattice's determinant is the continuant
-    of terms, so any such chain spans the lattice."""
-    n = lattice.rank
-    gram = lattice.gram
-    gw_cache: dict[Vector, Vector] = {}
-
-    def gw(w: Vector) -> Vector:
-        got = gw_cache.get(w)
-        if got is None:
-            got = tuple(sum(gram[i][j] * w[j] for j in range(n)) for i in range(n))
-            gw_cache[w] = got
-        return got
-
-    chain: list[Vector] = []
-    gw_chain: list[Vector] = []
-
-    def extend(pos: int) -> bool:
-        if tick is not None:
-            tick()
-        if pos == n:
-            return True
-        for base in by_norm.get(terms[pos], ()):
-            for cand in ((base, tuple(-x for x in base)) if pos else (base,)):
-                if pos:
-                    if dot(cand, gw_chain[-1]) != 1:
-                        continue
-                    if any(dot(cand, gw_chain[j]) for j in range(pos - 1)):
-                        continue
-                chain.append(cand)
-                gw_chain.append(gw(cand))
-                if extend(pos + 1):
-                    return True
-                chain.pop()
-                gw_chain.pop()
-        return False
-
-    if extend(0):
-        return tuple(chain)
-    return None
-
-
 def chain_basis_for(lattice: GramLattice, terms: CF, tick=None) -> tuple[Vector, ...] | None:
-    """Basis realizing the given chain string in the lattice, if one exists.
+    """Basis v1..vn with v_i.v_i = terms[i], consecutive pairings 1 and all
+    other pairings 0, in the lattice's coordinates; None if there is none.
 
-    The string is matched exactly up to reversal; rank and determinant are
-    checked first, then a backtracking search over exact-norm short vectors.
-    An optional tick callable is invoked per search step so callers can
-    meter the work against their own budgets.
+    Rank and determinant are checked first, so any such chain spans the
+    lattice.  The backtracking search over exact-norm short vectors, on an
+    explicit stack, takes one vector of each +/- pair at the first position
+    and the sign the pairing forces after it, so it is exhaustive up to a
+    global sign.  A chain read backwards realizes the reversed string, so
+    this one search decides both orientations.  An optional tick callable is
+    invoked on entry and per vector placed, so callers can meter the work
+    against their own budgets.
     """
     terms = tuple(terms)
     if lattice.rank != len(terms):
@@ -455,11 +406,32 @@ def chain_basis_for(lattice: GramLattice, terms: CF, tick=None) -> tuple[Vector,
         return None
     if any(norm not in by_norm for norm in set(terms)):
         return None
-    attempts = (terms,) if terms == terms[::-1] else (terms, terms[::-1])
-    for attempt in attempts:
-        found = _chain_basis(lattice, attempt, by_norm, tick=tick)
-        if found is not None:
-            return found
+    if tick is not None:
+        tick()
+    chain: list[Vector] = []
+    images: list[Vector] = []  # G v for each v in the chain
+    stack = [iter(by_norm[terms[0]])]
+    while stack:
+        cand = next(stack[-1], None)
+        if cand is None:
+            stack.pop()
+            if chain:
+                chain.pop()
+                images.pop()
+            continue
+        if chain:
+            # exactly one of cand and -cand can pair to 1 with the previous vector
+            sign = dot(cand, images[-1])
+            if sign not in (1, -1) or any(dot(cand, w) for w in images[:-1]):
+                continue
+            cand = tuple(sign * x for x in cand)
+        if tick is not None:
+            tick()
+        chain.append(cand)
+        if len(chain) == len(terms):
+            return tuple(chain)
+        images.append(tuple(dot(row, cand) for row in lattice.gram))
+        stack.append(iter(by_norm[terms[len(chain)]]))
     return None
 
 

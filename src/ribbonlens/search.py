@@ -26,7 +26,7 @@ from math import isqrt, prod
 from .arith import CF, cf_expand, cf_length, continuant, is_perfect_square
 from .lattice import GramLattice, Vector, chain_basis_for, det, dot, integer_kernel
 
-ENGINE_VERSION = "1"
+ENGINE_VERSION = "2"
 CACHE_SCHEMA = "ribbonlens-cache/1"
 
 
@@ -136,7 +136,8 @@ class SearchOutcome:
 def _square_partitions(total: int, max_len: int, deadline: float):
     """Non-increasing positive integers whose squares sum to total, in
     decreasing lexicographic order; an odometer, so it does not recurse.
-    It can step O(total) times between yields, so it watches the deadline."""
+    The last part is forced, so it is taken at once; the other parts can
+    still step many times between yields, so it watches the deadline."""
     parts: list[int] = []
     left, c = total, isqrt(total)
     steps = 0
@@ -146,6 +147,10 @@ def _square_partitions(total: int, max_len: int, deadline: float):
             raise BudgetExceededError
         if left == 0:
             yield tuple(parts)
+        elif len(parts) == max_len - 1:
+            # c is min(previous part, isqrt(left)): the last part if it fits
+            if c * c == left:
+                yield (*parts, c)
         elif c and len(parts) < max_len:
             parts.append(c)
             left -= c * c
@@ -296,14 +301,12 @@ def _plain_leaf(problem: SearchProblem):
 
 def _ribbon_leaf(problem: SearchProblem, tick):
     lambda1 = problem.summands[0]
-    target_det = continuant(lambda1)
     N = problem.ambient_rank
 
     def leaf(vecs: tuple[Vector, ...]):
         kernel = integer_kernel(vecs, N)
         gram = tuple(tuple(dot(a, b) for b in kernel) for a in kernel)
-        if det(gram) != target_det:
-            return None
+        # chain_basis_for compares the determinant with lambda1's continuant first
         chain = chain_basis_for(GramLattice(gram), lambda1, tick=tick)
         if chain is None:
             return None
@@ -522,10 +525,6 @@ class RMembershipResult:
     outcome: str  # "member" | "non-member" | "inconclusive"
     reason: str
     searches: tuple[tuple[str, SearchOutcome], ...] = ()
-
-    @property
-    def certificates(self) -> dict[str, Certificate | None]:
-        return {key: out.certificate for key, out in self.searches}
 
 
 def r_membership(

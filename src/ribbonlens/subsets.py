@@ -102,30 +102,29 @@ class IntersectionGraph:
     def c(self) -> int:
         return len(self.components)
 
+    @property
+    def degrees(self) -> list[int]:
+        deg = [0] * sum(len(comp) for comp in self.components)
+        for i, j in self.edges:
+            deg[i] += 1
+            deg[j] += 1
+        return deg
+
 
 def intersection_graph(subset: LinearSubset) -> IntersectionGraph:
     vecs = subset.vectors
     edges = tuple(
         (i, i + 1) for i in range(len(vecs) - 1) if dot(vecs[i], vecs[i + 1]) == 1
     )
+    linked_to_next = {i for i, _ in edges}
     components = []
     run = []
     for i in range(len(vecs)):
         run.append(i)
-        if i == len(vecs) - 1 or dot(vecs[i], vecs[i + 1]) != 1:
+        if i not in linked_to_next:
             components.append(tuple(run))
             run = []
     return IntersectionGraph(edges, tuple(components))
-
-
-def _degrees(subset: LinearSubset) -> list[int]:
-    vecs = subset.vectors
-    deg = [0] * len(vecs)
-    for i in range(len(vecs) - 1):
-        if dot(vecs[i], vecs[i + 1]) == 1:
-            deg[i] += 1
-            deg[i + 1] += 1
-    return deg
 
 
 def linked(v: Vector, w: Vector) -> bool:
@@ -229,7 +228,7 @@ def _two_final_moves(subset: LinearSubset, component: tuple[int, ...]):
     vecs = subset.vectors
     if any(abs(c) > 1 for v in vecs for c in v):
         return
-    deg = _degrees(subset)
+    deg = intersection_graph(subset).degrees
     comp = set(component)
     for h in range(subset.ambient_rank):
         support = [i for i, v in enumerate(vecs) if v[h]]
@@ -250,10 +249,10 @@ def two_final_expansions(subset: LinearSubset, component: tuple[int, ...]) -> li
     vecs = subset.vectors
     if any(abs(c) > 1 for v in vecs for c in v):
         return []
-    deg = _degrees(subset)
+    graph = intersection_graph(subset)
+    deg = graph.degrees
     comp = tuple(component)
     comp_set = set(comp)
-    graph = intersection_graph(subset)
     runs = {c: (c[0], c[-1]) for c in graph.components}
 
     results: list[LinearSubset] = []

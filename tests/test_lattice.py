@@ -1,9 +1,11 @@
+import itertools
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
+from ribbonlens.arith import continuant
 from ribbonlens.lattice import (
     EmbeddedLattice,
     GramLattice,
@@ -200,6 +202,18 @@ class TestStripRoundTrip:
         assert chain_basis_for(core, terms) is not None
 
 
+def chain_gram(terms):
+    n = len(terms)
+    return freeze(
+        [[terms[i] if i == j else int(abs(i - j) == 1) for j in range(n)] for i in range(n)]
+    )
+
+
+def pairings(lattice, basis):
+    """Gram matrix of the given vectors, in the lattice's coordinates."""
+    return freeze(mat_mul(mat_mul(basis, lattice.gram), tuple(zip(*basis))))
+
+
 class TestRecognition:
     def test_examples(self):
         assert chain_basis_for(GramLattice(((2, 1), (1, 2))), (2, 2)) is not None
@@ -218,6 +232,32 @@ class TestRecognition:
         u = random_unimodular(rng, n)
         conjugated = mat_mul(mat_mul(u, freeze(gram)), tuple(zip(*u)))
         assert chain_basis_for(GramLattice(freeze(conjugated)), terms) is not None
+
+    @given(st.sampled_from([(2, 2), (3,), (2, 3), (4, 2, 2), (2, 2, 2), (5, 3)]), st.integers(0, 2**30))
+    def test_one_search_decides_both_orientations(self, terms, seed):
+        # read backwards, a basis for either string is one for the other
+        u = random_unimodular(random.Random(seed), len(terms))
+        lattice = GramLattice(freeze(mat_mul(mat_mul(u, chain_gram(terms)), tuple(zip(*u)))))
+        for string in (terms, terms[::-1]):
+            basis = chain_basis_for(lattice, string)
+            assert basis is not None
+            assert pairings(lattice, basis[::-1]) == chain_gram(string[::-1])
+
+    @given(st.integers(2, 3), st.integers(0, 2**30))
+    def test_no_basis_for_a_string_means_none_for_its_reverse(self, n, seed):
+        rng = random.Random(seed)
+        gram = [[0] * n for _ in range(n)]
+        for i in range(n):
+            gram[i][i] = rng.randint(2, 6)
+            for j in range(i):
+                gram[i][j] = gram[j][i] = rng.randint(-2, 2)
+        # positive definite: every leading minor is positive
+        assume(all(det([row[:k] for row in gram[:k]]) > 0 for k in range(1, n + 1)))
+        lattice = GramLattice(freeze(gram))
+        for terms in itertools.product(range(2, 7), repeat=n):
+            if continuant(terms) == lattice.determinant():
+                found = chain_basis_for(lattice, terms) is not None
+                assert found == (chain_basis_for(lattice, terms[::-1]) is not None), terms
 
     def test_conjugated_rank_five_chain(self):
         # a rank-5 chain the unpruned search needed minutes to recognize

@@ -3,6 +3,7 @@ import itertools
 import json
 import random
 import sys
+import time
 from fractions import Fraction
 from itertools import accumulate
 from math import gcd, isqrt
@@ -126,16 +127,19 @@ class TestPlainSearch:
         assert first.nodes == second.nodes
 
 
-# sha256 of engine_fingerprint(), per engine version
+# sha256 of engine_fingerprint(), per engine version; "1" was computed with
+# this function on the last version-1 engine, which also searched the
+# reversed string when a ribbon leaf's chain had no basis
 ENGINE_FINGERPRINTS = {
-    "1": "dd550649a24e4fb6279779a789604d7c9648dbff86d2b17ef39c5bed8486c35d",
+    "1": "f395473241b65e366d7bdd7642e6a6225fc98c6d5502df3c0c1c6380cd77a937",
+    "2": "d7555422bc235f5ecf312b5cd0805caada9482dde4527dab9d6250f78e10fc08",
 }
 
 
 def engine_fingerprint() -> str:
     """(key, status, groups, nodes) of a fixed problem set, with and without a
     tight node budget: plain chains of p/q for square p <= 64 and ribbon pairs
-    with p <= 8."""
+    with p <= 12, where the ribbon leaf meets strings with no chain basis."""
     from ribbonlens.selfcheck import all_lens_spaces
 
     problems = [
@@ -145,7 +149,7 @@ def engine_fingerprint() -> str:
         for q in range(1, p)
         if gcd(p, q) == 1
     ]
-    spaces = all_lens_spaces(8)
+    spaces = all_lens_spaces(12)
     problems += [ribbon_problem(l1.reverse().cf(), l2.cf()) for l1 in spaces for l2 in spaces]
     rows = []
     for budget in (SearchBudget(), SearchBudget(max_nodes=50)):
@@ -319,11 +323,47 @@ class TestIncrementalPruning:
         assert len(frames) > 1_000
 
 
+def square_partitions_by_walk(total, max_len):
+    """Reference for _square_partitions: the odometer that also walks the
+    last part down one value at a time."""
+    parts = []
+    left, c = total, isqrt(total)
+    while True:
+        if left == 0:
+            yield tuple(parts)
+        elif c and len(parts) < max_len:
+            parts.append(c)
+            left -= c * c
+            c = min(c, isqrt(left))
+            continue
+        if not parts:
+            return
+        c = parts.pop()
+        left += c * c
+        c -= 1
+
+
+class TestSquarePartitions:
+    def test_matches_the_walk(self):
+        for total in range(300):
+            for max_len in range(5):
+                got = list(search._square_partitions(total, max_len, time.monotonic() + 60))
+                assert got == list(square_partitions_by_walk(total, max_len)), (total, max_len)
+
+    def test_forced_last_part_is_taken_at_once(self):
+        # walking the last part down takes about 0.18 * 333334**1.5 steps
+        got = list(search._square_partitions(333334, 3, time.monotonic() + 2))
+        assert len(got) == 77
+        assert all(sum(c * c for c in parts) == 333334 for parts in got)
+        assert got == sorted(got, reverse=True)
+
+
 class TestTimeBudget:
     BUDGET = SearchBudget(max_nodes=10**6, max_seconds=0.5)
 
     def test_deadline_holds_while_fresh_coordinates_fill(self):
-        # the first vector's fill steps O(norm) times between a few partitions
+        # the first vector's fill steps O(norm) times between a few partitions,
+        # even with its last part forced
         problem = plain_problem([(3333333334, 2, 2)])
         outcome = find_embedding(problem, self.BUDGET, cache=fresh_cache())
         assert (outcome.status, outcome.nodes) == ("inconclusive", 1)
