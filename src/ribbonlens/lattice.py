@@ -317,11 +317,12 @@ def _floor_sqrt_minus(r: Fraction, s: Fraction) -> int:
     return candidate
 
 
-def enumerate_short_vectors(lattice: GramLattice, bound: int) -> list[Vector]:
+def enumerate_short_vectors(lattice: GramLattice, bound: int, tick=None) -> list[Vector]:
     """All x != 0 with x^T G x <= bound, one representative per +/- pair.
 
     Exact Fincke-Pohst style enumeration over the rational quadratic
-    completion; rejects non-positive-definite input.
+    completion; rejects non-positive-definite input.  An optional tick
+    callable is invoked once per enumeration node.
     """
     n = lattice.rank
     if n == 0:
@@ -331,6 +332,8 @@ def enumerate_short_vectors(lattice: GramLattice, bound: int) -> list[Vector]:
     x = [0] * n
 
     def descend(i: int, remaining: Fraction, all_zero_above: bool) -> None:
+        if tick is not None:
+            tick()
         if i < 0:
             if not all_zero_above:
                 out.append(tuple(x))
@@ -372,10 +375,10 @@ def _norm(gram: Matrix, v: Vector) -> int:
     return sum(v[i] * sum(gram[i][j] * v[j] for j in range(n)) for i in range(n))
 
 
-def _shorts_by_norm(lattice: GramLattice, bound: int) -> dict[int, list[Vector]]:
+def _shorts_by_norm(lattice: GramLattice, bound: int, tick=None) -> dict[int, list[Vector]]:
     """Short vectors of norm <= bound, bucketed by norm in enumeration order."""
     by_norm: dict[int, list[Vector]] = {}
-    for v in enumerate_short_vectors(lattice, bound):
+    for v in enumerate_short_vectors(lattice, bound, tick):
         by_norm.setdefault(_norm(lattice.gram, v), []).append(v)
     return by_norm
 
@@ -390,8 +393,9 @@ def chain_basis_for(lattice: GramLattice, terms: CF, tick=None) -> tuple[Vector,
     and the sign the pairing forces after it, so it is exhaustive up to a
     global sign.  A chain read backwards realizes the reversed string, so
     this one search decides both orientations.  An optional tick callable is
-    invoked on entry and per vector placed, so callers can meter the work
-    against their own budgets.
+    invoked per short-vector enumeration node, on entry to the chain search
+    and per vector placed, so callers can meter the work against their own
+    budgets.
     """
     terms = tuple(terms)
     if lattice.rank != len(terms):
@@ -400,7 +404,7 @@ def chain_basis_for(lattice: GramLattice, terms: CF, tick=None) -> tuple[Vector,
         return ()
     if lattice.determinant() != continuant(terms):
         return None
-    by_norm = _shorts_by_norm(lattice, max(terms))
+    by_norm = _shorts_by_norm(lattice, max(terms), tick)
     if by_norm.get(1):
         # chain lattices with all terms >= 2 have minimum norm 2
         return None

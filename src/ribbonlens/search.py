@@ -26,7 +26,7 @@ from math import isqrt, prod
 from .arith import CF, cf_expand, cf_length, continuant, is_perfect_square
 from .lattice import GramLattice, Vector, chain_basis_for, det, dot, integer_kernel
 
-ENGINE_VERSION = "2"
+ENGINE_VERSION = "3"
 CACHE_SCHEMA = "ribbonlens-cache/1"
 
 
@@ -133,36 +133,6 @@ class SearchOutcome:
         return self.status == "found"
 
 
-def _square_partitions(total: int, max_len: int, deadline: float):
-    """Non-increasing positive integers whose squares sum to total, in
-    decreasing lexicographic order; an odometer, so it does not recurse.
-    The last part is forced, so it is taken at once; the other parts can
-    still step many times between yields, so it watches the deadline."""
-    parts: list[int] = []
-    left, c = total, isqrt(total)
-    steps = 0
-    while True:
-        steps += 1
-        if not steps & 2047 and time.monotonic() > deadline:
-            raise BudgetExceededError
-        if left == 0:
-            yield tuple(parts)
-        elif len(parts) == max_len - 1:
-            # c is min(previous part, isqrt(left)): the last part if it fits
-            if c * c == left:
-                yield (*parts, c)
-        elif c and len(parts) < max_len:
-            parts.append(c)
-            left -= c * c
-            c = min(c, isqrt(left))
-            continue
-        if not parts:
-            return
-        c = parts.pop()
-        left += c * c
-        c -= 1
-
-
 class _Engine:
     """DFS over chain-vector assignments; first hit wins, in canonical order."""
 
@@ -192,16 +162,16 @@ class _Engine:
         frames = []
         u, starts = 0, ()
         while True:
+            # a frame or a leaf can cost seconds on a long chain or in a
+            # ribbon leaf, where the tick's every 2,048 nodes come far apart
+            if time.monotonic() > self.deadline:
+                raise BudgetExceededError
             if len(vecs) == self.n:
                 got = leaf_check(tuple(vecs))
                 if got is not None:
                     return got
             else:
-                # a frame costs O(N), so on a long chain the tick's every
-                # 2,048 nodes can come seconds apart
-                if time.monotonic() > self.deadline:
-                    raise BudgetExceededError
-                frames.append((iter(self._candidates(tails, support, u, starts)), u, starts))
+                frames.append((self._candidates(tails, support, u, starts), u, starts))
             while frames:
                 cands, u, starts = frames[-1]
                 while len(vecs) >= len(frames):
@@ -228,21 +198,20 @@ class _Engine:
             )
             u = fresh_end
 
-    def _candidates(self, tails, support, u: int, starts) -> list[Vector]:
-        """Vectors of the next norm, non-increasing inside each run of
-        [0, u), then fresh coordinates in order with positive non-increasing
-        coefficients."""
+    def _candidates(self, tails, support, u: int, starts):
+        """Vectors of the next norm, one at a time: non-increasing inside each
+        run of [0, u), then fresh coordinates in order with positive
+        non-increasing coefficients."""
         i = len(tails)
         pairs, norm = self.flat[i]
+        N = self.N
         # the pairings still owed to the earlier vectors, nonzero ones only
         owed = {i - 1: 1} if pairs else {}
-        fresh = self.N - u
         # odometer over coordinates: x[k] runs down from its top to lo[k] and
         # is 0 while level k is closed; lefts[k] is the norm left for k..
-        x = [0] * u
-        lo = [0] * u
-        lefts = [norm] * (u + 1)
-        out: list[Vector] = []
+        x = [0] * N
+        lo = [0] * N
+        lefts = [norm] * (N + 1)
 
         def shift(k: int, step: int) -> None:
             # only the vectors nonzero at coordinate k change their pairing
@@ -257,26 +226,23 @@ class _Engine:
             self._tick()
             left = lefts[k]
             # Cauchy-Schwarz: coordinates k.. must still supply each pairing
-            # owed; a pairing already paid passes whatever k and left are
+            # owed; a pairing already paid passes whatever k and left are.
+            # No earlier vector reaches a fresh coordinate, so from u on
+            # every pairing must be paid.
             if all(g * g <= left * tails[j][k] for j, g in owed.items()):
-                if k == u:
-                    prefix = tuple(x)
-                    for fill in _square_partitions(left, fresh, self.deadline):
-                        out.append(prefix + fill + (0,) * (fresh - len(fill)))
-                        # held candidates count against the node budget, not as nodes
-                        if self.nodes + len(out) > self.budget.max_nodes:
-                            self.nodes = self.budget.max_nodes + 1  # as the tick reports
-                            raise BudgetExceededError
-                else:
+                if k < u or (left and k < N):
                     cmax = isqrt(left)
-                    top = cmax if starts[k] else min(cmax, x[k - 1])
-                    lo[k] = -cmax
-                    # x[k-1] < -cmax leaves no value to take
-                    if top >= -cmax:
+                    top = cmax if k == u or (k < u and starts[k]) else min(cmax, x[k - 1])
+                    # the N - k fresh parts from k on are each at most x[k],
+                    # which forces the last one
+                    lo[k] = -cmax if k < u else isqrt((left - 1) // (N - k)) + 1
+                    if top >= lo[k]:
                         shift(k, top)
                         lefts[k + 1] = left - top * top
                         k += 1
                         continue
+                elif not left:
+                    yield tuple(x)
             # the deepest level with a value left takes its next value
             k -= 1
             while k >= 0 and x[k] <= lo[k]:
@@ -284,7 +250,7 @@ class _Engine:
                     shift(k, -x[k])
                 k -= 1
             if k < 0:
-                return out
+                return
             shift(k, -1)
             lefts[k + 1] = lefts[k] - x[k] * x[k]
             k += 1

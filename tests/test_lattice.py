@@ -147,6 +147,12 @@ class TestShortVectors:
         found = sorted(enumerate_short_vectors(GramLattice(((2, 1), (1, 2))), 2))
         assert found == [(-1, 1), (0, 1), (1, 0)]
 
+    def test_tick_meets_every_enumeration_node(self):
+        # x = 1 and x = 0 under the root; x = 0 is the zero vector, dropped
+        ticks = []
+        assert enumerate_short_vectors(GramLattice(((2,),)), 2, lambda: ticks.append(1)) == [(1,)]
+        assert len(ticks) == 3
+
     def test_rejects_indefinite(self):
         with pytest.raises(ValueError):
             enumerate_short_vectors(GramLattice(((0, 1), (1, 0))), 2)

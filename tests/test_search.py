@@ -129,10 +129,13 @@ class TestPlainSearch:
 
 # sha256 of engine_fingerprint(), per engine version; "1" was computed with
 # this function on the last version-1 engine, which also searched the
-# reversed string when a ribbon leaf's chain had no basis
+# reversed string when a ribbon leaf's chain had no basis, and "2" on the
+# last version-2 engine, which filled fresh coordinates eagerly and did not
+# tick in a ribbon leaf's short-vector enumeration
 ENGINE_FINGERPRINTS = {
     "1": "f395473241b65e366d7bdd7642e6a6225fc98c6d5502df3c0c1c6380cd77a937",
     "2": "d7555422bc235f5ecf312b5cd0805caada9482dde4527dab9d6250f78e10fc08",
+    "3": "5529d775b3bcb988a7f49d4bf8fb76bcccf77efe92799b5dc2d13fd11a5ca464",
 }
 
 
@@ -182,62 +185,125 @@ class TestEngine:
             sys.setrecursionlimit(limit)
         assert outcome.status == "inconclusive"
 
-    def test_node_budget_caps_candidates_of_one_vector(self, monkeypatch):
+    def test_node_budget_caps_candidates_of_one_vector(self):
         # (a, 2 x a) has determinant a^2; its first vector alone has
-        # thousands of candidates for a = 100
-        drawn = []
-        partitions = search._square_partitions
-
-        def counting(*args):
-            for part in partitions(*args):
-                drawn.append(part)
-                yield part
-
-        monkeypatch.setattr(search, "_square_partitions", counting)
+        # thousands of candidates for a = 100, and each odometer step ticks
         outcome = find_embedding(
             plain_problem([(100,) + (2,) * 100]), SearchBudget(max_nodes=10), cache=fresh_cache()
         )
-        assert outcome.status == "inconclusive"
-        assert outcome.nodes == 11
-        assert len(drawn) <= 10
+        assert (outcome.status, outcome.nodes) == ("inconclusive", 11)
 
 
-def full_scan_candidates(engine, vecs, tails, u, starts):
-    """Reference for _Engine._candidates: the same odometer with a full scan,
-    which re-checks every assigned vector at every node and rebuilds every
-    partial pairing on every step."""
-    i = len(vecs)
+def square_partitions(total, max_len):
+    """Non-increasing positive integers whose squares sum to total, in
+    decreasing lexicographic order, at most max_len of them; the last part
+    is forced, so it is taken at once."""
+    parts = []
+    left, c = total, isqrt(total)
+    while True:
+        if left == 0:
+            yield tuple(parts)
+        elif len(parts) == max_len - 1:
+            if c * c == left:
+                yield (*parts, c)
+        elif c and len(parts) < max_len:
+            parts.append(c)
+            left -= c * c
+            c = min(c, isqrt(left))
+            continue
+        if not parts:
+            return
+        c = parts.pop()
+        left += c * c
+        c -= 1
+
+
+def eager_candidates(engine, tails, support, u, starts):
+    """Reference for the order of _Engine._candidates: the engine version 2
+    list, which walks the used prefix [0, u) and then fills the fresh
+    coordinates from square_partitions; it counts no nodes."""
+    i = len(tails)
     pairs, norm = engine.flat[i]
-    req = [0] * i
-    if pairs:
-        req[-1] = 1
+    owed = {i - 1: 1} if pairs else {}
     fresh = engine.N - u
     x = [0] * u
     lo = [0] * u
     lefts = [norm] * (u + 1)
-    parts = [(0,) * i] * (u + 1)
     out = []
+
+    def shift(k, step):
+        x[k] += step
+        for c, j in support[k]:
+            g = owed.pop(j, 0) - step * c
+            if g:
+                owed[j] = g
+
+    k = 0
+    while True:
+        left = lefts[k]
+        if all(g * g <= left * tails[j][k] for j, g in owed.items()):
+            if k == u:
+                prefix = tuple(x)
+                for fill in square_partitions(left, fresh):
+                    out.append(prefix + fill + (0,) * (fresh - len(fill)))
+            else:
+                cmax = isqrt(left)
+                top = cmax if starts[k] else min(cmax, x[k - 1])
+                lo[k] = -cmax
+                if top >= -cmax:
+                    shift(k, top)
+                    lefts[k + 1] = left - top * top
+                    k += 1
+                    continue
+        k -= 1
+        while k >= 0 and x[k] <= lo[k]:
+            if x[k]:
+                shift(k, -x[k])
+            k -= 1
+        if k < 0:
+            return out
+        shift(k, -1)
+        lefts[k + 1] = lefts[k] - x[k] * x[k]
+        k += 1
+
+
+def full_scan_candidates(engine, vecs, tails, u, starts):
+    """Reference for _Engine._candidates: the same odometer over all N
+    coordinates with a full scan, which re-checks every assigned vector at
+    every node and rebuilds every partial pairing on every step."""
+    i = len(vecs)
+    N = engine.N
+    pairs, norm = engine.flat[i]
+    req = [0] * i
+    if pairs:
+        req[-1] = 1
+    x = [0] * N
+    lo = [0] * N
+    lefts = [norm] * (N + 1)
+    parts = [(0,) * i] * (N + 1)
     k = 0
     while True:
         engine._tick()
         left, part = lefts[k], parts[k]
         if all((r - p) ** 2 <= left * t[k] for r, p, t in zip(req, part, tails)):
-            if k == u:
-                for fill in search._square_partitions(left, fresh, engine.deadline):
-                    out.append(tuple(x) + fill + (0,) * (fresh - len(fill)))
-                    if engine.nodes + len(out) > engine.budget.max_nodes:
-                        engine.nodes = engine.budget.max_nodes + 1
-                        raise search.BudgetExceededError
-            else:
+            if k < u:
                 cmax = isqrt(left)
                 x[k] = (cmax if starts[k] else min(cmax, x[k - 1])) + 1
                 lo[k] = -cmax
                 k += 1
+            elif left == 0:
+                yield tuple(x)
+            elif k < N:
+                # fresh parts are positive and non-increasing from k on
+                x[k] = (isqrt(left) if k == u else min(isqrt(left), x[k - 1])) + 1
+                lo[k] = next(c for c in itertools.count(1) if c * c * (N - k) >= left)
+                k += 1
         k -= 1
         while k >= 0 and x[k] <= lo[k]:
+            x[k] = 0
             k -= 1
         if k < 0:
-            return out
+            return
         x[k] -= 1
         val = x[k]
         lefts[k + 1] = lefts[k] - val * val
@@ -245,36 +311,48 @@ def full_scan_candidates(engine, vecs, tails, u, starts):
         k += 1
 
 
-def checked_against_full_scan(monkeypatch):
-    """Make every _candidates frame also run the reference on the same engine
-    state and require the same candidates and the same node count; returns
-    the list of checked frame sizes."""
-    incremental = search._Engine._candidates
+def drawn(candidates, engine):
+    """Every candidate a frame yields with the node count at its yield, then
+    the count at exhaustion, or at the budget's raise with None."""
+    events = []
+    try:
+        for vec in candidates:
+            events.append((vec, engine.nodes))
+    except search.BudgetExceededError:
+        return events, (None, engine.nodes)
+    return events, ("end", engine.nodes)
+
+
+def checked_against_references(monkeypatch):
+    """Make every _candidates frame also drain itself and the full-scan
+    reference on the same engine state, requiring the same candidates at
+    the same node counts, and, where the budget lets the frame finish, the
+    order of the eager reference; the search itself then draws from a fresh
+    frame, so its nodes are those of an unchecked run.  Returns the list of
+    checked frame sizes."""
+    lazy = search._Engine._candidates
     handed_out: list = []  # the candidate each open frame handed out last
     frames: list = []
 
-    def outcome(candidates, engine, *args):
-        try:
-            return candidates(engine, *args)
-        except search.BudgetExceededError:
-            return None
-
     def checked(self, tails, support, u, starts):
-        # the reference sees only the vectors this wrapper handed out
+        # the references see only the vectors this wrapper handed out
         i = len(tails)
         vecs = handed_out[:i]
         ref_tails = [[*accumulate(c * c for c in reversed(v))][::-1] + [0] for v in vecs]
         start = self.nodes
-        want = outcome(full_scan_candidates, self, vecs, ref_tails, u, starts)
-        want_nodes, self.nodes = self.nodes, start
-        got = outcome(incremental, self, tails, support, u, starts)
-        assert (got, self.nodes) == (want, want_nodes)
-        if got is None:
-            raise search.BudgetExceededError
-        frames.append(len(got))
+        want = drawn(full_scan_candidates(self, vecs, ref_tails, u, starts), self)
+        self.nodes = start
+        got = drawn(lazy(self, tails, support, u, starts), self)
+        self.nodes = start
+        assert got == want
+        events, (end, _) = got
+        if end is not None:
+            eager = eager_candidates(self, tails, support, u, starts)
+            assert [vec for vec, _ in events] == eager
+        frames.append(len(events))
 
         def hand_out():
-            for vec in got:
+            for vec in lazy(self, tails, support, u, starts):
                 handed_out[i:] = [vec]
                 yield vec
 
@@ -288,21 +366,24 @@ class TestIncrementalPruning:
     BUDGETS = (SearchBudget(max_seconds=600), SearchBudget(max_nodes=50, max_seconds=600))
 
     def test_oracle_searches_match_full_scan(self, monkeypatch):
-        frames = checked_against_full_scan(monkeypatch)
+        frames = checked_against_references(monkeypatch)
         orders = (49, 64, 81, 100, 121)
         fractions = [Fraction(p, q) for p in orders for q in range(1, (p + 1) // 2) if gcd(p, q) == 1]
         assert len(fractions) == 139
         for budget in self.BUDGETS:
-            nodes = 0
+            nodes = {"found": 0, "absent": 0, "inconclusive": 0}
             for f in fractions:
                 result = r_membership(f, budget, cache=fresh_cache())
-                nodes += sum(outcome.nodes for _, outcome in result.searches)
+                for _, outcome in result.searches:
+                    nodes[outcome.status] += outcome.nodes
             if budget.max_nodes == SearchBudget.max_nodes:
-                assert nodes == 199_636
+                # engine version 2 filled each vector's fresh coordinates
+                # before descending, and took 52,291 nodes on found searches
+                assert (nodes["found"], nodes["absent"]) == (37_137, 149_498)
         assert len(frames) > 3_000
 
     def test_seeded_plain_problems_match_full_scan(self, monkeypatch):
-        frames = checked_against_full_scan(monkeypatch)
+        frames = checked_against_references(monkeypatch)
         rng = random.Random(6)
 
         def chain(p):
@@ -323,50 +404,23 @@ class TestIncrementalPruning:
         assert len(frames) > 1_000
 
 
-def square_partitions_by_walk(total, max_len):
-    """Reference for _square_partitions: the odometer that also walks the
-    last part down one value at a time."""
-    parts = []
-    left, c = total, isqrt(total)
-    while True:
-        if left == 0:
-            yield tuple(parts)
-        elif c and len(parts) < max_len:
-            parts.append(c)
-            left -= c * c
-            c = min(c, isqrt(left))
-            continue
-        if not parts:
-            return
-        c = parts.pop()
-        left += c * c
-        c -= 1
-
-
-class TestSquarePartitions:
-    def test_matches_the_walk(self):
-        for total in range(300):
-            for max_len in range(5):
-                got = list(search._square_partitions(total, max_len, time.monotonic() + 60))
-                assert got == list(square_partitions_by_walk(total, max_len)), (total, max_len)
-
-    def test_forced_last_part_is_taken_at_once(self):
-        # walking the last part down takes about 0.18 * 333334**1.5 steps
-        got = list(search._square_partitions(333334, 3, time.monotonic() + 2))
-        assert len(got) == 77
-        assert all(sum(c * c for c in parts) == 333334 for parts in got)
-        assert got == sorted(got, reverse=True)
-
-
 class TestTimeBudget:
     BUDGET = SearchBudget(max_nodes=10**6, max_seconds=0.5)
 
+    def test_huge_norm_is_found_within_a_second(self):
+        # the fresh-coordinate bound forces the last part, so the first
+        # vector's odometer never walks it down
+        outcome = find_embedding(
+            plain_problem([(333334, 2, 2)]), SearchBudget(max_seconds=1), cache=fresh_cache()
+        )
+        assert outcome.found
+
     def test_deadline_holds_while_fresh_coordinates_fill(self):
-        # the first vector's fill steps O(norm) times between a few partitions,
-        # even with its last part forced
+        # the first vector's odometer steps O(norm) times between a few
+        # candidates, even with its last part forced
         problem = plain_problem([(3333333334, 2, 2)])
         outcome = find_embedding(problem, self.BUDGET, cache=fresh_cache())
-        assert (outcome.status, outcome.nodes) == ("inconclusive", 1)
+        assert outcome.status == "inconclusive"
         assert outcome.seconds < 2.5
 
     def test_deadline_holds_on_a_long_chain(self):
@@ -376,13 +430,32 @@ class TestTimeBudget:
         assert outcome.status == "inconclusive"
         assert outcome.seconds < 2.5
 
+    def test_deadline_holds_in_ribbon_leaves(self):
+        # 1,471 leaves, each with a kernel, a determinant and sometimes a
+        # short-vector enumeration of seconds
+        problem = SearchProblem(((2,) * 30, (124,)), 1)
+        outcome = find_embedding(problem, SearchBudget(max_seconds=1), cache=fresh_cache())
+        assert outcome.status == "inconclusive"
+        assert outcome.seconds < 2.5
+
+    def test_deadline_is_checked_before_every_leaf(self):
+        # (5, 5) has two leaves under one frame, and the first outlasts the budget
+        engine = search._Engine(((5,), (5,)), 2, SearchBudget(max_seconds=0.1))
+        leaves = []
+        with pytest.raises(search.BudgetExceededError):
+            engine.run(lambda vecs: leaves.append(time.sleep(0.2)))
+        assert len(leaves) == 1
+
     def test_chain_longer_than_node_budget_is_not_expanded(self, monkeypatch):
         expanded = []
         expand = search.cf_expand
         monkeypatch.setattr(search, "cf_expand", lambda f: expanded.append(f) or expand(f))
         result = r_membership(Fraction(10**10, 3), self.BUDGET, cache=fresh_cache())
         assert result.outcome == "inconclusive"
-        assert [outcome.nodes for _, outcome in result.searches] == [1, 10**6 + 1]
+        (_, short), (_, long) = result.searches
+        assert (short.status, long.status) == ("inconclusive", "inconclusive")
+        assert short.seconds < 2.5
+        assert long.nodes == 10**6 + 1
         assert expanded == [Fraction(10**10, 3)]
 
 
