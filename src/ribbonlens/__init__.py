@@ -20,7 +20,6 @@ from .classify import (
     TwoBridgeLink,
     Verdict,
     chi_leq_bridge,
-    necessary_conditions,
     replay_witness,
     ribbon_leq_lens,
     ribbon_leq_sum,
@@ -61,10 +60,8 @@ from .subsets import (
     core_triple,
     detect_bad_components,
     intersection_graph,
-    irreducible_components,
     is_linear_subset,
     linear_subset,
-    linked,
     two_final_expansions,
 )
 

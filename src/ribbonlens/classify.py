@@ -19,7 +19,6 @@ from .arith import (
     FnWitness,
     LensSpace,
     fn_membership,
-    h1_order,
     lens_homeomorphic,
     lens_normalize,
     square_ratio_check,
@@ -83,36 +82,6 @@ class Verdict:
     @property
     def yes(self) -> bool:
         return self.answer == YES
-
-
-@dataclass(frozen=True)
-class Condition:
-    name: str
-    passed: bool
-    detail: str
-
-
-@dataclass(frozen=True)
-class ConditionReport:
-    conditions: tuple[Condition, ...]
-
-    @property
-    def all_pass(self) -> bool:
-        return all(c.passed for c in self.conditions)
-
-    @property
-    def first_failure(self) -> str | None:
-        for c in self.conditions:
-            if not c.passed:
-                return c.name
-        return None
-
-
-def necessary_conditions(y1: ConnectedSum, y2: ConnectedSum) -> ConditionReport:
-    """Cheap obstructions checked before any matching or oracle work."""
-    n1, n2 = h1_order(y1), h1_order(y2)
-    detail = f"|H1| ratio {n2}/{n1} must be a perfect square"
-    return ConditionReport((Condition("square-ratio", square_ratio_check(y1, y2), detail),))
 
 
 def _is_ln1(lens: LensSpace) -> int | None:
@@ -218,9 +187,8 @@ def ribbon_leq_sum(
     remaining multisets; an inconclusive oracle poisons only the branches
     that need it.
     """
-    report = necessary_conditions(y1, y2)
-    if not report.all_pass:
-        return Verdict(NO, obstruction=report.first_failure)
+    if not square_ratio_check(y1, y2):
+        return Verdict(NO, obstruction="square-ratio")
 
     memo: dict[tuple, tuple[str, tuple[PairType, ...] | None]] = {}
     calls: dict[str, str] = {}  # oracle outcome per fraction, in first-use order

@@ -1,9 +1,10 @@
 """Exact integer-lattice kernel.
 
-Gram matrices, Smith normal form with transforms, orthogonal complements
-inside Z^N, primitivity tests, unit-summand stripping and chain bases of
-a given linear isometry type.  Everything is integer or Fraction exact;
-matrices are tuples of tuples of ints.
+Gram matrices, Smith normal form with its right transform, orthogonal
+complements inside Z^N, primitivity tests, short vectors by norm,
+unit-summand stripping and chain bases of a given linear isometry type.
+Everything is integer or Fraction exact; matrices are tuples of tuples of
+ints.
 """
 
 from __future__ import annotations
@@ -88,9 +89,6 @@ class GramLattice:
     def rank(self) -> int:
         return len(self.gram)
 
-    def determinant(self) -> int:
-        return det(self.gram)
-
 
 @dataclass(frozen=True)
 class EmbeddedLattice:
@@ -118,18 +116,10 @@ class EmbeddedLattice:
 
 @dataclass(frozen=True)
 class SNFResult:
-    """U * A * V = D with D diagonal, d1 | d2 | ..., U and V unimodular."""
+    """The diagonal D of U * A * V = D, d1 | d2 | ..., and the unimodular V."""
 
     diagonal: tuple[int, ...]
-    left: Matrix
     right: Matrix
-
-    def diagonal_matrix(self, shape: tuple[int, int]) -> Matrix:
-        m, n = shape
-        return tuple(
-            tuple(self.diagonal[i] if i == j and i < len(self.diagonal) else 0 for j in range(n))
-            for i in range(m)
-        )
 
     @property
     def rank(self) -> int:
@@ -137,16 +127,17 @@ class SNFResult:
 
 
 def smith_normal_form(matrix) -> SNFResult:
-    """Smith normal form over Z with both unimodular transforms."""
+    """Smith normal form over Z with the right unimodular transform.
+
+    Pivoting reads only A, so the left transform U is never built.
+    """
     a = [list(row) for row in matrix]
     m = len(a)
     n = len(a[0]) if m else 0
-    u = identity_matrix(m)
     v = identity_matrix(n)
 
     def swap_rows(i, j):
         a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
 
     def swap_cols(i, j):
         for row in a:
@@ -157,7 +148,6 @@ def smith_normal_form(matrix) -> SNFResult:
     def add_row(i, j, c):
         # row_i += c * row_j
         a[i] = [x + c * y for x, y in zip(a[i], a[j])]
-        u[i] = [x + c * y for x, y in zip(u[i], u[j])]
 
     def add_col(i, j, c):
         for row in a:
@@ -217,10 +207,9 @@ def smith_normal_form(matrix) -> SNFResult:
             add_row(t, offender, 1)
         if a[t][t] < 0:
             a[t] = [-x for x in a[t]]
-            u[t] = [-x for x in u[t]]
         t += 1
     diagonal = tuple(a[i][i] for i in range(min(m, n)))
-    return SNFResult(diagonal, freeze(u), freeze(v))
+    return SNFResult(diagonal, freeze(v))
 
 
 def _rank(rows) -> int:
@@ -317,39 +306,52 @@ def _floor_sqrt_minus(r: Fraction, s: Fraction) -> int:
     return candidate
 
 
-def enumerate_short_vectors(lattice: GramLattice, bound: int, tick=None) -> list[Vector]:
-    """All x != 0 with x^T G x <= bound, one representative per +/- pair.
+def enumerate_short_vectors(lattice: GramLattice, bound: int, tick=None) -> dict[int, list[Vector]]:
+    """All x != 0 with x^T G x <= bound, one representative per +/- pair,
+    bucketed by exact norm in enumeration order.
 
     Exact Fincke-Pohst style enumeration over the rational quadratic
-    completion; rejects non-positive-definite input.  An optional tick
-    callable is invoked once per enumeration node.
+    completion, depth first from the last coordinate down, on per-level
+    arrays; rejects non-positive-definite input.  left[i] is what the bound
+    leaves after x[i]..x[n-1] are chosen, so a vector's norm is
+    bound - left[0].  An optional tick callable is invoked once per
+    enumeration node: on entry to each level and at each completed vector.
     """
     n = lattice.rank
     if n == 0:
-        return []
+        return {}
     c, u = _ldl(lattice.gram)  # raises if not positive definite
-    out: list[Vector] = []
+    out: dict[int, list[Vector]] = {}
     x = [0] * n
-
-    def descend(i: int, remaining: Fraction, all_zero_above: bool) -> None:
+    lo = [0] * n
+    s = [Fraction(0)] * n
+    left = [Fraction(0)] * n + [Fraction(bound)]
+    zero = [True] * (n + 1)  # zero[i]: x[i]..x[n-1] are all 0
+    i = n  # the current level; n is above the root, where left and zero start
+    while True:
+        if i < n:
+            # step x[i] down, and climb once its range is spent
+            x[i] -= 1
+            if x[i] < lo[i]:
+                i += 1
+                if i == n:
+                    return out
+                continue
+            left[i] = left[i + 1] - c[i] * (x[i] + s[i]) * (x[i] + s[i])
+            zero[i] = zero[i + 1] and x[i] == 0
+            if i == 0:
+                if tick is not None:
+                    tick()
+                if not zero[0]:
+                    out.setdefault(int(bound - left[0]), []).append(tuple(x))
+                continue
+        i -= 1
         if tick is not None:
             tick()
-        if i < 0:
-            if not all_zero_above:
-                out.append(tuple(x))
-            return
-        s = sum(u[i][j] * x[j] for j in range(i + 1, n))
-        r = remaining / c[i]
-        hi = _floor_sqrt_minus(r, s)
-        lo = 0 if all_zero_above else -_floor_sqrt_minus(r, -s)
-        for value in range(hi, lo - 1, -1):
-            x[i] = value
-            spent = c[i] * (value + s) * (value + s)
-            descend(i - 1, remaining - spent, all_zero_above and value == 0)
-        x[i] = 0
-
-    descend(n - 1, Fraction(bound), True)
-    return out
+        s[i] = sum(u[i][j] * x[j] for j in range(i + 1, n))
+        r = left[i + 1] / c[i]
+        lo[i] = 0 if zero[i + 1] else -_floor_sqrt_minus(r, -s[i])
+        x[i] = _floor_sqrt_minus(r, s[i]) + 1
 
 
 # -- unit summands and chain bases --------------------------------------------
@@ -361,26 +363,13 @@ def strip_unit_summands(lattice: GramLattice) -> tuple[int, GramLattice]:
     Norm-1 vectors u != +/-v have |u.v| < 1 by Cauchy-Schwarz, so u.v = 0 in
     an integral lattice: all the units span one Z^k, and G' is its complement.
     """
-    units = enumerate_short_vectors(lattice, 1)
+    units = enumerate_short_vectors(lattice, 1).get(1, [])
     if not units:
         return 0, lattice
     g = lattice.gram
     basis = integer_kernel(tuple(tuple(dot(row, u) for row in g) for u in units), lattice.rank)
     gram = tuple(tuple(dot(a, tuple(dot(row, b) for row in g)) for b in basis) for a in basis)
     return len(units), GramLattice(gram)
-
-
-def _norm(gram: Matrix, v: Vector) -> int:
-    n = len(gram)
-    return sum(v[i] * sum(gram[i][j] * v[j] for j in range(n)) for i in range(n))
-
-
-def _shorts_by_norm(lattice: GramLattice, bound: int, tick=None) -> dict[int, list[Vector]]:
-    """Short vectors of norm <= bound, bucketed by norm in enumeration order."""
-    by_norm: dict[int, list[Vector]] = {}
-    for v in enumerate_short_vectors(lattice, bound, tick):
-        by_norm.setdefault(_norm(lattice.gram, v), []).append(v)
-    return by_norm
 
 
 def chain_basis_for(lattice: GramLattice, terms: CF, tick=None) -> tuple[Vector, ...] | None:
@@ -402,9 +391,9 @@ def chain_basis_for(lattice: GramLattice, terms: CF, tick=None) -> tuple[Vector,
         return None
     if lattice.rank == 0:
         return ()
-    if lattice.determinant() != continuant(terms):
+    if det(lattice.gram) != continuant(terms):
         return None
-    by_norm = _shorts_by_norm(lattice, max(terms), tick)
+    by_norm = enumerate_short_vectors(lattice, max(terms), tick)
     if by_norm.get(1):
         # chain lattices with all terms >= 2 have minimum norm 2
         return None

@@ -341,12 +341,12 @@ def verify_certificate(problem: SearchProblem, cert: Certificate) -> bool:
     if problem.ribbon_split is None:
         return len(flat) == N
     group1, group2 = groups
-    kernel = integer_kernel(group2, N) if group2 else integer_kernel((), N)
+    kernel = integer_kernel(group2, N)
     gram_kernel = tuple(tuple(dot(a, b) for b in kernel) for a in kernel)
-    gram_one = tuple(tuple(dot(a, b) for b in group1) for a in group1)
     # group1 sits inside the complement (cross pairings vanish) with equal
-    # rank; equal determinants force equality of the two lattices
-    return len(group1) == len(kernel) and det(gram_one) == det(gram_kernel)
+    # rank, and the pairings above make its determinant lambda1's continuant;
+    # equal determinants force equality of the two lattices
+    return len(group1) == len(kernel) and det(gram_kernel) == continuant(problem.summands[0])
 
 
 class EmbeddingCache:

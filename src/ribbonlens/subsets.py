@@ -3,8 +3,8 @@
 A linear subset is an ordered tuple of integer vectors realizing a chain
 Gram pattern (norms >= 2, consecutive pairings 0 or 1, all other pairings
 zero).  This module implements the move calculus on such subsets:
-contractions, 2-final expansions, intersection graphs, linkedness,
-irreducibility and bad-component detection with complement computation.
+contractions, 2-final expansions, intersection graphs and bad-component
+detection with complement computation.
 """
 
 from __future__ import annotations
@@ -125,34 +125,6 @@ def intersection_graph(subset: LinearSubset) -> IntersectionGraph:
             components.append(tuple(run))
             run = []
     return IntersectionGraph(edges, tuple(components))
-
-
-def linked(v: Vector, w: Vector) -> bool:
-    """Two vectors are linked when some coordinate is nonzero in both."""
-    return any(a and b for a, b in zip(v, w))
-
-
-def irreducible_components(subset: LinearSubset) -> tuple[tuple[int, ...], ...]:
-    """Partition into maximal irreducible pieces (transitive closure of linkedness)."""
-    n = subset.size
-    parent = list(range(n))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for j in range(subset.ambient_rank):
-        users = [i for i in range(n) if subset.vectors[i][j]]
-        for a, b in zip(users, users[1:]):
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[ra] = rb
-    blocks: dict[int, list[int]] = {}
-    for i in range(n):
-        blocks.setdefault(find(i), []).append(i)
-    return tuple(tuple(sorted(b)) for b in sorted(blocks.values()))
 
 
 # -- canonical form under signed coordinate permutations ----------------------

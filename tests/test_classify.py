@@ -12,7 +12,6 @@ from ribbonlens.classify import (
     TwoBridgeLink,
     Verdict,
     chi_leq_bridge,
-    necessary_conditions,
     replay_witness,
     ribbon_leq_lens,
     ribbon_leq_sum,
@@ -45,6 +44,10 @@ class TestRibbonLeqLens:
         verdict = ribbon_leq_lens(L(8, 5), L(2, 1), cache=CACHE)
         assert verdict.answer == "no"
         assert verdict.obstruction == "square-ratio"
+        # 6/3 is not a square; 2/4 is not an integer, so the orders must divide
+        for y1, y2 in ((_sum((3, 1)), _sum((6, 1))), (_sum((4, 1)), _sum((2, 1)))):
+            verdict = ribbon_leq_sum(y1, y2, cache=CACHE)
+            assert (verdict.answer, verdict.obstruction) == ("no", "square-ratio")
 
     def test_ball_case_records_oracle(self):
         verdict = ribbon_leq_lens(L(1, 0), L(4, 3), cache=CACHE)
@@ -270,21 +273,6 @@ class TestBridgeLinks:
                 [k.mirror() for k in k1], [k.mirror() for k in k2], cache=CACHE
             )
             assert direct.answer == mirrored.answer
-
-
-class TestNecessaryConditions:
-    def test_pass_example(self):
-        report = necessary_conditions(_sum((2, 1)), _sum((8, 5)))
-        assert report.all_pass
-
-    def test_square_ratio_failure(self):
-        report = necessary_conditions(_sum((3, 1)), _sum((6, 1)))
-        assert report.first_failure == "square-ratio"
-
-    def test_divisibility_failure(self):
-        # the square-ratio test already requires the orders to divide
-        report = necessary_conditions(_sum((4, 1)), _sum((2, 1)))
-        assert report.first_failure == "square-ratio"
 
 
 class TestConnectedSum:

@@ -1,5 +1,10 @@
+import ast
 import itertools
+import math
+import pathlib
 import random
+import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given
@@ -9,6 +14,8 @@ from ribbonlens.arith import continuant
 from ribbonlens.lattice import (
     EmbeddedLattice,
     GramLattice,
+    _floor_sqrt_minus,
+    _ldl,
     chain_basis_for,
     det,
     enumerate_short_vectors,
@@ -71,16 +78,22 @@ class TestSmithNormalForm:
     def test_reconstruction_and_unimodularity(self, matrix):
         snf = smith_normal_form(matrix)
         m, n = len(matrix), len(matrix[0])
-        assert mat_mul(mat_mul(snf.left, matrix), snf.right) == snf.diagonal_matrix((m, n))
-        assert abs(det(snf.left)) == 1
+        # A V vanishes from the rank on, so those columns of V span the kernel
+        av = mat_mul(matrix, snf.right)
+        assert all(row[j] == 0 for row in av for j in range(snf.rank, n))
         assert abs(det(snf.right)) == 1
         diag = snf.diagonal
+        assert len(diag) == min(m, n)
         assert all(d >= 0 for d in diag)
         for a, b in zip(diag, diag[1:]):
             if a:
                 assert b % a == 0
             else:
                 assert b == 0
+        # d1 is the gcd of the entries; for square A the divisors multiply to |det A|
+        assert diag[0] == math.gcd(*(x for row in matrix for x in row))
+        if m == n:
+            assert abs(det(matrix)) == math.prod(diag)
 
 
 class TestComplementAndPrimitivity:
@@ -140,17 +153,86 @@ class TestComplementAndPrimitivity:
         assert integer_kernel((), 3) == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
 
+def reference_short_vectors(lattice, bound, tick=None):
+    """The recursive enumeration the explicit-stack walk replaced, with its
+    norms recomputed from the Gram matrix: the reference for order and ticks."""
+    n = lattice.rank
+    if n == 0:
+        return {}
+    c, u = _ldl(lattice.gram)
+    out = []
+    x = [0] * n
+
+    def descend(i, remaining, all_zero_above):
+        if tick is not None:
+            tick()
+        if i < 0:
+            if not all_zero_above:
+                out.append(tuple(x))
+            return
+        s = sum(u[i][j] * x[j] for j in range(i + 1, n))
+        r = remaining / c[i]
+        hi = _floor_sqrt_minus(r, s)
+        lo = 0 if all_zero_above else -_floor_sqrt_minus(r, -s)
+        for value in range(hi, lo - 1, -1):
+            x[i] = value
+            spent = c[i] * (value + s) * (value + s)
+            descend(i - 1, remaining - spent, all_zero_above and value == 0)
+        x[i] = 0
+
+    descend(n - 1, Fraction(bound), True)
+    by_norm = {}
+    for v in out:
+        norm = sum(v[i] * sum(lattice.gram[i][j] * v[j] for j in range(n)) for i in range(n))
+        by_norm.setdefault(norm, []).append(v)
+    return by_norm
+
+
+def seeded_lattices():
+    """Conjugated chain lattices and random positive-definite Gram matrices
+    of rank <= 6."""
+    rng = random.Random(9)
+    lattices = []
+    for terms in [(2,), (3,), (2, 2), (2, 3), (4, 2, 2), (2, 2, 2), (5, 3), (2, 2, 3, 2, 3), (2, 3, 2, 2, 4, 2)]:
+        for _ in range(3):
+            u = random_unimodular(rng, len(terms))
+            lattices.append(GramLattice(freeze(mat_mul(mat_mul(u, chain_gram(terms)), tuple(zip(*u))))))
+    while len(lattices) < 60:
+        n = rng.randint(1, 6)
+        gram = [[0] * n for _ in range(n)]
+        for i in range(n):
+            gram[i][i] = rng.randint(1, 6)
+            for j in range(i):
+                gram[i][j] = gram[j][i] = rng.randint(-2, 2)
+        if all(det([row[:k] for row in gram[:k]]) > 0 for k in range(1, n + 1)):
+            lattices.append(GramLattice(freeze(gram)))
+    return lattices
+
+
+def recursion_headroom(frames):
+    """A recursion limit that leaves the caller only the given number of frames."""
+    depth, frame = 0, sys._getframe(1)
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    return depth + frames
+
+
 class TestShortVectors:
     def test_examples(self):
-        assert enumerate_short_vectors(GramLattice(((2,),)), 2) == [(1,)]
-        assert sorted(enumerate_short_vectors(GramLattice(((1, 0), (0, 1))), 1)) == [(0, 1), (1, 0)]
-        found = sorted(enumerate_short_vectors(GramLattice(((2, 1), (1, 2))), 2))
-        assert found == [(-1, 1), (0, 1), (1, 0)]
+        assert enumerate_short_vectors(GramLattice(((2,),)), 2) == {2: [(1,)]}
+        assert enumerate_short_vectors(GramLattice(((1, 0), (0, 1))), 1) == {1: [(0, 1), (1, 0)]}
+        assert enumerate_short_vectors(GramLattice(((1, 0), (0, 1))), 2) == {
+            2: [(1, 1), (-1, 1)],
+            1: [(0, 1), (1, 0)],
+        }
+        found = enumerate_short_vectors(GramLattice(((2, 1), (1, 2))), 2)
+        assert found == {2: [(0, 1), (-1, 1), (1, 0)]}
+        assert enumerate_short_vectors(GramLattice(()), 5) == {}
 
     def test_tick_meets_every_enumeration_node(self):
         # x = 1 and x = 0 under the root; x = 0 is the zero vector, dropped
         ticks = []
-        assert enumerate_short_vectors(GramLattice(((2,),)), 2, lambda: ticks.append(1)) == [(1,)]
+        assert enumerate_short_vectors(GramLattice(((2,),)), 2, lambda: ticks.append(1)) == {2: [(1,)]}
         assert len(ticks) == 3
 
     def test_rejects_indefinite(self):
@@ -163,7 +245,9 @@ class TestShortVectors:
     def test_counts_on_square_lattice(self, bound):
         # Z^2 norms are sums of two squares; count one vector per +/- pair
         lattice = GramLattice(((1, 0), (0, 1)))
-        found = enumerate_short_vectors(lattice, bound)
+        by_norm = enumerate_short_vectors(lattice, bound)
+        found = [v for vs in by_norm.values() for v in vs]
+        assert all(x * x + y * y == norm for norm, vs in by_norm.items() for x, y in vs)
         brute = set()
         for x in range(-4, 5):
             for y in range(-4, 5):
@@ -171,6 +255,52 @@ class TestShortVectors:
                     brute.add(max((x, y), (-x, -y)))
         assert len(found) == len(brute)
         assert {max(v, tuple(-c for c in v)) for v in found} == brute
+
+    def test_matches_the_recursive_walk(self):
+        # same buckets, same keys in the same order, same lists, same ticks
+        for lattice in seeded_lattices():
+            for bound in range(9):
+                ticks, reference_ticks = [], []
+                found = enumerate_short_vectors(lattice, bound, lambda: ticks.append(1))
+                reference = reference_short_vectors(lattice, bound, lambda: reference_ticks.append(1))
+                assert list(found.items()) == list(reference.items()), (lattice.gram, bound)
+                assert len(ticks) == len(reference_ticks), (lattice.gram, bound)
+
+    def test_rank_sixty_under_a_low_recursion_limit(self):
+        identity = GramLattice(freeze([[int(i == j) for j in range(60)] for i in range(60)]))
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(recursion_headroom(30))
+        try:
+            units = enumerate_short_vectors(identity, 1)
+            k, core = strip_unit_summands(identity)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert list(units) == [1] and len(units[1]) == 60
+        assert (k, core.rank) == (60, 0)
+
+
+def test_nothing_in_the_package_recurses():
+    """No function, nested ones included, calls itself by name or via self."""
+    package = pathlib.Path(__file__).resolve().parents[1] / "src" / "ribbonlens"
+    recursive = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for call in ast.walk(node):
+                if not isinstance(call, ast.Call):
+                    continue
+                f = call.func
+                by_name = isinstance(f, ast.Name) and f.id == node.name
+                by_self = (
+                    isinstance(f, ast.Attribute)
+                    and f.attr == node.name
+                    and isinstance(f.value, ast.Name)
+                    and f.value.id == "self"
+                )
+                if by_name or by_self:
+                    recursive.append(f"{path.name}:{call.lineno} {node.name}")
+    assert recursive == []
 
 
 class TestUnitSummands:
@@ -204,7 +334,7 @@ class TestStripRoundTrip:
         conjugated = freeze(mat_mul(mat_mul(u, freeze(gram)), tuple(zip(*u))))
         k, core = strip_unit_summands(GramLattice(conjugated))
         assert k == units
-        assert core.determinant() == det(gram)
+        assert det(core.gram) == det(gram)
         assert chain_basis_for(core, terms) is not None
 
 
@@ -261,7 +391,7 @@ class TestRecognition:
         assume(all(det([row[:k] for row in gram[:k]]) > 0 for k in range(1, n + 1)))
         lattice = GramLattice(freeze(gram))
         for terms in itertools.product(range(2, 7), repeat=n):
-            if continuant(terms) == lattice.determinant():
+            if continuant(terms) == det(lattice.gram):
                 found = chain_basis_for(lattice, terms) is not None
                 assert found == (chain_basis_for(lattice, terms[::-1]) is not None), terms
 

@@ -10,10 +10,8 @@ from ribbonlens.subsets import (
     detect_bad_components,
     equivalent_subsets,
     intersection_graph,
-    irreducible_components,
     is_linear_subset,
     linear_subset,
-    linked,
     two_final_expansions,
 )
 
@@ -48,22 +46,10 @@ class TestLinearSubsets:
         subset = linear_subset([(1, 1, 0, 0), (0, 0, 1, 1)])
         graph = intersection_graph(subset)
         assert graph.c == 2
-        assert irreducible_components(subset) == ((0,), (1,))
 
     def test_single_vector(self):
         subset = linear_subset([(1, 1)])
         assert intersection_graph(subset).c == 1
-
-    def test_linked(self):
-        assert linked((1, 1, 0), (0, 1, -1))
-        assert not linked((1, 0), (0, 1))
-        assert linked((1, 1), (-1, 1))
-
-    def test_irreducible_triple(self):
-        assert irreducible_components(core_triple(2)) == ((0, 1, 2),)
-
-    def test_empty_partition(self):
-        assert irreducible_components(linear_subset([], ambient_rank=2)) == ()
 
 
 class TestMoves:
