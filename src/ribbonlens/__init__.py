@@ -28,12 +28,10 @@ from .classify import (
 from .lattice import (
     EmbeddedLattice,
     GramLattice,
-    SNFResult,
     enumerate_short_vectors,
     gram_of,
     orthogonal_complement,
     primitivity_test,
-    smith_normal_form,
     stably_isometric_linear,
     strip_unit_summands,
 )

@@ -406,6 +406,8 @@ def cmd_embed(args) -> tuple[int, dict, list[str]]:
 
 
 def cmd_selfcheck(args) -> tuple[int, dict, list[str]]:
+    if args.max_p is not None and args.max_p < 2:
+        raise UsageError(f"--max-p must be at least 2, got {args.max_p}")
     results = selfcheck.run_all(max_p=args.max_p)
     doc = {
         "results": [

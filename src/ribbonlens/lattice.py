@@ -1,8 +1,9 @@
 """Exact integer-lattice kernel.
 
-Gram matrices, Smith normal form with its right transform, orthogonal
-complements inside Z^N, primitivity tests, short vectors by norm,
-unit-summand stripping and chain bases of a given linear isometry type.
+Gram matrices, one column reduction A V = [H | 0] that gives integer
+kernels, spans and primitivity, orthogonal complements inside Z^N, short
+vectors by norm, unit-summand stripping and chain bases of a given linear
+isometry type.
 Everything is integer or Fraction exact; matrices are tuples of tuples of
 ints.
 """
@@ -19,10 +20,6 @@ Matrix = tuple[tuple[int, ...], ...]
 Vector = tuple[int, ...]
 
 
-def identity_matrix(n: int) -> list[list[int]]:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
 def freeze(rows) -> Matrix:
     return tuple(tuple(r) for r in rows)
 
@@ -34,10 +31,6 @@ def mat_mul(a, b) -> Matrix:
     return tuple(
         tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
     )
-
-
-def transpose(a) -> Matrix:
-    return tuple(zip(*a)) if a else ()
 
 
 def dot(v: Vector, w: Vector) -> int:
@@ -106,7 +99,7 @@ class EmbeddedLattice:
                 raise ValueError("vector length does not match ambient rank")
         if len(self.vectors) > self.ambient_rank:
             raise ValueError("more vectors than the ambient rank")
-        if self.vectors and _rank(self.vectors) != len(self.vectors):
+        if len(_column_reduce(self.vectors, self.ambient_rank)[0]) != len(self.vectors):
             raise ValueError("vectors are linearly dependent")
 
     @property
@@ -114,106 +107,36 @@ class EmbeddedLattice:
         return len(self.vectors)
 
 
-@dataclass(frozen=True)
-class SNFResult:
-    """The diagonal D of U * A * V = D, d1 | d2 | ..., and the unimodular V."""
+def _column_reduce(rows, width: int) -> tuple[list[int], list[Vector]]:
+    """Unimodular column operations V with A V = [H | 0], H lower-triangular
+    on the pivot rows (the kernel by column echelon form, Cohen 1993, 2.4).
 
-    diagonal: tuple[int, ...]
-    right: Matrix
-
-    @property
-    def rank(self) -> int:
-        return sum(1 for d in self.diagonal if d)
-
-
-def smith_normal_form(matrix) -> SNFResult:
-    """Smith normal form over Z with the right unimodular transform.
-
-    Pivoting reads only A, so the left transform U is never built.
+    Row by row, the smallest nonzero entry right of the pivots so far moves
+    to the next pivot column and reduces the others, until it is the only
+    one; a row with none left depends on the rows above it.  Each column of
+    A travels stacked over its column of V.  Returns the pivots, the
+    diagonal of H (their number is the rank), and V's columns.
     """
-    a = [list(row) for row in matrix]
-    m = len(a)
-    n = len(a[0]) if m else 0
-    v = identity_matrix(n)
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-
-    def swap_cols(i, j):
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-
-    def add_row(i, j, c):
-        # row_i += c * row_j
-        a[i] = [x + c * y for x, y in zip(a[i], a[j])]
-
-    def add_col(i, j, c):
-        for row in a:
-            row[i] += c * row[j]
-        for row in v:
-            row[i] += c * row[j]
-
-    t = 0
-    while t < min(m, n):
-        # smallest nonzero entry of the trailing submatrix becomes the pivot
-        pivot = None
-        best = None
-        for i in range(t, m):
-            for j in range(t, n):
-                x = a[i][j]
-                if x and (best is None or abs(x) < best):
-                    best = abs(x)
-                    pivot = (i, j)
-        if pivot is None:
-            break
-        if pivot[0] != t:
-            swap_rows(t, pivot[0])
-        if pivot[1] != t:
-            swap_cols(t, pivot[1])
+    m = len(rows)
+    cols = [[row[j] for row in rows] + [int(i == j) for i in range(width)] for j in range(width)]
+    pivots: list[int] = []
+    for i in range(m):
+        t = len(pivots)
         while True:
-            restart = False
-            for i in range(m):
-                if i != t and a[i][t]:
-                    q = a[i][t] // a[t][t]
-                    add_row(i, t, -q)
-                    if a[i][t]:
-                        swap_rows(i, t)
-                        restart = True
-                        break
-            if restart:
-                continue
-            for j in range(n):
-                if j != t and a[t][j]:
-                    q = a[t][j] // a[t][t]
-                    add_col(j, t, -q)
-                    if a[t][j]:
-                        swap_cols(j, t)
-                        restart = True
-                        break
-            if restart:
-                continue
-            offender = None
-            for i in range(t + 1, m):
-                for j in range(t + 1, n):
-                    if a[i][j] % a[t][t]:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
-            if offender is None:
+            live = [j for j in range(t, width) if cols[j][i]]
+            if not live:
                 break
-            add_row(t, offender, 1)
-        if a[t][t] < 0:
-            a[t] = [-x for x in a[t]]
-        t += 1
-    diagonal = tuple(a[i][i] for i in range(min(m, n)))
-    return SNFResult(diagonal, freeze(v))
-
-
-def _rank(rows) -> int:
-    return smith_normal_form(rows).rank
+            j = min(live, key=lambda k: abs(cols[k][i]))
+            cols[t], cols[j] = cols[j], cols[t]
+            if len(live) == 1:
+                pivots.append(cols[t][i])
+                break
+            pivot = cols[t]
+            for j in range(t + 1, width):
+                q = cols[j][i] // pivot[i]
+                if q:
+                    cols[j] = [x - q * y for x, y in zip(cols[j], pivot)]
+    return pivots, [tuple(col[m:]) for col in cols]
 
 
 def gram_of(embedded: EmbeddedLattice) -> GramLattice:
@@ -222,13 +145,10 @@ def gram_of(embedded: EmbeddedLattice) -> GramLattice:
 
 
 def integer_kernel(rows, width: int) -> tuple[Vector, ...]:
-    """Basis of {x in Z^width : A x = 0}; the span is saturated by construction."""
-    if not rows:
-        return tuple(tuple(1 if i == j else 0 for j in range(width)) for i in range(width))
-    snf = smith_normal_form(rows)
-    r = snf.rank
-    cols = transpose(snf.right)
-    return tuple(cols[j] for j in range(r, width))
+    """Basis of {x in Z^width : A x = 0}, V's columns from the rank on; the
+    span is saturated because V is unimodular."""
+    pivots, v = _column_reduce(rows, width)
+    return tuple(v[len(pivots) :])
 
 
 def orthogonal_complement(embedded: EmbeddedLattice) -> EmbeddedLattice:
@@ -238,19 +158,20 @@ def orthogonal_complement(embedded: EmbeddedLattice) -> EmbeddedLattice:
 
 
 def in_span(rows, x: Vector) -> bool:
-    """Is x an integer combination of the given row vectors?"""
-    if not rows:
-        return not any(x)
-    snf = smith_normal_form(rows)
-    y = mat_mul((x,), snf.right)[0]
-    r = snf.rank
-    for t, value in enumerate(y):
-        if t < r:
-            if value % snf.diagonal[t]:
-                return False
-        elif value:
-            return False
-    return True
+    """Is x an integer combination of the given linearly independent rows?
+
+    x V = c [H | 0] is solved for c from the last pivot up.  Where x is in
+    the span every division is exact, and elsewhere no integer c reaches x,
+    so x is in the span exactly when x - c A ends at zero.
+    """
+    pivots, v = _column_reduce(rows, len(x))
+    if len(pivots) != len(rows):
+        raise ValueError("in_span needs linearly independent rows")
+    x = list(x)
+    for row, pivot, col in reversed(list(zip(rows, pivots, v))):
+        c = dot(x, col) // pivot
+        x = [a - c * b for a, b in zip(x, row)]
+    return not any(x)
 
 
 def saturation(embedded: EmbeddedLattice) -> EmbeddedLattice:
@@ -259,11 +180,10 @@ def saturation(embedded: EmbeddedLattice) -> EmbeddedLattice:
 
 
 def primitivity_test(embedded: EmbeddedLattice) -> bool:
-    """True iff Z^N modulo the span is torsion-free (all elementary divisors 1)."""
-    if not embedded.vectors:
-        return True
-    snf = smith_normal_form(embedded.vectors)
-    return all(d == 1 for d in snf.diagonal[: embedded.rank])
+    """True iff Z^N modulo the span is torsion-free: every pivot is +/-1, as
+    |product of pivots| is the index of the span in its saturation."""
+    pivots, _ = _column_reduce(embedded.vectors, embedded.ambient_rank)
+    return all(abs(d) == 1 for d in pivots)
 
 
 def primitivity_test_saturation(embedded: EmbeddedLattice) -> bool:

@@ -424,6 +424,8 @@ class EmbeddingCache:
         accepted = 0
         for entry in entries:
             try:
+                if not isinstance(entry["key"], str):
+                    continue
                 problem = SearchProblem.from_key(entry["key"])
                 nodes = int(entry.get("nodes", "0"))
                 groups = tuple(

@@ -19,21 +19,12 @@ class LinearSubset:
     """Ordered vectors in Z^N with a chain pairing pattern.
 
     Cardinality below the ambient rank is allowed; a subset standing for a
-    full-rank configuration has cardinality equal to the ambient rank (see
-    :attr:`full`).  Construct through :func:`linear_subset` to get pairing
-    validation.
+    full-rank configuration has cardinality equal to the ambient rank.
+    Construct through :func:`linear_subset` to get pairing validation.
     """
 
     ambient_rank: int
     vectors: tuple[Vector, ...]
-
-    @property
-    def full(self) -> bool:
-        return len(self.vectors) == self.ambient_rank
-
-    @property
-    def size(self) -> int:
-        return len(self.vectors)
 
 
 def _pairing_violation(vectors: tuple[Vector, ...]) -> str | None:

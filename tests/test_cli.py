@@ -43,6 +43,8 @@ class TestExitCodes:
             ["ribbon-sum", "2/1", "--", "--"],
             ["embed", "--ribbon-split", "2", "--summands", "2", "--summands", "2,3,2"],
             ["embed", "--ribbon-split", "1", "--summands", "2"],
+            ["selfcheck", "--max-p", "1"],
+            ["selfcheck", "--max-p", "-3"],
         ):
             code, _, err = run_cli(*argv)
             assert code == 64, argv
@@ -202,12 +204,13 @@ class TestCacheFile:
         path = tmp_path / "cache.json"
         argv = ("--cache", str(path), "--format", "json", "in-r", "4/3")
         clean = run_cli(*argv)
-        doc = json.loads(path.read_text())
-        for entry in doc["entries"]:
-            entry["nodes"] = "x"
-        path.write_text(json.dumps(doc))
         assert clean[0] == 0
-        assert run_cli(*argv) == clean
+        doc = json.loads(path.read_text())
+        bad_nodes = [dict(entry, nodes="x") for entry in doc["entries"]]
+        bad_key = [{"key": 5, "outcome": "absent"}]
+        for entries in (bad_nodes, bad_key):
+            path.write_text(json.dumps(dict(doc, entries=entries)))
+            assert run_cli(*argv) == clean
 
     def test_unwritable_cache_file_costs_a_warning(self, tmp_path):
         clean = run_cli("ribbon", "2/1", "8/5")

@@ -14,6 +14,7 @@ from ribbonlens.arith import continuant
 from ribbonlens.lattice import (
     EmbeddedLattice,
     GramLattice,
+    _column_reduce,
     _floor_sqrt_minus,
     _ldl,
     chain_basis_for,
@@ -28,7 +29,6 @@ from ribbonlens.lattice import (
     primitivity_test,
     primitivity_test_saturation,
     saturation,
-    smith_normal_form,
     stably_isometric_linear,
     strip_unit_summands,
 )
@@ -52,7 +52,7 @@ def sublattices(draw, max_dim=5):
         tuple(draw(st.integers(min_value=-3, max_value=3)) for _ in range(n))
         for _ in range(k)
     )
-    if smith_normal_form(rows).rank != k:
+    if len(_column_reduce(rows, n)[0]) != k:
         return EmbeddedLattice(n, rows[:0])
     return EmbeddedLattice(n, rows)
 
@@ -68,32 +68,64 @@ def random_unimodular(rng, n):
     return freeze(rows)
 
 
-class TestSmithNormalForm:
+def fraction_rank(rows) -> int:
+    """Rank over Q by Gaussian elimination on Fractions: the reference."""
+    a = [[Fraction(x) for x in row] for row in rows]
+    rank = 0
+    for j in range(len(a[0]) if a else 0):
+        pivot = next((i for i in range(rank, len(a)) if a[i][j]), None)
+        if pivot is None:
+            continue
+        a[rank], a[pivot] = a[pivot], a[rank]
+        for i in range(rank + 1, len(a)):
+            f = a[i][j] / a[rank][j]
+            a[i] = [x - f * y for x, y in zip(a[i], a[rank])]
+        rank += 1
+    return rank
+
+
+class TestColumnReduction:
     def test_examples(self):
-        assert smith_normal_form(((2,),)).diagonal == (2,)
-        assert smith_normal_form(((1, 0, 0), (0, 1, 0), (0, 0, 1))).diagonal == (1, 1, 1)
-        assert smith_normal_form(((2, 0), (0, 3))).diagonal == (1, 6)
+        assert _column_reduce(((2,),), 1) == ([2], [(1,)])
+        assert _column_reduce(((2, 0), (0, 3)), 2) == ([2, 3], [(1, 0), (0, 1)])
+        assert _column_reduce(((1, 1, 0),), 3) == ([1], [(1, 0, 0), (-1, 1, 0), (0, 0, 1)])
+        assert _column_reduce((), 2) == ([], [(1, 0), (0, 1)])
 
     @given(integer_matrices())
-    def test_reconstruction_and_unimodularity(self, matrix):
-        snf = smith_normal_form(matrix)
-        m, n = len(matrix), len(matrix[0])
-        # A V vanishes from the rank on, so those columns of V span the kernel
-        av = mat_mul(matrix, snf.right)
-        assert all(row[j] == 0 for row in av for j in range(snf.rank, n))
-        assert abs(det(snf.right)) == 1
-        diag = snf.diagonal
-        assert len(diag) == min(m, n)
-        assert all(d >= 0 for d in diag)
-        for a, b in zip(diag, diag[1:]):
-            if a:
-                assert b % a == 0
-            else:
-                assert b == 0
-        # d1 is the gcd of the entries; for square A the divisors multiply to |det A|
-        assert diag[0] == math.gcd(*(x for row in matrix for x in row))
-        if m == n:
-            assert abs(det(matrix)) == math.prod(diag)
+    def test_triangularizes_unimodularly(self, matrix):
+        pivots, v = _column_reduce(matrix, len(matrix[0]))
+        r = len(pivots)
+        assert r == fraction_rank(matrix)
+        # V is unimodular and A V vanishes from the rank on, so those columns
+        # of V span the kernel
+        assert abs(det(tuple(zip(*v)))) == 1
+        av = mat_mul(matrix, tuple(zip(*v)))
+        assert all(row[j] == 0 for row in av for j in range(r, len(v)))
+        if r == len(matrix):
+            # independent rows: H is lower-triangular with the pivots on its diagonal
+            assert all(av[i][j] == 0 for i in range(r) for j in range(i + 1, r))
+            assert [av[i][i] for i in range(r)] == pivots
+            if r == len(v):
+                assert abs(math.prod(pivots)) == abs(det(matrix))
+
+    @given(integer_matrices(max_dim=3, lo=-2, hi=2))
+    def test_in_span_matches_brute_force(self, matrix):
+        k, n = len(matrix), len(matrix[0])
+        assume(k <= 2 and fraction_rank(matrix) == k)
+        # by Cramer's rule on a nonsingular k x k minor, a combination that
+        # lands in [-2, 2]^n has coefficients of size at most 8
+        box = range(-8, 9)
+        reach = {
+            tuple(sum(c * row[j] for c, row in zip(coeffs, matrix)) for j in range(n))
+            for coeffs in itertools.product(box, repeat=k)
+        }
+        for x in itertools.product(range(-2, 3), repeat=n):
+            assert in_span(matrix, x) == (x in reach), x
+
+    def test_in_span_rejects_dependent_rows(self):
+        with pytest.raises(ValueError):
+            in_span(((1, 2), (2, 4)), (1, 2))
+        assert in_span((), (0, 0)) and not in_span((), (0, 1))
 
 
 class TestComplementAndPrimitivity:
@@ -301,6 +333,52 @@ def test_nothing_in_the_package_recurses():
                 if by_name or by_self:
                     recursive.append(f"{path.name}:{call.lineno} {node.name}")
     assert recursive == []
+
+
+# definitions that something outside the repository's code calls by name
+CALLED_FROM_OUTSIDE = {
+    "_Parser.error": "argparse calls it when parsing fails",
+}
+
+
+def test_every_definition_in_the_package_is_referenced():
+    """Every function, class and method in the package is named somewhere
+    else in src/, tests/, scripts/ or perfbench/: as a name, an attribute,
+    an import or a string (getattr-style lookups).  Dunder methods are
+    called by Python itself."""
+    root = pathlib.Path(__file__).resolve().parents[1]
+    defined = []
+    for path in sorted((root / "src" / "ribbonlens").glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        scopes = [(tree, "")]
+        while scopes:
+            scope, prefix = scopes.pop()
+            for node in ast.iter_child_nodes(scope):
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                    defined.append((f"{prefix}{node.name}", node.name, f"{path.name}:{node.lineno}"))
+                    scopes.append((node, f"{prefix}{node.name}."))
+                else:
+                    scopes.append((node, prefix))
+    referenced = set()
+    for top in ("src", "tests", "scripts", "perfbench"):
+        for path in sorted((root / top).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+                if isinstance(node, ast.Name):
+                    referenced.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    referenced.add(node.attr)
+                elif isinstance(node, ast.alias):
+                    referenced.add(node.name.rpartition(".")[2])
+                elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                    referenced.add(node.value)
+    unreferenced = [
+        f"{where} {qualified}"
+        for qualified, name, where in defined
+        if name not in referenced
+        and not (name.startswith("__") and name.endswith("__"))
+        and qualified not in CALLED_FROM_OUTSIDE
+    ]
+    assert unreferenced == []
 
 
 class TestUnitSummands:
