@@ -350,39 +350,14 @@ def cmd_in_r(args) -> tuple[int, dict, list[str]]:
     return EXIT_CODES[result.outcome], doc, text
 
 
-def cmd_ribbon(args) -> tuple[int, dict, list[str]]:
-    a = parse_lens(args.first)
-    b = parse_lens(args.second)
-    verdict = _cached(args, ribbon_leq_lens, a, b)
-    doc = {
-        "first": lens_to_json(a),
-        "second": lens_to_json(b),
-        "verdict": verdict_to_json(verdict),
-    }
-    return EXIT_CODES[verdict.answer], doc, _verdict_lines(verdict)
-
-
-def cmd_ribbon_sum(args) -> tuple[int, dict, list[str]]:
-    y1 = parse_sum(args.first)
-    y2 = parse_sum(args.second)
-    verdict = _cached(args, ribbon_leq_sum, y1, y2)
-    doc = {
-        "first": [lens_to_json(x) for x in y1.summands],
-        "second": [lens_to_json(x) for x in y2.summands],
-        "verdict": verdict_to_json(verdict),
-    }
-    return EXIT_CODES[verdict.answer], doc, _verdict_lines(verdict)
-
-
-def cmd_bridge(args) -> tuple[int, dict, list[str]]:
-    k1 = parse_links(args.first)
-    k2 = parse_links(args.second)
-    verdict = _cached(args, chi_leq_bridge, k1, k2)
-    doc = {
-        "first": [{"p": str(k.p), "q": str(k.q)} for k in k1],
-        "second": [{"p": str(k.p), "q": str(k.q)} for k in k2],
-        "verdict": verdict_to_json(verdict),
-    }
+def cmd_verdict(args) -> tuple[int, dict, list[str]]:
+    """ribbon, ribbon-sum and bridge: the subcommand's (parse, query, render)
+    triple reads both operands, answers the query and renders each operand."""
+    parse, query, render = args.verdict_query
+    first = parse(args.first)
+    second = parse(args.second)
+    verdict = _cached(args, query, first, second)
+    doc = {"first": render(first), "second": render(second), "verdict": verdict_to_json(verdict)}
     return EXIT_CODES[verdict.answer], doc, _verdict_lines(verdict)
 
 
@@ -453,20 +428,27 @@ def build_parser() -> _Parser:
     p.add_argument("fraction")
     p.set_defaults(func=cmd_in_r)
 
-    p = sub.add_parser("ribbon", help="ribbon cobordism between two lens spaces")
-    p.add_argument("first")
-    p.add_argument("second")
-    p.set_defaults(func=cmd_ribbon)
-
-    p = sub.add_parser("ribbon-sum", help="ribbon cobordism between connected sums")
-    p.add_argument("first")
-    p.add_argument("second")
-    p.set_defaults(func=cmd_ribbon_sum)
-
-    p = sub.add_parser("bridge", help="chi-concordance of 2-bridge link sums")
-    p.add_argument("first")
-    p.add_argument("second")
-    p.set_defaults(func=cmd_bridge)
+    for name, help_text, parse, query, render in (
+        ("ribbon", "ribbon cobordism between two lens spaces", parse_lens, ribbon_leq_lens, lens_to_json),
+        (
+            "ribbon-sum",
+            "ribbon cobordism between connected sums",
+            parse_sum,
+            ribbon_leq_sum,
+            lambda y: [lens_to_json(x) for x in y.summands],
+        ),
+        (
+            "bridge",
+            "chi-concordance of 2-bridge link sums",
+            parse_links,
+            chi_leq_bridge,
+            lambda links: [lens_to_json(k) for k in links],
+        ),
+    ):
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("first")
+        p.add_argument("second")
+        p.set_defaults(func=cmd_verdict, verdict_query=(parse, query, render))
 
     p = sub.add_parser("embed", help="raw lattice embedding search")
     p.add_argument("--summands", action="append", required=True, metavar="a1,a2,...")

@@ -27,7 +27,7 @@ from .arith import CF, cf_expand, cf_length, continuant, is_perfect_square
 from .lattice import GramLattice, Vector, chain_basis_for, det, dot, integer_kernel
 
 ENGINE_VERSION = "3"
-CACHE_SCHEMA = "ribbonlens-cache/1"
+CACHE_SCHEMA = "ribbonlens-cache/2"
 
 
 class BudgetExceededError(Exception):
@@ -350,10 +350,11 @@ def verify_certificate(problem: SearchProblem, cert: Certificate) -> bool:
 
 
 class EmbeddingCache:
-    """In-memory certificate cache with an optional JSON file behind it.
+    """In-memory cache of search outcomes with an optional JSON file behind it.
 
-    Only proven outcomes are stored; certificates re-verify on load and
-    entries from a different engine version are dropped.
+    Inconclusive outcomes are never stored, and absent ones stay in memory:
+    the file holds certificates only, each re-verified on load, and a file
+    written by a different engine version loads nothing.
     """
 
     def __init__(self) -> None:
@@ -374,25 +375,18 @@ class EmbeddingCache:
             self._entries[problem.key] = outcome
 
     def save(self, path) -> None:
-        entries = []
         with self._lock:
-            items = sorted(self._entries.items())
-        for key, outcome in items:
-            vectors = None
-            if outcome.certificate is not None:
-                vectors = [
-                    [[str(x) for x in v] for v in group]
-                    for group in outcome.certificate.groups
-                ]
-            entries.append(
-                {
-                    "key": key,
-                    "outcome": outcome.status,
+            certificates = {
+                key: {
                     "nodes": str(outcome.nodes),
-                    "vectors": vectors,
+                    "vectors": [
+                        [[str(x) for x in v] for v in group] for group in outcome.certificate.groups
+                    ],
                 }
-            )
-        doc = {"schema": CACHE_SCHEMA, "engine": ENGINE_VERSION, "entries": entries}
+                for key, outcome in self._entries.items()
+                if outcome.found
+            }
+        doc = {"schema": CACHE_SCHEMA, "engine": ENGINE_VERSION, "certificates": certificates}
         # write beside the target and rename over it, so a run killed
         # mid-write leaves the previous file intact
         tmp = f"{path}.{os.getpid()}.tmp"
@@ -407,45 +401,38 @@ class EmbeddingCache:
             raise
 
     def load(self, path) -> int:
-        """Merge entries from a cache file; returns how many were accepted.
+        """Merge certificates from a cache file; returns how many were accepted.
 
         Raises OSError or ValueError when the file cannot be read as a cache
-        document; a single entry that does not parse is skipped.
+        document; an entry whose key, nodes or vectors do not parse, or whose
+        certificate fails verification, is skipped.
         """
         with open(path, "r", encoding="utf-8") as handle:
-            doc = json.load(handle)
+            try:
+                doc = json.load(handle)
+            except RecursionError:
+                raise ValueError("cache document is nested too deeply") from None
         if not isinstance(doc, dict):
             raise ValueError("cache document is not a JSON object")
         if doc.get("schema") != CACHE_SCHEMA or doc.get("engine") != ENGINE_VERSION:
             return 0
-        entries = doc.get("entries", [])
-        if not isinstance(entries, list):
-            raise ValueError("cache entries are not a JSON list")
+        certificates = doc.get("certificates", {})
+        if not isinstance(certificates, dict):
+            raise ValueError("cache certificates are not a JSON object")
         accepted = 0
-        for entry in entries:
+        for key, entry in certificates.items():
             try:
-                if not isinstance(entry["key"], str):
-                    continue
-                problem = SearchProblem.from_key(entry["key"])
-                nodes = int(entry.get("nodes", "0"))
+                problem = SearchProblem.from_key(key)
                 groups = tuple(
-                    tuple(tuple(int(x) for x in v) for v in group)
-                    for group in entry.get("vectors") or ()
+                    tuple(tuple(int(x) for x in v) for v in group) for group in entry["vectors"]
                 )
-            except (ValueError, KeyError, TypeError):
+                cert = Certificate(groups, int(entry["nodes"]))
+            except (ValueError, KeyError, TypeError, OverflowError):
                 continue
-            status = entry.get("outcome")
-            if status == "found":
-                cert = Certificate(groups, nodes)
-                if not verify_certificate(problem, cert):
-                    continue
-                outcome = SearchOutcome("found", cert, nodes, 0.0)
-            elif status == "absent":
-                outcome = SearchOutcome("absent", None, nodes, 0.0)
-            else:
+            if not verify_certificate(problem, cert):
                 continue
             with self._lock:
-                self._entries[problem.key] = outcome
+                self._entries[problem.key] = SearchOutcome("found", cert, cert.nodes, 0.0)
             accepted += 1
         return accepted
 

@@ -278,14 +278,11 @@ class BadComponent:
     """A component contractible to a norm-(m+1)-centered triple.
 
     ``trace`` lists the 2-final contractions (h, s, t), each in the index
-    convention of the state it was applied to; ``core`` is the fully
-    contracted subset and ``core_positions`` the triple inside it.
+    convention of the state it was applied to.
     """
 
     component: tuple[int, ...]
     central_norm: int
-    core: LinearSubset
-    core_positions: tuple[int, int, int]
     trace: tuple[tuple[int, int, int], ...]
 
     @property
@@ -317,8 +314,8 @@ def detect_bad_components(subset: LinearSubset) -> list[BadComponent]:
             continue
         witness = _search_bad(subset, comp)
         if witness is not None:
-            core, positions, trace, norm = witness
-            out.append(BadComponent(comp, norm, core, positions, trace))
+            trace, norm = witness
+            out.append(BadComponent(comp, norm, trace))
     return out
 
 
@@ -333,7 +330,7 @@ def _search_bad(subset: LinearSubset, comp: tuple[int, ...]):
         seen.add(key)
         norm = _triple_witness(cur, cpos)
         if norm is not None:
-            return cur, cpos, trace, norm
+            return trace, norm
         if len(cpos) == 3:
             continue  # contractions only shrink; no way back up to a triple
         for h, s, t in _two_final_moves(cur, cpos):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ribbonlens import cli
+from ribbonlens import cli, search
 from ribbonlens.arith import lens_normalize
 from ribbonlens.classify import ribbon_leq_lens, ribbon_leq_sum, ConnectedSum
 from ribbonlens.search import EmbeddingCache, find_ribbon_embedding
@@ -185,8 +185,8 @@ class TestCacheFile:
         code, out1, _ = run_cli("--cache", str(path), "--format", "json", "in-r", "4/3")
         assert code == 0 and path.exists()
         doc = json.loads(path.read_text())
-        assert doc["schema"] == "ribbonlens-cache/1"
-        assert any(e["outcome"] == "found" for e in doc["entries"])
+        assert doc["schema"] == "ribbonlens-cache/2"
+        assert sorted(doc["certificates"]) == ["plain|2,2,2", "plain|4"]
         code, out2, _ = run_cli("--cache", str(path), "--format", "json", "in-r", "4/3")
         assert code == 0
         assert json.loads(out1)["result"]["searches"] == json.loads(out2)["result"]["searches"]
@@ -194,11 +194,13 @@ class TestCacheFile:
     def test_unparsable_cache_file_is_skipped_with_warning(self, tmp_path):
         clean = run_cli("ribbon", "2/1", "8/5")
         path = tmp_path / "bad.json"
-        path.write_text("{not json")
-        code, out, err = run_cli("--cache", str(path), "ribbon", "2/1", "8/5")
-        assert code == 0 and out == clean[1]
-        assert err.startswith("warning:") and str(path) in err
-        assert json.loads(path.read_text())["schema"] == "ribbonlens-cache/1"
+        # the second document nests deeper than any recursion limit
+        for text in ("{not json", "[" * 200_000):
+            path.write_text(text)
+            code, out, err = run_cli("--cache", str(path), "ribbon", "2/1", "8/5")
+            assert code == 0 and out == clean[1]
+            assert err.startswith("warning:") and str(path) in err
+            assert json.loads(path.read_text())["schema"] == "ribbonlens-cache/2"
 
     def test_unparsable_cache_entry_is_skipped(self, tmp_path):
         path = tmp_path / "cache.json"
@@ -206,10 +208,42 @@ class TestCacheFile:
         clean = run_cli(*argv)
         assert clean[0] == 0
         doc = json.loads(path.read_text())
-        bad_nodes = [dict(entry, nodes="x") for entry in doc["entries"]]
-        bad_key = [{"key": 5, "outcome": "absent"}]
-        for entries in (bad_nodes, bad_key):
-            path.write_text(json.dumps(dict(doc, entries=entries)))
+        certs = doc["certificates"]
+        bad_nodes = {key: dict(entry, nodes="x") for key, entry in certs.items()}
+        bad_key = {"banana|2,2,2": certs["plain|2,2,2"], "plain|1": certs["plain|4"]}
+        # 1e999 parses as an infinite float, which int() cannot convert
+        huge_nodes = {key: dict(entry, nodes="HUGE") for key, entry in certs.items()}
+        huge_coefficient = {
+            key: dict(entry, vectors=[[["HUGE", *v[1:]] for v in group] for group in entry["vectors"]])
+            for key, entry in certs.items()
+        }
+        for entries in (bad_nodes, bad_key, huge_nodes, huge_coefficient):
+            path.write_text(json.dumps(dict(doc, certificates=entries)).replace('"HUGE"', "1e999"))
+            assert run_cli(*argv) == clean
+
+    def test_unproven_entries_are_not_trusted(self, tmp_path):
+        # a negative entry carries nothing to verify, so neither the old
+        # schema's "absent" outcome nor a certificate without vectors can
+        # turn a member into a non-member
+        path = tmp_path / "cache.json"
+        argv = ("--cache", str(path), "in-r", "4/3")
+        clean = run_cli(*argv)
+        assert clean[0] == 0
+        keys = sorted(json.loads(path.read_text())["certificates"])
+        forged_v1 = {
+            "schema": "ribbonlens-cache/1",
+            "engine": search.ENGINE_VERSION,
+            "entries": [
+                {"key": key, "outcome": "absent", "nodes": "0", "vectors": None} for key in keys
+            ],
+        }
+        forged_v2 = {
+            "schema": search.CACHE_SCHEMA,
+            "engine": search.ENGINE_VERSION,
+            "certificates": {key: {"nodes": "0", "vectors": None} for key in keys},
+        }
+        for doc in (forged_v1, forged_v2):
+            path.write_text(json.dumps(doc))
             assert run_cli(*argv) == clean
 
     def test_unwritable_cache_file_costs_a_warning(self, tmp_path):

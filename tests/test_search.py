@@ -627,10 +627,13 @@ class TestCache:
         path = tmp_path / "cache.json"
         cache.save(path)
 
+        # only the certificate is written; the absent outcome stays in memory
         reloaded = fresh_cache()
-        assert reloaded.load(path) == len(cache)
+        assert reloaded.load(path) == 1
         hit = reloaded.get(problem)
         assert hit is not None and hit.certificate == outcome.certificate
+        assert hit.nodes == outcome.nodes
+        assert reloaded.get(plain_problem([(2, 2)])) is None
 
     def test_inconclusive_is_never_cached(self):
         cache = fresh_cache()
@@ -648,7 +651,7 @@ class TestCache:
         path = tmp_path / "cache.json"
         cache.save(path)
         doc = json.loads(path.read_text())
-        doc["entries"][0]["vectors"][0][0][0] = "5"
+        doc["certificates"][problem.key]["vectors"][0][0][0] = "5"
         path.write_text(json.dumps(doc))
         reloaded = fresh_cache()
         assert reloaded.load(path) == 0
@@ -680,7 +683,7 @@ class TestCache:
         find_embedding(plain_problem([(2, 2)]), cache=cache)
 
         def dump_then_fail(doc, handle, **kwargs):
-            handle.write('{"schema": "ribbonlens-cache/1", "entr')
+            handle.write('{"schema": "ribbonlens-cache/2", "certif')
             raise OSError("disk full")
 
         monkeypatch.setattr(json, "dump", dump_then_fail)
