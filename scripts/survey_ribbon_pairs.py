@@ -28,9 +28,13 @@ def main() -> None:
     parser.add_argument("--cache", default=None)
     args = parser.parse_args()
 
+    # an unreadable or unwritable cache file costs a warning, as in the CLI
     cache = search.EmbeddingCache()
     if args.cache and pathlib.Path(args.cache).exists():
-        print(f"loaded {cache.load(args.cache)} cache entries")
+        try:
+            print(f"loaded {cache.load(args.cache)} cache entries")
+        except (OSError, ValueError) as exc:
+            print(f"warning: ignoring unreadable cache {args.cache}: {exc}", file=sys.stderr)
 
     spaces = all_lens_spaces(args.max_p)
     t0 = time.monotonic()
@@ -54,8 +58,11 @@ def main() -> None:
         f"{inconclusive} inconclusive"
     )
     if args.cache:
-        cache.save(args.cache)
-        print(f"saved cache to {args.cache}")
+        try:
+            cache.save(args.cache)
+            print(f"saved cache to {args.cache}")
+        except OSError as exc:
+            print(f"warning: could not write cache {args.cache}: {exc}", file=sys.stderr)
 
 
 if __name__ == "__main__":

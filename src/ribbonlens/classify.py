@@ -98,11 +98,11 @@ def _fn_witness(lens: LensSpace) -> FnWitness | None:
     return witnesses[0] if witnesses else None
 
 
-def _first_pair_options(a: LensSpace, b: LensSpace) -> list[PairType]:
-    """T1/T2 pairings consuming the left summand a against the right summand b."""
-    options: list[PairType] = []
+def _first_pair_option(a: LensSpace, b: LensSpace) -> PairType | None:
+    """The first T1/T2 pairing consuming the left summand a against the right
+    summand b, if any; every such pairing leaves the same subproblem."""
     if lens_homeomorphic(a, b, oriented=True):
-        options.append(PairType("T1", (a,), (b,)))
+        return PairType("T1", (a,), (b,))
     for rev in (False, True):
         aa, bb = (a, b) if not rev else (a.reverse(), b.reverse())
         n = _is_ln1(aa)
@@ -110,8 +110,8 @@ def _first_pair_options(a: LensSpace, b: LensSpace) -> list[PairType]:
             continue
         wit = _fn_witness(bb)
         if wit is not None and wit.n == n:
-            options.append(PairType("T2", (a,), (b,), reversed=rev, n=n, witness=wit))
-    return options
+            return PairType("T2", (a,), (b,), reversed=rev, n=n, witness=wit)
+    return None
 
 
 def ribbon_leq_lens(
@@ -207,16 +207,15 @@ def ribbon_leq_sum(
             for idx, b in enumerate(rem2):
                 if idx and rem2[idx] == rem2[idx - 1]:
                     continue
-                rest2 = rem2[:idx] + rem2[idx + 1 :]
-                for option in _first_pair_options(a, b):
-                    sub, wit = yield (rest1, rest2)
-                    if sub == YES:
-                        result = (YES, (option,) + wit)
-                        break
-                    if sub == INCONCLUSIVE:
-                        blocked = True
-                if result[0] == YES:
+                option = _first_pair_option(a, b)
+                if option is None:
+                    continue
+                sub, wit = yield (rest1, rem2[:idx] + rem2[idx + 1 :])
+                if sub == YES:
+                    result = (YES, (option,) + wit)
                     break
+                if sub == INCONCLUSIVE:
+                    blocked = True
         else:
             b, rest = rem2[0], rem2[1:]
             f = b.fraction()

@@ -10,6 +10,7 @@ detection with complement computation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 from .lattice import EmbeddedLattice, Matrix, Vector, dot, orthogonal_complement, stably_isometric_linear
 
@@ -156,10 +157,12 @@ def equivalent_subsets(a: LinearSubset, b: LinearSubset) -> bool:
 def contract(subset: LinearSubset, h: int, s: int, t: int) -> LinearSubset:
     """Remove vector s, strip coordinate h from vector t, drop coordinate h.
 
-    Preconditions reported individually: unit coefficient bound, central norm
-    above 2, and coordinate h supported on exactly {s, t}.
+    Preconditions reported individually: indices in range, unit coefficient
+    bound, central norm above 2, and coordinate h supported on exactly {s, t}.
     """
     vecs = subset.vectors
+    if h not in range(subset.ambient_rank) or s not in range(len(vecs)) or t not in range(len(vecs)):
+        raise ValueError(f"contraction indices out of range: h={h}, s={s}, t={t}")
     if s == t:
         raise ValueError("contraction needs distinct indices s and t")
     for i, v in enumerate(vecs):
@@ -205,69 +208,37 @@ def _two_final_moves(subset: LinearSubset, component: tuple[int, ...]):
 
 
 def two_final_expansions(subset: LinearSubset, component: tuple[int, ...]) -> list[LinearSubset]:
-    """Every linear subset in Z^(N+1) reachable by one 2-final expansion of the
-    component.  The fresh coordinate is appended last with canonical sign, so
-    the enumeration is exhaustive up to signed coordinate permutation."""
-    n = subset.ambient_rank
-    vecs = subset.vectors
-    if any(abs(c) > 1 for v in vecs for c in v):
-        return []
-    graph = intersection_graph(subset)
-    deg = graph.degrees
-    comp = tuple(component)
-    comp_set = set(comp)
-    runs = {c: (c[0], c[-1]) for c in graph.components}
-
-    results: list[LinearSubset] = []
-    seen = set()
-    for t_pos in comp:
-        if deg[t_pos] > 1:
+    """Every linear subset in Z^(N+1) whose 2-final contraction at the new
+    coordinate gives the subset back.  A candidate extends a vector t of the
+    component by +-1 in the new coordinate and puts s = sigma e_c + e_N at the
+    first end of the run where s joins the component and (N, s, t) is a
+    2-final move.  One candidate per signed coordinate permutation is kept,
+    so the list is exhaustive up to one.
+    """
+    if tuple(component) not in intersection_graph(subset).components:
+        raise ValueError(f"{tuple(component)} is not a component of the subset")
+    n, vecs, lo, hi = subset.ambient_rank, subset.vectors, component[0], component[-1]
+    grown = tuple(range(lo, hi + 2))
+    columns = {(c, sigma): [sigma * v[c] for v in vecs] for c in range(n) for sigma in (1, -1)}
+    kept: dict = {}
+    for t, eps, c, sigma in product(component, (1, -1), range(n), (1, -1)):
+        # cheap filter: the new vector meets exactly one vector, to 1
+        pairings = columns[c, sigma][:]
+        pairings[t] += eps
+        if pairings.count(0) != len(vecs) - 1 or 1 not in pairings:
             continue
-        w = vecs[t_pos]
-        for eps in (1, -1):
-            v_t = tuple(w) + (eps,)
-            for c in range(n):
-                for sigma in (1, -1):
-                    v_s = tuple(sigma if j == c else 0 for j in range(n)) + (1,)
-                    # pairings of the new vector against the modified set
-                    pair_t = eps + sigma * w[c]
-                    pairs = {}
-                    ok = True
-                    for j, v in enumerate(vecs):
-                        p = pair_t if j == t_pos else sigma * v[c]
-                        if p not in (0, 1):
-                            ok = False
-                            break
-                        if p:
-                            pairs[j] = p
-                    if not ok or len(pairs) != 1:
-                        continue
-                    neighbor = next(iter(pairs))
-                    if neighbor not in comp_set:
-                        continue
-                    # the modified target must end up with degree exactly 1
-                    if deg[t_pos] + (1 if neighbor == t_pos else 0) != 1:
-                        continue
-                    extended = [tuple(v) + (0,) for v in vecs]
-                    extended[t_pos] = v_t
-                    lo, hi = next(r for comp_run, r in runs.items() if neighbor in comp_run)
-                    if neighbor == lo:
-                        insert_at = lo
-                    elif neighbor == hi:
-                        insert_at = hi + 1
-                    else:
-                        continue
-                    extended.insert(insert_at, v_s)
-                    rows = tuple(extended)
-                    if _pairing_violation(rows) is not None:
-                        continue
-                    candidate = LinearSubset(n + 1, rows)
-                    key = subset_key(candidate)
-                    if key in seen:
-                        continue
-                    seen.add(key)
-                    results.append(candidate)
-    return results
+        rows = [v + ((eps if j == t else 0),) for j, v in enumerate(vecs)]
+        new = tuple(sigma if j == c else 0 for j in range(n)) + (1,)
+        for s in (lo, hi + 1):
+            candidate = LinearSubset(n + 1, tuple(rows[:s] + [new] + rows[s:]))
+            if (
+                _pairing_violation(candidate.vectors) is None
+                and grown in intersection_graph(candidate).components
+                and (n, s, t + (t >= s)) in _two_final_moves(candidate, grown)
+            ):
+                kept.setdefault(subset_key(candidate), candidate)
+                break
+    return list(kept.values())
 
 
 # -- bad components ------------------------------------------------------------

@@ -1,5 +1,8 @@
 import io
 import json
+import pathlib
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -253,6 +256,43 @@ class TestCacheFile:
         code, out, err = run_cli("--cache", str(path), "ribbon", "2/1", "8/5")
         assert code == 0 and out == clean[1]
         assert "warning: could not write cache" in err
+        assert not list(tmp_path.glob("*.tmp"))
+
+
+SURVEY = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "survey_ribbon_pairs.py"
+
+
+def run_survey(*argv):
+    done = subprocess.run(
+        [sys.executable, str(SURVEY), "3", *argv], capture_output=True, text=True, timeout=120
+    )
+    yes = [line for line in done.stdout.splitlines() if line.startswith("Y ")]
+    return done.returncode, yes, done.stderr
+
+
+class TestSurveyScriptCache:
+    """The survey script treats a bad cache file as the CLI does."""
+
+    def test_unparsable_cache_file_is_skipped_with_warning(self, tmp_path):
+        clean = run_survey()
+        assert clean[0] == 0 and clean[1]
+        path = tmp_path / "bad.json"
+        path.write_text("{not json")
+        code, yes, err = run_survey("--cache", str(path))
+        assert (code, yes) == clean[:2]
+        assert err.startswith("warning: ignoring unreadable cache") and err.count("\n") == 1
+        assert json.loads(path.read_text())["schema"] == search.CACHE_SCHEMA
+
+    def test_directory_as_cache_file_costs_warnings(self, tmp_path):
+        clean = run_survey()
+        path = tmp_path / "dir"
+        path.mkdir()
+        code, yes, err = run_survey("--cache", str(path))
+        assert (code, yes) == clean[:2]
+        lines = err.splitlines()
+        assert len(lines) == 2
+        assert lines[0].startswith("warning: ignoring unreadable cache")
+        assert lines[1].startswith("warning: could not write cache")
         assert not list(tmp_path.glob("*.tmp"))
 
 

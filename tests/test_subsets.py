@@ -1,7 +1,10 @@
+import random
+
 import pytest
 
 from ribbonlens.lattice import dot, gram_of
 from ribbonlens.subsets import (
+    LinearSubset,
     b_count,
     bad_component_complement,
     canonical_matrix,
@@ -12,6 +15,7 @@ from ribbonlens.subsets import (
     intersection_graph,
     is_linear_subset,
     linear_subset,
+    subset_key,
     two_final_expansions,
 )
 
@@ -19,6 +23,104 @@ from ribbonlens.subsets import (
 # path order used throughout: new coordinate appended last
 EXPANSION_A = ((0, 0, 0, 1, 1), (0, 0, 1, 1, 0), (1, 1, 1, 0, 0), (0, 0, 1, -1, 1))
 EXPANSION_B = ((0, 0, 1, 1, 1), (1, 1, 1, 0, 0), (0, 0, 1, -1, 0), (0, 0, 0, -1, 1))
+
+
+def reference_expansions(subset, component):
+    """Reference enumeration of 2-final expansions, with the degree, neighbour
+    and run-end rules stated by hand instead of through the 2-final move."""
+    n = subset.ambient_rank
+    vecs = subset.vectors
+    if any(abs(c) > 1 for v in vecs for c in v):
+        return []
+    graph = intersection_graph(subset)
+    deg = graph.degrees
+    comp = tuple(component)
+    comp_set = set(comp)
+    runs = {c: (c[0], c[-1]) for c in graph.components}
+
+    results = []
+    seen = set()
+    for t_pos in comp:
+        if deg[t_pos] > 1:
+            continue
+        w = vecs[t_pos]
+        for eps in (1, -1):
+            v_t = tuple(w) + (eps,)
+            for c in range(n):
+                for sigma in (1, -1):
+                    v_s = tuple(sigma if j == c else 0 for j in range(n)) + (1,)
+                    # pairings of the new vector against the modified set
+                    pair_t = eps + sigma * w[c]
+                    pairs = {}
+                    ok = True
+                    for j, v in enumerate(vecs):
+                        p = pair_t if j == t_pos else sigma * v[c]
+                        if p not in (0, 1):
+                            ok = False
+                            break
+                        if p:
+                            pairs[j] = p
+                    if not ok or len(pairs) != 1:
+                        continue
+                    neighbor = next(iter(pairs))
+                    if neighbor not in comp_set:
+                        continue
+                    # the modified target must end up with degree exactly 1
+                    if deg[t_pos] + (1 if neighbor == t_pos else 0) != 1:
+                        continue
+                    extended = [tuple(v) + (0,) for v in vecs]
+                    extended[t_pos] = v_t
+                    lo, hi = next(r for comp_run, r in runs.items() if neighbor in comp_run)
+                    if neighbor == lo:
+                        insert_at = lo
+                    elif neighbor == hi:
+                        insert_at = hi + 1
+                    else:
+                        continue
+                    extended.insert(insert_at, v_s)
+                    rows = tuple(extended)
+                    if not is_linear_subset(rows):
+                        continue
+                    candidate = LinearSubset(n + 1, rows)
+                    key = subset_key(candidate)
+                    if key in seen:
+                        continue
+                    seen.add(key)
+                    results.append(candidate)
+    return results
+
+
+def selfcheck_frontier():
+    """Every subset the triple-expansion-stability suite expands, and one
+    level further: m = 2..5, depth 3."""
+    for m in (2, 3, 4, 5):
+        frontier = [core_triple(m)]
+        for _ in range(4):
+            yield from frontier
+            grown = []
+            for subset in frontier:
+                comp = intersection_graph(subset).components[0]
+                grown += two_final_expansions(subset, comp)
+            frontier = grown
+
+
+def random_linear_subsets(count, seed):
+    """Seeded linear subsets with entries in {-1, 0, 1}, n <= 5 and k <= 4,
+    grown one random vector at a time."""
+    rng = random.Random(seed)
+    made = 0
+    while made < count:
+        n = rng.randint(1, 5)
+        k = rng.randint(1, min(4, n))
+        vecs = []
+        for _ in range(50):
+            v = tuple(rng.choice((-1, 0, 1)) for _ in range(n))
+            if is_linear_subset(vecs + [v]):
+                vecs.append(v)
+                if len(vecs) == k:
+                    made += 1
+                    yield linear_subset(vecs, n)
+                    break
 
 
 class TestLinearSubsets:
@@ -53,6 +155,26 @@ class TestLinearSubsets:
 
 
 class TestMoves:
+    def test_contract_rejects_coordinate_out_of_range(self):
+        e = two_final_expansions(core_triple(2), (0, 1, 2))[0]
+        for h in (-1, 99):
+            with pytest.raises(ValueError, match="out of range"):
+                contract(e, h, 3, 0)
+
+    def test_contract_rejects_vector_index_out_of_range(self):
+        e = two_final_expansions(core_triple(2), (0, 1, 2))[0]
+        for s, t in ((-1, 0), (3, 4), (9, 0)):
+            with pytest.raises(ValueError, match="out of range"):
+                contract(e, 4, s, t)
+
+    def test_expansion_rejects_index_outside_subset(self):
+        with pytest.raises(ValueError, match="not a component"):
+            two_final_expansions(core_triple(2), (5,))
+
+    def test_expansion_rejects_part_of_a_component(self):
+        with pytest.raises(ValueError, match="not a component"):
+            two_final_expansions(core_triple(2), (0, 2))
+
     def test_contract_rejects_bad_coordinate(self):
         # coordinate 2 is used by all three vectors of the triple
         with pytest.raises(ValueError, match="support"):
@@ -131,6 +253,35 @@ class TestMoves:
         for expanded in two_final_expansions(triple, graph.components[0]):
             assert intersection_graph(expanded).c == graph.c
             assert b_count(expanded) == b_count(triple) == 1
+
+
+class TestReferenceExpansions:
+    """two_final_expansions returns the reference enumeration's list: the same
+    vectors in the same order, for every component of every input."""
+
+    @staticmethod
+    def assert_same_on_every_component(subsets):
+        for subset in subsets:
+            for comp in intersection_graph(subset).components:
+                got = [e.vectors for e in two_final_expansions(subset, comp)]
+                want = [e.vectors for e in reference_expansions(subset, comp)]
+                assert got == want, (subset, comp)
+
+    def test_selfcheck_frontier(self):
+        self.assert_same_on_every_component(selfcheck_frontier())
+
+    def test_spare_coordinates(self):
+        self.assert_same_on_every_component(
+            core_triple(m, m + 2 + spare) for m in (2, 3, 4, 5) for spare in (1, 2)
+        )
+
+    def test_two_disjoint_triples(self):
+        a, b = core_triple(2), core_triple(3)
+        both = [v + (0,) * 5 for v in a.vectors] + [(0,) * 4 + v for v in b.vectors]
+        self.assert_same_on_every_component([linear_subset(both)])
+
+    def test_random_subsets(self):
+        self.assert_same_on_every_component(random_linear_subsets(1200, seed=12))
 
 
 class TestBadComponents:
