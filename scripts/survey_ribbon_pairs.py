@@ -17,8 +17,8 @@ import time
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
-from ribbonlens import search
 from ribbonlens.classify import ribbon_leq_lens
+from ribbonlens.cli import cache_session
 from ribbonlens.selfcheck import all_lens_spaces
 
 
@@ -29,40 +29,30 @@ def main() -> None:
     args = parser.parse_args()
 
     # an unreadable or unwritable cache file costs a warning, as in the CLI
-    cache = search.EmbeddingCache()
-    if args.cache and pathlib.Path(args.cache).exists():
-        try:
-            print(f"loaded {cache.load(args.cache)} cache entries")
-        except (OSError, ValueError) as exc:
-            print(f"warning: ignoring unreadable cache {args.cache}: {exc}", file=sys.stderr)
-
-    spaces = all_lens_spaces(args.max_p)
-    t0 = time.monotonic()
-    tags = {"T1": 0, "T2": 0, "T3": 0}
-    inconclusive = 0
-    for l1 in spaces:
-        for l2 in spaces:
-            verdict = ribbon_leq_lens(l1, l2, cache=cache)
-            if verdict.answer == "inconclusive":
-                inconclusive += 1
-                print(f"?  {l1} <= {l2}")
-            elif verdict.yes:
-                pair = verdict.witness[0]
-                tags[pair.tag] += 1
-                extra = f" n={pair.n}" if pair.n else ""
-                print(f"Y  {l1} <= {l2}  [{pair.tag}{extra}]")
-    total = len(spaces) ** 2
-    print(
-        f"\n{total} ordered pairs in {time.monotonic() - t0:.1f}s: "
-        f"{tags['T1']} equal, {tags['T2']} family, {tags['T3']} ball-filling, "
-        f"{inconclusive} inconclusive"
-    )
-    if args.cache:
-        try:
-            cache.save(args.cache)
-            print(f"saved cache to {args.cache}")
-        except OSError as exc:
-            print(f"warning: could not write cache {args.cache}: {exc}", file=sys.stderr)
+    with cache_session(args.cache, sys.stderr) as cache:
+        if args.cache:
+            print(f"loaded {len(cache)} cache entries")
+        spaces = all_lens_spaces(args.max_p)
+        t0 = time.monotonic()
+        tags = {"T1": 0, "T2": 0, "T3": 0}
+        inconclusive = 0
+        for l1 in spaces:
+            for l2 in spaces:
+                verdict = ribbon_leq_lens(l1, l2, cache=cache)
+                if verdict.answer == "inconclusive":
+                    inconclusive += 1
+                    print(f"?  {l1} <= {l2}")
+                elif verdict.yes:
+                    pair = verdict.witness[0]
+                    tags[pair.tag] += 1
+                    extra = f" n={pair.n}" if pair.n else ""
+                    print(f"Y  {l1} <= {l2}  [{pair.tag}{extra}]")
+        total = len(spaces) ** 2
+        print(
+            f"\n{total} ordered pairs in {time.monotonic() - t0:.1f}s: "
+            f"{tags['T1']} equal, {tags['T2']} family, {tags['T3']} ball-filling, "
+            f"{inconclusive} inconclusive"
+        )
 
 
 if __name__ == "__main__":

@@ -11,7 +11,6 @@ no names the obstruction; oracle-dependent branches degrade to
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from math import gcd
 from typing import Iterable
 
 from . import search
@@ -301,12 +300,7 @@ class TwoBridgeLink:
     q: int
 
     def __post_init__(self) -> None:
-        if self.p < 1:
-            raise ValueError("need p >= 1")
-        if not 0 <= self.q < max(self.p, 1):
-            raise ValueError("parameters not normalized")
-        if self.p > 1 and gcd(self.p, self.q) != 1:
-            raise ValueError("parameters not coprime")
+        LensSpace(self.p, self.q)  # valid exactly when the double cover L(p, q) is
 
     @classmethod
     def normalize(cls, p: int, q: int) -> TwoBridgeLink:

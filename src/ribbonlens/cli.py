@@ -190,29 +190,15 @@ def verdict_from_json(doc: dict) -> Verdict:
     )
 
 
-def certificate_to_json(cert: search.Certificate | None) -> dict | None:
-    if cert is None:
-        return None
-    return {
-        "groups": [[[str(x) for x in v] for v in group] for group in cert.groups],
-        "nodes": str(cert.nodes),
-    }
-
-
-def certificate_from_json(doc: dict) -> search.Certificate:
-    return search.Certificate(
-        groups=tuple(
-            tuple(tuple(int(x) for x in v) for v in group) for group in doc["groups"]
-        ),
-        nodes=int(doc["nodes"]),
-    )
+# README documents this name, so it stays beside the other parsers
+certificate_from_json = search.Certificate.from_json
 
 
 def outcome_to_json(outcome: search.SearchOutcome) -> dict:
     return {
         "status": outcome.status,
         "nodes": str(outcome.nodes),
-        "certificate": certificate_to_json(outcome.certificate),
+        "certificate": None if outcome.certificate is None else outcome.certificate.to_json(),
     }
 
 
@@ -266,28 +252,33 @@ def _cache_path(args) -> str | None:
     return os.environ.get("RIBBONLENS_CACHE")
 
 
-def _cached(args, query, *operands):
-    """Answer query(*operands) against the cache file, then save the file.
+@contextlib.contextmanager
+def cache_session(path: str | None, stderr):
+    """Yield an EmbeddingCache loaded from path, and save it there afterwards.
 
-    A cache file that cannot be read or written costs a warning, never the
-    answer: the query runs against an empty cache and the save replaces the
-    file, or is skipped.
+    A cache file that cannot be read or written costs a warning on stderr,
+    never the answer: the body runs against an empty cache and the save
+    replaces the file, or is skipped.  A body that raises skips the save.
     """
-    budget = _budget(args)
     cache = search.EmbeddingCache()
-    path = _cache_path(args)
     if path and os.path.exists(path):
         try:
             cache.load(path)
         except (OSError, ValueError) as exc:
-            print(f"warning: ignoring unreadable cache {path}: {exc}", file=args.stderr)
-    result = query(*operands, budget=budget, cache=cache)
+            print(f"warning: ignoring unreadable cache {path}: {exc}", file=stderr)
+    yield cache
     if path:
         try:
             cache.save(path)
         except OSError as exc:
-            print(f"warning: could not write cache {path}: {exc}", file=args.stderr)
-    return result
+            print(f"warning: could not write cache {path}: {exc}", file=stderr)
+
+
+def _cached(args, query, *operands):
+    """Answer query(*operands) in a cache session on the --cache file."""
+    budget = _budget(args)
+    with cache_session(_cache_path(args), args.stderr) as cache:
+        return query(*operands, budget=budget, cache=cache)
 
 
 def cmd_cf(args) -> tuple[int, dict, list[str]]:

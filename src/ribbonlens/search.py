@@ -27,7 +27,7 @@ from .arith import CF, cf_expand, cf_length, continuant, is_perfect_square
 from .lattice import GramLattice, Vector, chain_basis_for, det, dot, integer_kernel
 
 ENGINE_VERSION = "3"
-CACHE_SCHEMA = "ribbonlens-cache/2"
+CACHE_SCHEMA = "ribbonlens-cache/3"
 
 
 class BudgetExceededError(Exception):
@@ -119,6 +119,22 @@ class Certificate:
 
     groups: tuple[tuple[Vector, ...], ...]
     nodes: int
+
+    def to_json(self) -> dict:
+        """The JSON object of the CLI's output and of a cache entry."""
+        return {
+            "groups": [[[str(x) for x in v] for v in group] for group in self.groups],
+            "nodes": str(self.nodes),
+        }
+
+    @classmethod
+    def from_json(cls, doc: dict) -> Certificate:
+        """Parse :meth:`to_json`'s object; a negative node count is a ValueError."""
+        nodes = int(doc["nodes"])
+        if nodes < 0:
+            raise ValueError(f"negative node count: {nodes}")
+        groups = tuple(tuple(tuple(int(x) for x in v) for v in group) for group in doc["groups"])
+        return cls(groups, nodes)
 
 
 @dataclass(frozen=True)
@@ -377,14 +393,7 @@ class EmbeddingCache:
     def save(self, path) -> None:
         with self._lock:
             certificates = {
-                key: {
-                    "nodes": str(outcome.nodes),
-                    "vectors": [
-                        [[str(x) for x in v] for v in group] for group in outcome.certificate.groups
-                    ],
-                }
-                for key, outcome in self._entries.items()
-                if outcome.found
+                key: outcome.certificate.to_json() for key, outcome in self._entries.items() if outcome.found
             }
         doc = {"schema": CACHE_SCHEMA, "engine": ENGINE_VERSION, "certificates": certificates}
         # write beside the target and rename over it, so a run killed
@@ -404,7 +413,7 @@ class EmbeddingCache:
         """Merge certificates from a cache file; returns how many were accepted.
 
         Raises OSError or ValueError when the file cannot be read as a cache
-        document; an entry whose key, nodes or vectors do not parse, or whose
+        document; an entry whose key or certificate does not parse, or whose
         certificate fails verification, is skipped.
         """
         with open(path, "r", encoding="utf-8") as handle:
@@ -423,10 +432,7 @@ class EmbeddingCache:
         for key, entry in certificates.items():
             try:
                 problem = SearchProblem.from_key(key)
-                groups = tuple(
-                    tuple(tuple(int(x) for x in v) for v in group) for group in entry["vectors"]
-                )
-                cert = Certificate(groups, int(entry["nodes"]))
+                cert = Certificate.from_json(entry)
             except (ValueError, KeyError, TypeError, OverflowError):
                 continue
             if not verify_certificate(problem, cert):

@@ -189,12 +189,13 @@ def contract(subset: LinearSubset, h: int, s: int, t: int) -> LinearSubset:
     return LinearSubset(subset.ambient_rank - 1, tuple(rows))
 
 
-def _two_final_moves(subset: LinearSubset, component: tuple[int, ...]):
-    """All (h, s, t) giving a 2-final contraction inside the given component."""
+def _two_final_moves(subset: LinearSubset, component: tuple[int, ...], graph: IntersectionGraph):
+    """All (h, s, t) giving a 2-final contraction inside the given component;
+    graph is the subset's intersection graph."""
     vecs = subset.vectors
     if any(abs(c) > 1 for v in vecs for c in v):
         return
-    deg = intersection_graph(subset).degrees
+    deg = graph.degrees
     comp = set(component)
     for h in range(subset.ambient_rank):
         support = [i for i, v in enumerate(vecs) if v[h]]
@@ -231,11 +232,10 @@ def two_final_expansions(subset: LinearSubset, component: tuple[int, ...]) -> li
         new = tuple(sigma if j == c else 0 for j in range(n)) + (1,)
         for s in (lo, hi + 1):
             candidate = LinearSubset(n + 1, tuple(rows[:s] + [new] + rows[s:]))
-            if (
-                _pairing_violation(candidate.vectors) is None
-                and grown in intersection_graph(candidate).components
-                and (n, s, t + (t >= s)) in _two_final_moves(candidate, grown)
-            ):
+            if _pairing_violation(candidate.vectors) is not None:
+                continue
+            graph = intersection_graph(candidate)
+            if grown in graph.components and (n, s, t + (t >= s)) in _two_final_moves(candidate, grown, graph):
                 kept.setdefault(subset_key(candidate), candidate)
                 break
     return list(kept.values())
@@ -304,7 +304,7 @@ def _search_bad(subset: LinearSubset, comp: tuple[int, ...]):
             return trace, norm
         if len(cpos) == 3:
             continue  # contractions only shrink; no way back up to a triple
-        for h, s, t in _two_final_moves(cur, cpos):
+        for h, s, t in _two_final_moves(cur, cpos, intersection_graph(cur)):
             nxt = contract(cur, h, s, t)
             new_cpos = tuple(sorted(p if p < s else p - 1 for p in cpos if p != s))
             stack.append((nxt, new_cpos, trace + ((h, s, t),)))

@@ -253,6 +253,14 @@ class TestBridgeLinks:
         assert not TwoBridgeLink(8, 3).is_knot
         assert link.double_cover() == LensSpace(7, 3)
 
+    def test_same_validity_as_lens_spaces(self):
+        # a 2-bridge link is valid exactly when its double cover is
+        for cls in (LensSpace, TwoBridgeLink):
+            for p, q in ((0, 0), (5, 5), (8, 2), (5, 0)):
+                with pytest.raises(ValueError):
+                    cls(p, q)
+            assert cls(1, 0).p == 1
+
     def test_examples(self):
         K = TwoBridgeLink.normalize
         assert chi_leq_bridge([K(2, 1)], [K(8, 5)], cache=CACHE).yes

@@ -188,7 +188,7 @@ class TestCacheFile:
         code, out1, _ = run_cli("--cache", str(path), "--format", "json", "in-r", "4/3")
         assert code == 0 and path.exists()
         doc = json.loads(path.read_text())
-        assert doc["schema"] == "ribbonlens-cache/2"
+        assert doc["schema"] == search.CACHE_SCHEMA
         assert sorted(doc["certificates"]) == ["plain|2,2,2", "plain|4"]
         code, out2, _ = run_cli("--cache", str(path), "--format", "json", "in-r", "4/3")
         assert code == 0
@@ -203,7 +203,7 @@ class TestCacheFile:
             code, out, err = run_cli("--cache", str(path), "ribbon", "2/1", "8/5")
             assert code == 0 and out == clean[1]
             assert err.startswith("warning:") and str(path) in err
-            assert json.loads(path.read_text())["schema"] == "ribbonlens-cache/2"
+            assert json.loads(path.read_text())["schema"] == search.CACHE_SCHEMA
 
     def test_unparsable_cache_entry_is_skipped(self, tmp_path):
         path = tmp_path / "cache.json"
@@ -216,17 +216,19 @@ class TestCacheFile:
         bad_key = {"banana|2,2,2": certs["plain|2,2,2"], "plain|1": certs["plain|4"]}
         # 1e999 parses as an infinite float, which int() cannot convert
         huge_nodes = {key: dict(entry, nodes="HUGE") for key, entry in certs.items()}
+        # a forged count would be reported as the search's own
+        negative_nodes = {key: dict(entry, nodes="-7") for key, entry in certs.items()}
         huge_coefficient = {
-            key: dict(entry, vectors=[[["HUGE", *v[1:]] for v in group] for group in entry["vectors"]])
+            key: dict(entry, groups=[[["HUGE", *v[1:]] for v in group] for group in entry["groups"]])
             for key, entry in certs.items()
         }
-        for entries in (bad_nodes, bad_key, huge_nodes, huge_coefficient):
+        for entries in (bad_nodes, bad_key, huge_nodes, negative_nodes, huge_coefficient):
             path.write_text(json.dumps(dict(doc, certificates=entries)).replace('"HUGE"', "1e999"))
             assert run_cli(*argv) == clean
 
     def test_unproven_entries_are_not_trusted(self, tmp_path):
         # a negative entry carries nothing to verify, so neither the old
-        # schema's "absent" outcome nor a certificate without vectors can
+        # schema's "absent" outcome nor a certificate without groups can
         # turn a member into a non-member
         path = tmp_path / "cache.json"
         argv = ("--cache", str(path), "in-r", "4/3")
@@ -243,11 +245,53 @@ class TestCacheFile:
         forged_v2 = {
             "schema": search.CACHE_SCHEMA,
             "engine": search.ENGINE_VERSION,
-            "certificates": {key: {"nodes": "0", "vectors": None} for key in keys},
+            "certificates": {key: {"groups": None, "nodes": "0"} for key in keys},
         }
         for doc in (forged_v1, forged_v2):
             path.write_text(json.dumps(doc))
             assert run_cli(*argv) == clean
+
+    def test_printed_certificate_is_a_cache_entry(self, tmp_path, monkeypatch):
+        argv = ("--format", "json", "embed", "--summands", "2,2,2")
+        clean = run_cli(*argv)
+        printed = json.loads(clean[1])["result"]["certificate"]
+        path = tmp_path / "cache.json"
+        path.write_text(json.dumps({
+            "schema": search.CACHE_SCHEMA,
+            "engine": search.ENGINE_VERSION,
+            "certificates": {"plain|2,2,2": printed},
+        }))
+
+        def no_search(problem, budget):
+            raise AssertionError(f"searched {problem.key}")
+
+        monkeypatch.setattr(search, "_run_problem", no_search)
+        assert run_cli("--cache", str(path), *argv) == clean
+
+    def test_previous_schema_loads_nothing_and_is_replaced(self, tmp_path):
+        argv = ("--format", "json", "embed", "--summands", "2,2,2")
+        clean = run_cli(*argv)
+        printed = json.loads(clean[1])["result"]["certificate"]
+        path = tmp_path / "cache.json"
+        path.write_text(json.dumps({
+            "schema": "ribbonlens-cache/2",
+            "engine": search.ENGINE_VERSION,
+            "certificates": {"plain|2,2,2": {"nodes": printed["nodes"], "vectors": printed["groups"]}},
+        }))
+        assert search.EmbeddingCache().load(path) == 0
+        assert run_cli("--cache", str(path), *argv) == clean
+        doc = json.loads(path.read_text())
+        assert doc["schema"] == search.CACHE_SCHEMA
+        assert doc["certificates"] == {"plain|2,2,2": printed}
+
+    def test_query_that_raises_skips_the_save(self, tmp_path, monkeypatch):
+        def crash(problem, budget):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(search, "_run_problem", crash)
+        path = tmp_path / "cache.json"
+        assert run_cli("--cache", str(path), "embed", "--summands", "2,2,2")[0] == cli.EXIT_SOFTWARE
+        assert not path.exists()
 
     def test_unwritable_cache_file_costs_a_warning(self, tmp_path):
         clean = run_cli("ribbon", "2/1", "8/5")

@@ -651,7 +651,7 @@ class TestCache:
         path = tmp_path / "cache.json"
         cache.save(path)
         doc = json.loads(path.read_text())
-        doc["certificates"][problem.key]["vectors"][0][0][0] = "5"
+        doc["certificates"][problem.key]["groups"][0][0][0] = "5"
         path.write_text(json.dumps(doc))
         reloaded = fresh_cache()
         assert reloaded.load(path) == 0
@@ -683,7 +683,7 @@ class TestCache:
         find_embedding(plain_problem([(2, 2)]), cache=cache)
 
         def dump_then_fail(doc, handle, **kwargs):
-            handle.write('{"schema": "ribbonlens-cache/2", "certif')
+            handle.write('{"schema": "%s", "certif' % search.CACHE_SCHEMA)
             raise OSError("disk full")
 
         monkeypatch.setattr(json, "dump", dump_then_fail)
