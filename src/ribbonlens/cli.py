@@ -3,7 +3,8 @@
 Every subcommand answers one query, prints either human text or a single
 versioned JSON document (all integers rendered as decimal strings, never a
 float), and exits 0 for yes/success, 1 for no, 2 for inconclusive, 64 for a
-usage error and 70 for an internal error.
+usage error, 70 for an internal error and 74 when the answer cannot be
+written to stdout.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ EXIT_NO = 1
 EXIT_INCONCLUSIVE = 2
 EXIT_USAGE = 64
 EXIT_SOFTWARE = 70
+EXIT_IOERR = 74
 
 # the exit code of every answer a query can give
 EXIT_CODES = {
@@ -372,6 +374,10 @@ def cmd_embed(args) -> tuple[int, dict, list[str]]:
 
 
 def cmd_selfcheck(args) -> tuple[int, dict, list[str]]:
+    # the suites take no arguments, so no flag could reach their searches
+    for flag, value in (("--max-nodes", args.max_nodes), ("--max-seconds", args.max_seconds), ("--cache", args.cache)):
+        if value is not None:
+            raise UsageError(f"selfcheck does not take {flag}; its budget comes from the environment only")
     if args.max_p is not None and args.max_p < 2:
         raise UsageError(f"--max-p must be at least 2, got {args.max_p}")
     results = selfcheck.run_all(max_p=args.max_p)
@@ -462,25 +468,35 @@ def run(argv, stdout=None, stderr=None) -> int:
             args = parser.parse_args(argv)
         args.stderr = stderr
         code, doc, text = args.func(args)
+        if args.format == "json":
+            envelope = {"schema": SCHEMA, "command": args.command, "result": doc}
+            text = [json.dumps(envelope, sort_keys=True, separators=(",", ":"))]
     except SystemExit as exc:
-        return exc.code
+        code, text = exc.code, []
     except UsageError as exc:
         print(f"usage error: {exc}", file=stderr)
         return EXIT_USAGE
     except Exception as exc:  # a bug must not read as "no" (exit 1)
         print(f"internal error: {type(exc).__name__}: {exc}", file=stderr)
         return EXIT_SOFTWARE
-    if args.format == "json":
-        envelope = {"schema": SCHEMA, "command": args.command, "result": doc}
-        print(json.dumps(envelope, sort_keys=True, separators=(",", ":")), file=stdout)
-    else:
+    try:  # an answer lost to a full or closed stdout must not read as given
+        if stdout is None:  # Python's sys.stdout when descriptor 1 is closed
+            raise OSError("stdout is closed")
         for line in text:
             print(line, file=stdout)
+        stdout.flush()
+    except OSError as exc:
+        print(f"output error: {exc}", file=stderr)
+        return EXIT_IOERR
     return code
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    code = run(sys.argv[1:])
+    if code == EXIT_IOERR and sys.stdout is not None:
+        # the answer is still buffered: the interpreter's exit flush sends it nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    sys.exit(code)
 
 
 if __name__ == "__main__":

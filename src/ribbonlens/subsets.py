@@ -87,36 +87,22 @@ def core_triple(m: int, ambient_rank: int | None = None) -> LinearSubset:
 class IntersectionGraph:
     """One vertex per subset element, an edge where the pairing equals 1."""
 
-    edges: tuple[tuple[int, int], ...]
     components: tuple[tuple[int, ...], ...]
 
     @property
     def c(self) -> int:
         return len(self.components)
 
-    @property
-    def degrees(self) -> list[int]:
-        deg = [0] * sum(len(comp) for comp in self.components)
-        for i, j in self.edges:
-            deg[i] += 1
-            deg[j] += 1
-        return deg
-
 
 def intersection_graph(subset: LinearSubset) -> IntersectionGraph:
     vecs = subset.vectors
-    edges = tuple(
-        (i, i + 1) for i in range(len(vecs) - 1) if dot(vecs[i], vecs[i + 1]) == 1
-    )
-    linked_to_next = {i for i, _ in edges}
-    components = []
-    run = []
-    for i in range(len(vecs)):
+    components, run = [], []
+    for i, v in enumerate(vecs):
         run.append(i)
-        if i not in linked_to_next:
+        if i + 1 == len(vecs) or dot(v, vecs[i + 1]) != 1:
             components.append(tuple(run))
             run = []
-    return IntersectionGraph(edges, tuple(components))
+    return IntersectionGraph(tuple(components))
 
 
 # -- canonical form under signed coordinate permutations ----------------------
@@ -189,30 +175,32 @@ def contract(subset: LinearSubset, h: int, s: int, t: int) -> LinearSubset:
     return LinearSubset(subset.ambient_rank - 1, tuple(rows))
 
 
-def _two_final_moves(subset: LinearSubset, component: tuple[int, ...], graph: IntersectionGraph):
-    """All (h, s, t) giving a 2-final contraction inside the given component;
-    graph is the subset's intersection graph."""
+def _two_final_move(subset: LinearSubset, component: tuple[int, ...]):
+    """The 2-final contraction (h, s, t) inside the given component, or None.
+
+    s and t have degree 1, so they are the component's two ends, and the
+    norms |s|^2 = 2 < |t|^2 say which end is s.  With unit coefficients
+    s = +-e_a +-e_b, and s pairs to 1 with its neighbour r.  If r is not t,
+    r meets a or b, so that coordinate is not supported on {s, t} alone; if
+    r is t, s.t = 1 is odd, so t misses a or b.  So at most one h qualifies,
+    and a component has at most one 2-final move.
+    """
     vecs = subset.vectors
     if any(abs(c) > 1 for v in vecs for c in v):
-        return
-    deg = graph.degrees
-    comp = set(component)
-    for h in range(subset.ambient_rank):
-        support = [i for i, v in enumerate(vecs) if v[h]]
-        if len(support) != 2 or not set(support) <= comp:
-            continue
-        for s, t in (support, support[::-1]):
-            if deg[s] != 1 or deg[t] != 1:
-                continue
-            if dot(vecs[s], vecs[s]) == 2 and dot(vecs[t], vecs[t]) > 2:
-                yield h, s, t
+        return None
+    for s, t in ((component[0], component[-1]), (component[-1], component[0])):
+        if dot(vecs[s], vecs[s]) == 2 < dot(vecs[t], vecs[t]):
+            for h, x in enumerate(vecs[s]):
+                if x and vecs[t][h] and all(not v[h] for i, v in enumerate(vecs) if i not in (s, t)):
+                    return h, s, t
+    return None
 
 
 def two_final_expansions(subset: LinearSubset, component: tuple[int, ...]) -> list[LinearSubset]:
     """Every linear subset in Z^(N+1) whose 2-final contraction at the new
     coordinate gives the subset back.  A candidate extends a vector t of the
     component by +-1 in the new coordinate and puts s = sigma e_c + e_N at the
-    first end of the run where s joins the component and (N, s, t) is a
+    first end of the run where s joins the component and (N, s, t) is its
     2-final move.  One candidate per signed coordinate permutation is kept,
     so the list is exhaustive up to one.
     """
@@ -234,8 +222,8 @@ def two_final_expansions(subset: LinearSubset, component: tuple[int, ...]) -> li
             candidate = LinearSubset(n + 1, tuple(rows[:s] + [new] + rows[s:]))
             if _pairing_violation(candidate.vectors) is not None:
                 continue
-            graph = intersection_graph(candidate)
-            if grown in graph.components and (n, s, t + (t >= s)) in _two_final_moves(candidate, grown, graph):
+            back = (n, s, t + (t >= s))  # the move that undoes this expansion
+            if grown in intersection_graph(candidate).components and _two_final_move(candidate, grown) == back:
                 kept.setdefault(subset_key(candidate), candidate)
                 break
     return list(kept.values())
@@ -291,24 +279,18 @@ def detect_bad_components(subset: LinearSubset) -> list[BadComponent]:
 
 
 def _search_bad(subset: LinearSubset, comp: tuple[int, ...]):
-    seen = set()
-    stack = [(subset, tuple(comp), ())]
-    while stack:
-        cur, cpos, trace = stack.pop()
-        key = (subset_key(cur), cpos)
-        if key in seen:
-            continue
-        seen.add(key)
-        norm = _triple_witness(cur, cpos)
-        if norm is not None:
-            return trace, norm
-        if len(cpos) == 3:
-            continue  # contractions only shrink; no way back up to a triple
-        for h, s, t in _two_final_moves(cur, cpos, intersection_graph(cur)):
-            nxt = contract(cur, h, s, t)
-            new_cpos = tuple(sorted(p if p < s else p - 1 for p in cpos if p != s))
-            stack.append((nxt, new_cpos, trace + ((h, s, t),)))
-    return None
+    """Follow the component's one 2-final contraction at a time until it is
+    a triple (bad) or has no move left (not bad)."""
+    trace = ()
+    while (norm := _triple_witness(subset, comp)) is None:
+        move = _two_final_move(subset, comp) if len(comp) > 3 else None  # from 3 vectors no triple is left
+        if move is None:
+            return None
+        s = move[1]
+        subset = contract(subset, *move)
+        comp = tuple(p - (p > s) for p in comp if p != s)
+        trace += (move,)
+    return trace, norm
 
 
 def b_count(subset: LinearSubset) -> int:

@@ -1,5 +1,6 @@
 import io
 import json
+import os
 import pathlib
 import subprocess
 import sys
@@ -53,6 +54,13 @@ class TestExitCodes:
             assert code == 64, argv
             assert err
 
+    @pytest.mark.parametrize("flag", [["--max-nodes", "1"], ["--max-seconds", "5"], ["--cache", "c.json"]])
+    def test_selfcheck_rejects_budget_and_cache_flags(self, flag):
+        # the suites take their budget from the environment only
+        code, out, err = run_cli(*flag, "selfcheck", "--max-p", "4")
+        assert code == 64
+        assert flag[0] in err and not out
+
     def test_help_is_zero_on_the_given_stdout(self):
         code, out, _ = run_cli("ribbon", "--help")
         assert code == 0 and out.startswith("usage:")
@@ -72,6 +80,55 @@ class TestExitCodes:
         code, out, err = run_cli(*argv)
         assert code == 64
         assert named in err and not out
+
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
+
+
+def run_module_cli(stdout, buffered, *argv):
+    """Run python -m ribbonlens.cli with the given stdout; buffered leaves the
+    answer to the interpreter's exit flush, as an installed script does."""
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    env.pop("PYTHONUNBUFFERED", None)
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    done = subprocess.run(
+        [sys.executable, "-m", "ribbonlens.cli", *argv],
+        stdout=stdout, stderr=subprocess.PIPE, text=True, env=env, timeout=120,
+    )
+    return done.returncode, done.stderr
+
+
+class TestUnwritableStdout:
+    """An answer that cannot be written exits 74 with one line on stderr."""
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    @pytest.mark.parametrize("buffered", [True, False])
+    def test_full_device(self, buffered):
+        with open("/dev/full", "w") as full:
+            code, err = run_module_cli(full, buffered, "cf", "7/4")
+        assert code == cli.EXIT_IOERR == 74
+        assert err.startswith("output error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("buffered", [True, False])
+    def test_closed_pipe(self, buffered):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            code, err = run_module_cli(write_end, buffered, "--format", "json", "cf", "7/4")
+        finally:
+            os.close(write_end)
+        assert code == 74
+        assert "Broken pipe" in err and err.count("\n") == 1
+
+    def test_flush_error_in_process(self):
+        class Closed(io.StringIO):
+            def flush(self):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        err = io.StringIO()
+        assert cli.run(["cf", "7/4"], stdout=Closed(), stderr=err) == 74
+        assert err.getvalue().startswith("output error:")
 
 
 class TestParsing:

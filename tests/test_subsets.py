@@ -5,6 +5,8 @@ import pytest
 from ribbonlens.lattice import dot, gram_of
 from ribbonlens.subsets import (
     LinearSubset,
+    _triple_witness,
+    _two_final_move,
     b_count,
     bad_component_complement,
     canonical_matrix,
@@ -25,6 +27,13 @@ EXPANSION_A = ((0, 0, 0, 1, 1), (0, 0, 1, 1, 0), (1, 1, 1, 0, 0), (0, 0, 1, -1, 
 EXPANSION_B = ((0, 0, 1, 1, 1), (1, 1, 1, 0, 0), (0, 0, 1, -1, 0), (0, 0, 0, -1, 1))
 
 
+def pairing_degrees(vecs):
+    """Each vector's degree in the intersection graph, counted from the
+    consecutive pairings."""
+    linked = [dot(vecs[i], vecs[i + 1]) == 1 for i in range(len(vecs) - 1)]
+    return [sum(linked[max(i - 1, 0) : i + 1]) for i in range(len(vecs))]
+
+
 def reference_expansions(subset, component):
     """Reference enumeration of 2-final expansions, with the degree, neighbour
     and run-end rules stated by hand instead of through the 2-final move."""
@@ -33,7 +42,7 @@ def reference_expansions(subset, component):
     if any(abs(c) > 1 for v in vecs for c in v):
         return []
     graph = intersection_graph(subset)
-    deg = graph.degrees
+    deg = pairing_degrees(vecs)
     comp = tuple(component)
     comp_set = set(comp)
     runs = {c: (c[0], c[-1]) for c in graph.components}
@@ -90,6 +99,56 @@ def reference_expansions(subset, component):
     return results
 
 
+def reference_two_final_moves(subset, component):
+    """Reference list of 2-final moves (h, s, t) inside a component: every
+    coordinate is tried, with the degree and norm rules stated by hand."""
+    vecs = subset.vectors
+    if any(abs(c) > 1 for v in vecs for c in v):
+        return []
+    deg = pairing_degrees(vecs)
+    comp = set(component)
+    moves = []
+    for h in range(subset.ambient_rank):
+        support = [i for i, v in enumerate(vecs) if v[h]]
+        if len(support) != 2 or not set(support) <= comp:
+            continue
+        for s, t in (support, support[::-1]):
+            if deg[s] != 1 or deg[t] != 1:
+                continue
+            if dot(vecs[s], vecs[s]) == 2 and dot(vecs[t], vecs[t]) > 2:
+                moves.append((h, s, t))
+    return moves
+
+
+def reference_bad_components(subset):
+    """(component, central_norm, trace) of each bad component, by a
+    depth-first search over every sequence of 2-final contractions with a
+    seen set of canonical states."""
+    out = []
+    for comp in intersection_graph(subset).components:
+        if len(comp) < 3:
+            continue
+        seen = set()
+        stack = [(subset, tuple(comp), ())]
+        while stack:
+            cur, cpos, trace = stack.pop()
+            key = (subset_key(cur), cpos)
+            if key in seen:
+                continue
+            seen.add(key)
+            norm = _triple_witness(cur, cpos)
+            if norm is not None:
+                out.append((comp, norm, trace))
+                break
+            if len(cpos) == 3:
+                continue
+            for h, s, t in reference_two_final_moves(cur, cpos):
+                nxt = contract(cur, h, s, t)
+                new_cpos = tuple(sorted(p if p < s else p - 1 for p in cpos if p != s))
+                stack.append((nxt, new_cpos, trace + ((h, s, t),)))
+    return out
+
+
 def selfcheck_frontier():
     """Every subset the triple-expansion-stability suite expands, and one
     level further: m = 2..5, depth 3."""
@@ -121,6 +180,27 @@ def random_linear_subsets(count, seed):
                     made += 1
                     yield linear_subset(vecs, n)
                     break
+
+
+def random_expanded_subsets(count, seed):
+    """Seeded subsets with a bad component: a core triple (m = 2..4, up to
+    two spare coordinates), up to three random 2-final expansions, then a
+    random signed coordinate permutation."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        m = rng.randint(2, 4)
+        subset = core_triple(m, m + 2 + rng.randint(0, 2))
+        for _ in range(rng.randint(0, 3)):
+            subset = rng.choice(two_final_expansions(subset, intersection_graph(subset).components[0]))
+        n = subset.ambient_rank
+        perm = rng.sample(range(n), n)
+        signs = [rng.choice((1, -1)) for _ in range(n)]
+        yield linear_subset([tuple(signs[j] * v[perm[j]] for j in range(n)) for v in subset.vectors], n)
+
+
+def two_disjoint_triples():
+    a, b = core_triple(2), core_triple(3)
+    return linear_subset([v + (0,) * 5 for v in a.vectors] + [(0,) * 4 + v for v in b.vectors])
 
 
 class TestLinearSubsets:
@@ -276,12 +356,52 @@ class TestReferenceExpansions:
         )
 
     def test_two_disjoint_triples(self):
-        a, b = core_triple(2), core_triple(3)
-        both = [v + (0,) * 5 for v in a.vectors] + [(0,) * 4 + v for v in b.vectors]
-        self.assert_same_on_every_component([linear_subset(both)])
+        self.assert_same_on_every_component([two_disjoint_triples()])
 
     def test_random_subsets(self):
         self.assert_same_on_every_component(random_linear_subsets(1200, seed=12))
+
+
+REFERENCE_INPUTS = {
+    "selfcheck_frontier": selfcheck_frontier,
+    "spare_coordinates": lambda: (
+        core_triple(m, m + 2 + spare) for m in (2, 3, 4, 5) for spare in (1, 2)
+    ),
+    "two_disjoint_triples": lambda: [two_disjoint_triples()],
+    "random_subsets": lambda: random_linear_subsets(1200, seed=14),
+    "random_expanded_subsets": lambda: random_expanded_subsets(300, seed=14),
+    # a vector with a coefficient 2 blocks every contraction in the subset
+    "big_coefficient": lambda: (
+        linear_subset([v + (0,) for v in s.vectors] + [(0,) * s.ambient_rank + (2,)])
+        for s in random_expanded_subsets(100, seed=15)
+    ),
+}
+
+
+@pytest.mark.parametrize("family", REFERENCE_INPUTS)
+class TestReferenceBadComponents:
+    """detect_bad_components follows one forced contraction at a time and
+    agrees with the reference search, which tries every contraction."""
+
+    def test_same_bad_components(self, family):
+        for subset in REFERENCE_INPUTS[family]():
+            got = [(b.component, b.central_norm, b.trace) for b in detect_bad_components(subset)]
+            assert got == reference_bad_components(subset), subset
+
+    def test_at_most_one_move(self, family):
+        # the lemma, on every component and on every state its moves reach
+        for subset in REFERENCE_INPUTS[family]():
+            for comp in intersection_graph(subset).components:
+                cur, cpos = subset, comp
+                while True:
+                    moves = reference_two_final_moves(cur, cpos)
+                    assert len(moves) <= 1, (cur, cpos)
+                    assert _two_final_move(cur, cpos) == (moves[0] if moves else None)
+                    if not moves:
+                        break
+                    h, s, t = moves[0]
+                    cur = contract(cur, h, s, t)
+                    cpos = tuple(p - (p > s) for p in cpos if p != s)
 
 
 class TestBadComponents:
