@@ -51,13 +51,12 @@ from .search import (
 )
 from .subsets import (
     BadComponent,
-    IntersectionGraph,
     LinearSubset,
     bad_component_complement,
+    components,
     contract,
     core_triple,
     detect_bad_components,
-    intersection_graph,
     is_linear_subset,
     linear_subset,
     two_final_expansions,

@@ -178,25 +178,17 @@ def fn_membership(f: Fraction) -> list[FnWitness]:
     return [FnWitness(n, p // g, (q - 1) // g)]
 
 
-def _lens_iter(y) -> Iterable[LensSpace]:
-    if isinstance(y, LensSpace):
-        return (y,)
-    summands = getattr(y, "summands", None)
-    if summands is not None:
-        return summands
-    return tuple(y)
-
-
-def h1_order(y) -> int:
-    """Order of the first homology: the product of the summands' p values."""
+def h1_order(summands: Iterable[LensSpace]) -> int:
+    """Order of the first homology of a sum: the product of the summands' p values."""
     order = 1
-    for lens in _lens_iter(y):
+    for lens in summands:
         order *= lens.p
     return order
 
 
-def square_ratio_check(y1, y2) -> bool:
-    """True iff |H1(Y2)| = u**2 * |H1(Y1)| for some integer u >= 1.
+def square_ratio_check(y1: Iterable[LensSpace], y2: Iterable[LensSpace]) -> bool:
+    """True iff |H1(Y2)| = u**2 * |H1(Y1)| for some integer u >= 1, each side
+    given by its summands.
 
     A failure obstructs any ribbon cobordism from Y1 to Y2.
     """

@@ -19,7 +19,6 @@ from .arith import (
     LensSpace,
     fn_membership,
     lens_homeomorphic,
-    lens_normalize,
     square_ratio_check,
 )
 
@@ -186,7 +185,7 @@ def ribbon_leq_sum(
     remaining multisets; an inconclusive oracle poisons only the branches
     that need it.
     """
-    if not square_ratio_check(y1, y2):
+    if not square_ratio_check(y1.summands, y2.summands):
         return Verdict(NO, obstruction="square-ratio")
 
     memo: dict[tuple, tuple[str, tuple[PairType, ...] | None]] = {}
@@ -302,23 +301,9 @@ class TwoBridgeLink:
     def __post_init__(self) -> None:
         LensSpace(self.p, self.q)  # valid exactly when the double cover L(p, q) is
 
-    @classmethod
-    def normalize(cls, p: int, q: int) -> TwoBridgeLink:
-        lens = lens_normalize(p, q)
-        return cls(lens.p, lens.q)
-
     @property
     def is_unknot(self) -> bool:
         return self.p == 1
-
-    @property
-    def is_knot(self) -> bool:
-        return self.p % 2 == 1
-
-    def mirror(self) -> TwoBridgeLink:
-        if self.is_unknot:
-            return self
-        return TwoBridgeLink(self.p, self.p - self.q)
 
     def double_cover(self) -> LensSpace:
         return LensSpace(self.p, self.q)

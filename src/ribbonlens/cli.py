@@ -54,6 +54,14 @@ class UsageError(Exception):
     pass
 
 
+def _note(stderr, line: str) -> None:
+    """Print one line to stderr, or drop it if stderr is closed or failing:
+    a lost diagnostic must not change the exit code."""
+    if stderr is not None:  # None is Python's sys.stderr when descriptor 2 is closed
+        with contextlib.suppress(OSError):
+            print(line, file=stderr)
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse would sys.exit(2); we want 64
         raise UsageError(message)
@@ -267,13 +275,13 @@ def cache_session(path: str | None, stderr):
         try:
             cache.load(path)
         except (OSError, ValueError) as exc:
-            print(f"warning: ignoring unreadable cache {path}: {exc}", file=stderr)
+            _note(stderr, f"warning: ignoring unreadable cache {path}: {exc}")
     yield cache
     if path:
         try:
             cache.save(path)
         except OSError as exc:
-            print(f"warning: could not write cache {path}: {exc}", file=stderr)
+            _note(stderr, f"warning: could not write cache {path}: {exc}")
 
 
 def _cached(args, query, *operands):
@@ -474,10 +482,10 @@ def run(argv, stdout=None, stderr=None) -> int:
     except SystemExit as exc:
         code, text = exc.code, []
     except UsageError as exc:
-        print(f"usage error: {exc}", file=stderr)
+        _note(stderr, f"usage error: {exc}")
         return EXIT_USAGE
     except Exception as exc:  # a bug must not read as "no" (exit 1)
-        print(f"internal error: {type(exc).__name__}: {exc}", file=stderr)
+        _note(stderr, f"internal error: {type(exc).__name__}: {exc}")
         return EXIT_SOFTWARE
     try:  # an answer lost to a full or closed stdout must not read as given
         if stdout is None:  # Python's sys.stdout when descriptor 1 is closed
@@ -486,16 +494,21 @@ def run(argv, stdout=None, stderr=None) -> int:
             print(line, file=stdout)
         stdout.flush()
     except OSError as exc:
-        print(f"output error: {exc}", file=stderr)
+        _note(stderr, f"output error: {exc}")
         return EXIT_IOERR
     return code
 
 
 def main() -> None:
     code = run(sys.argv[1:])
-    if code == EXIT_IOERR and sys.stdout is not None:
-        # the answer is still buffered: the interpreter's exit flush sends it nowhere
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            if stream is not None:
+                stream.flush()
+        except OSError:
+            # a lost answer or diagnostic is still buffered: point the descriptor
+            # at os.devnull, or the interpreter's exit flush fails with exit 120
+            os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
     sys.exit(code)
 
 

@@ -20,19 +20,6 @@ Matrix = tuple[tuple[int, ...], ...]
 Vector = tuple[int, ...]
 
 
-def freeze(rows) -> Matrix:
-    return tuple(tuple(r) for r in rows)
-
-
-def mat_mul(a, b) -> Matrix:
-    if not a or not b:
-        return tuple(tuple() for _ in a)
-    bt = list(zip(*b))
-    return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
-    )
-
-
 def dot(v: Vector, w: Vector) -> int:
     return sum(a * b for a, b in zip(v, w))
 

@@ -27,9 +27,9 @@ from .lattice import (
 )
 from .subsets import (
     bad_component_complement,
+    components,
     core_triple,
     detect_bad_components,
-    intersection_graph,
     two_final_expansions,
 )
 
@@ -107,11 +107,9 @@ def check_triple_stability() -> tuple[bool, str]:
         for _ in range(TRIPLE_DEPTH):
             grown = []
             for subset in frontier:
-                graph = intersection_graph(subset)
-                component = graph.components[0]
-                for expanded in two_final_expansions(subset, component):
-                    new_graph = intersection_graph(expanded)
-                    if new_graph.c != graph.c:
+                runs = components(subset)
+                for expanded in two_final_expansions(subset, runs[0]):
+                    if len(components(expanded)) != len(runs):
                         return False, f"component count changed at m={m}"
                     bad = detect_bad_components(expanded)
                     if len(bad) != 1 or bad[0].central_norm != m + 1:

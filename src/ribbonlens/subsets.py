@@ -3,8 +3,8 @@
 A linear subset is an ordered tuple of integer vectors realizing a chain
 Gram pattern (norms >= 2, consecutive pairings 0 or 1, all other pairings
 zero).  This module implements the move calculus on such subsets:
-contractions, 2-final expansions, intersection graphs and bad-component
-detection with complement computation.
+contractions, 2-final expansions, intersection-graph components and
+bad-component detection with complement computation.
 """
 
 from __future__ import annotations
@@ -83,26 +83,17 @@ def core_triple(m: int, ambient_rank: int | None = None) -> LinearSubset:
     return linear_subset([v_left, v_mid, v_right], n)
 
 
-@dataclass(frozen=True)
-class IntersectionGraph:
-    """One vertex per subset element, an edge where the pairing equals 1."""
-
-    components: tuple[tuple[int, ...], ...]
-
-    @property
-    def c(self) -> int:
-        return len(self.components)
-
-
-def intersection_graph(subset: LinearSubset) -> IntersectionGraph:
+def components(subset: LinearSubset) -> tuple[tuple[int, ...], ...]:
+    """The components of the intersection graph (one vertex per vector, an
+    edge where the pairing equals 1): the runs of consecutive indices."""
     vecs = subset.vectors
-    components, run = [], []
+    runs, run = [], []
     for i, v in enumerate(vecs):
         run.append(i)
         if i + 1 == len(vecs) or dot(v, vecs[i + 1]) != 1:
-            components.append(tuple(run))
+            runs.append(tuple(run))
             run = []
-    return IntersectionGraph(tuple(components))
+    return tuple(runs)
 
 
 # -- canonical form under signed coordinate permutations ----------------------
@@ -130,11 +121,6 @@ def canonical_matrix(vectors: tuple[Vector, ...]) -> Matrix:
 
 def subset_key(subset: LinearSubset):
     return (subset.ambient_rank, canonical_matrix(subset.vectors))
-
-
-def equivalent_subsets(a: LinearSubset, b: LinearSubset) -> bool:
-    """Equality up to a signed permutation of coordinates (vector order fixed)."""
-    return subset_key(a) == subset_key(b)
 
 
 # -- contractions and 2-final expansions --------------------------------------
@@ -204,7 +190,7 @@ def two_final_expansions(subset: LinearSubset, component: tuple[int, ...]) -> li
     2-final move.  One candidate per signed coordinate permutation is kept,
     so the list is exhaustive up to one.
     """
-    if tuple(component) not in intersection_graph(subset).components:
+    if tuple(component) not in components(subset):
         raise ValueError(f"{tuple(component)} is not a component of the subset")
     n, vecs, lo, hi = subset.ambient_rank, subset.vectors, component[0], component[-1]
     grown = tuple(range(lo, hi + 2))
@@ -223,7 +209,7 @@ def two_final_expansions(subset: LinearSubset, component: tuple[int, ...]) -> li
             if _pairing_violation(candidate.vectors) is not None:
                 continue
             back = (n, s, t + (t >= s))  # the move that undoes this expansion
-            if grown in intersection_graph(candidate).components and _two_final_move(candidate, grown) == back:
+            if grown in components(candidate) and _two_final_move(candidate, grown) == back:
                 kept.setdefault(subset_key(candidate), candidate)
                 break
     return list(kept.values())
@@ -268,7 +254,7 @@ def _triple_witness(subset: LinearSubset, comp: tuple[int, ...]):
 def detect_bad_components(subset: LinearSubset) -> list[BadComponent]:
     """Bad components of the subset, each with a contraction trace to its core."""
     out = []
-    for comp in intersection_graph(subset).components:
+    for comp in components(subset):
         if len(comp) < 3:
             continue
         witness = _search_bad(subset, comp)
@@ -291,10 +277,6 @@ def _search_bad(subset: LinearSubset, comp: tuple[int, ...]):
         comp = tuple(p - (p > s) for p in comp if p != s)
         trace += (move,)
     return trace, norm
-
-
-def b_count(subset: LinearSubset) -> int:
-    return len(detect_bad_components(subset))
 
 
 def bad_component_complement(subset: LinearSubset, bad: BadComponent) -> EmbeddedLattice:

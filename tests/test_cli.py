@@ -131,6 +131,68 @@ class TestUnwritableStdout:
         assert err.getvalue().startswith("output error:")
 
 
+def run_module_cli_without_stderr(how, buffered, *argv):
+    """Run python -m ribbonlens.cli after `2>&-`: with descriptor 2 closed,
+    sys.stderr is None; when a launcher such as a shell-script shim has
+    reopened descriptor 2 on a file of its own, every write to it fails."""
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    env.pop("PYTHONUNBUFFERED", None)
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    with open(os.devnull) as read_only:
+        done = subprocess.run(
+            [sys.executable, "-m", "ribbonlens.cli", *argv],
+            stdout=subprocess.PIPE, text=True, env=env, timeout=120,
+            stderr=read_only if how == "read-only" else None,
+            preexec_fn=(lambda: os.close(2)) if how == "closed" else None,
+        )
+    return done.returncode, done.stdout
+
+
+class UnwritableStderr(io.StringIO):
+    def write(self, s):
+        raise OSError(9, "Bad file descriptor")
+
+
+class TestUnwritableStderr:
+    """A diagnostic line that cannot be written is dropped; the exit code and
+    the answer stay what they would be with stderr open."""
+
+    @pytest.mark.parametrize("buffered", [True, False])
+    @pytest.mark.parametrize("how", ["closed", "read-only"])
+    def test_usage_error_without_stderr(self, how, buffered):
+        assert run_module_cli_without_stderr(how, buffered, "cf", "7/0") == (64, "")
+
+    @pytest.mark.parametrize("buffered", [True, False])
+    @pytest.mark.parametrize("how", ["closed", "read-only"])
+    def test_cache_warnings_without_stderr(self, tmp_path, how, buffered):
+        clean = run_cli("ribbon", "2/1", "8/5")
+        path = tmp_path / "dir"
+        path.mkdir()
+        code, out = run_module_cli_without_stderr(how, buffered, "--cache", str(path), "ribbon", "2/1", "8/5")
+        assert (code, out) == clean[:2]
+
+    def test_usage_error_in_process(self):
+        out = io.StringIO()
+        assert cli.run(["cf", "7/0"], stdout=out, stderr=UnwritableStderr()) == cli.EXIT_USAGE
+        assert not out.getvalue()
+
+    def test_internal_error_in_process(self, monkeypatch):
+        def crash(f):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "fn_membership", crash)
+        assert cli.run(["fn", "8/5"], stdout=io.StringIO(), stderr=UnwritableStderr()) == cli.EXIT_SOFTWARE
+
+    def test_cache_warning_in_process(self, tmp_path):
+        clean = run_cli("ribbon", "2/1", "8/5")
+        path = tmp_path / "dir"
+        path.mkdir()
+        out = io.StringIO()
+        code = cli.run(["--cache", str(path), "ribbon", "2/1", "8/5"], stdout=out, stderr=UnwritableStderr())
+        assert (code, out.getvalue()) == clean[:2]
+
+
 class TestParsing:
     def test_negative_lens_token_reverses(self):
         assert cli.parse_lens("-7/3") == lens_normalize(7, 4)

@@ -20,11 +20,9 @@ from ribbonlens.lattice import (
     chain_basis_for,
     det,
     enumerate_short_vectors,
-    freeze,
     gram_of,
     in_span,
     integer_kernel,
-    mat_mul,
     orthogonal_complement,
     primitivity_test,
     primitivity_test_saturation,
@@ -32,6 +30,17 @@ from ribbonlens.lattice import (
     stably_isometric_linear,
     strip_unit_summands,
 )
+
+
+def freeze(rows):
+    return tuple(tuple(r) for r in rows)
+
+
+def mat_mul(a, b):
+    if not a or not b:
+        return tuple(tuple() for _ in a)
+    bt = list(zip(*b))
+    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a)
 
 
 @st.composite
@@ -338,14 +347,16 @@ def test_nothing_in_the_package_recurses():
 # definitions that something outside the repository's code calls by name
 CALLED_FROM_OUTSIDE = {
     "_Parser.error": "argparse calls it when parsing fails",
+    "verdict_from_json": "README documents it as the parser of the verdict JSON",
 }
 
 
 def test_every_definition_in_the_package_is_referenced():
     """Every function, class and method in the package is named somewhere
-    else in src/, tests/, scripts/ or perfbench/: as a name, an attribute,
-    an import or a string (getattr-style lookups).  Dunder methods are
-    called by Python itself."""
+    else in src/, scripts/ or perfbench/: as a name, an attribute, an import
+    (a re-export in ribbonlens/__init__.py is the public API) or a string
+    (getattr-style lookups).  A name only tests call is dead code, so tests/
+    is not scanned.  Dunder methods are called by Python itself."""
     root = pathlib.Path(__file__).resolve().parents[1]
     defined = []
     for path in sorted((root / "src" / "ribbonlens").glob("*.py")):
@@ -360,7 +371,7 @@ def test_every_definition_in_the_package_is_referenced():
                 else:
                     scopes.append((node, prefix))
     referenced = set()
-    for top in ("src", "tests", "scripts", "perfbench"):
+    for top in ("src", "scripts", "perfbench"):
         for path in sorted((root / top).rglob("*.py")):
             for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
                 if isinstance(node, ast.Name):

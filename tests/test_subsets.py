@@ -7,14 +7,12 @@ from ribbonlens.subsets import (
     LinearSubset,
     _triple_witness,
     _two_final_move,
-    b_count,
     bad_component_complement,
     canonical_matrix,
+    components,
     contract,
     core_triple,
     detect_bad_components,
-    equivalent_subsets,
-    intersection_graph,
     is_linear_subset,
     linear_subset,
     subset_key,
@@ -41,11 +39,10 @@ def reference_expansions(subset, component):
     vecs = subset.vectors
     if any(abs(c) > 1 for v in vecs for c in v):
         return []
-    graph = intersection_graph(subset)
     deg = pairing_degrees(vecs)
     comp = tuple(component)
     comp_set = set(comp)
-    runs = {c: (c[0], c[-1]) for c in graph.components}
+    runs = {c: (c[0], c[-1]) for c in components(subset)}
 
     results = []
     seen = set()
@@ -125,7 +122,7 @@ def reference_bad_components(subset):
     depth-first search over every sequence of 2-final contractions with a
     seen set of canonical states."""
     out = []
-    for comp in intersection_graph(subset).components:
+    for comp in components(subset):
         if len(comp) < 3:
             continue
         seen = set()
@@ -158,7 +155,7 @@ def selfcheck_frontier():
             yield from frontier
             grown = []
             for subset in frontier:
-                comp = intersection_graph(subset).components[0]
+                comp = components(subset)[0]
                 grown += two_final_expansions(subset, comp)
             frontier = grown
 
@@ -191,7 +188,7 @@ def random_expanded_subsets(count, seed):
         m = rng.randint(2, 4)
         subset = core_triple(m, m + 2 + rng.randint(0, 2))
         for _ in range(rng.randint(0, 3)):
-            subset = rng.choice(two_final_expansions(subset, intersection_graph(subset).components[0]))
+            subset = rng.choice(two_final_expansions(subset, components(subset)[0]))
         n = subset.ambient_rank
         perm = rng.sample(range(n), n)
         signs = [rng.choice((1, -1)) for _ in range(n)]
@@ -220,18 +217,15 @@ class TestLinearSubsets:
             linear_subset([(1, 1, 0), (1, 1, 1)])
 
     def test_intersection_graph_of_triple(self):
-        graph = intersection_graph(core_triple(2))
-        assert graph.c == 1
-        assert graph.components == ((0, 1, 2),)
+        assert components(core_triple(2)) == ((0, 1, 2),)
 
     def test_two_separate_strings(self):
         subset = linear_subset([(1, 1, 0, 0), (0, 0, 1, 1)])
-        graph = intersection_graph(subset)
-        assert graph.c == 2
+        assert len(components(subset)) == 2
 
     def test_single_vector(self):
         subset = linear_subset([(1, 1)])
-        assert intersection_graph(subset).c == 1
+        assert len(components(subset)) == 1
 
 
 class TestMoves:
@@ -283,7 +277,7 @@ class TestMoves:
             for _ in range(2):
                 grown = []
                 for subset in frontier:
-                    comp = intersection_graph(subset).components[0]
+                    comp = components(subset)[0]
                     for expanded in two_final_expansions(subset, comp):
                         h = expanded.ambient_rank - 1
                         support = [i for i, v in enumerate(expanded.vectors) if v[h]]
@@ -292,7 +286,7 @@ class TestMoves:
                         if dot(expanded.vectors[s], expanded.vectors[s]) != 2:
                             s, t = t, s
                         back = contract(expanded, h, s, t)
-                        assert equivalent_subsets(back, subset)
+                        assert subset_key(back) == subset_key(subset)
                         grown.append(expanded)
                 frontier = grown
 
@@ -323,16 +317,16 @@ class TestMoves:
                 s, t = t, s
             contracted = contract(scrambled, h, s, t)
             expansions = two_final_expansions(
-                contracted, intersection_graph(contracted).components[0]
+                contracted, components(contracted)[0]
             )
-            assert any(equivalent_subsets(e, scrambled) for e in expansions)
+            assert any(subset_key(e) == subset_key(scrambled) for e in expansions)
 
     def test_counts_stable_under_expansion(self):
         triple = core_triple(3)
-        graph = intersection_graph(triple)
-        for expanded in two_final_expansions(triple, graph.components[0]):
-            assert intersection_graph(expanded).c == graph.c
-            assert b_count(expanded) == b_count(triple) == 1
+        runs = components(triple)
+        for expanded in two_final_expansions(triple, runs[0]):
+            assert len(components(expanded)) == len(runs)
+            assert len(detect_bad_components(expanded)) == len(detect_bad_components(triple)) == 1
 
 
 class TestReferenceExpansions:
@@ -342,7 +336,7 @@ class TestReferenceExpansions:
     @staticmethod
     def assert_same_on_every_component(subsets):
         for subset in subsets:
-            for comp in intersection_graph(subset).components:
+            for comp in components(subset):
                 got = [e.vectors for e in two_final_expansions(subset, comp)]
                 want = [e.vectors for e in reference_expansions(subset, comp)]
                 assert got == want, (subset, comp)
@@ -391,7 +385,7 @@ class TestReferenceBadComponents:
     def test_at_most_one_move(self, family):
         # the lemma, on every component and on every state its moves reach
         for subset in REFERENCE_INPUTS[family]():
-            for comp in intersection_graph(subset).components:
+            for comp in components(subset):
                 cur, cpos = subset, comp
                 while True:
                     moves = reference_two_final_moves(cur, cpos)
@@ -430,7 +424,7 @@ class TestBadComponents:
         subjects += two_final_expansions(core_triple(2), (0, 1, 2))
         subjects.append(linear_subset([(1, 1, 0, 0), (0, 0, 1, 1)]))
         for subset in subjects:
-            assert b_count(subset) <= intersection_graph(subset).c
+            assert len(detect_bad_components(subset)) <= len(components(subset))
 
     def test_complement_types(self):
         for m in (2, 3, 4):
@@ -454,10 +448,10 @@ class TestCanonicalForm:
         a = linear_subset([(1, 1, 0), (0, 1, 1)])
         b = linear_subset([(0, -1, 1), (1, -1, 0)])  # flip e2, swap e1 and e3
         assert canonical_matrix(a.vectors) == canonical_matrix(b.vectors)
-        assert equivalent_subsets(a, b)
+        assert subset_key(a) == subset_key(b)
 
     def test_order_matters(self):
         # distinct norm sequences cannot be matched by any coordinate move
         a = linear_subset([(1, 1, 0, 0), (0, 1, 1, 1)])
         c = linear_subset([(0, 1, 1, 1), (1, 1, 0, 0)])
-        assert not equivalent_subsets(a, c)
+        assert subset_key(a) != subset_key(c)
