@@ -5,6 +5,19 @@ Prints every yes-pair with its witness tag and a summary of how the yes-set
 splits across the three single-lens cases.  Useful for eyeballing how sparse
 the relation is and for sanity-checking new search-engine changes.
 
+It also runs the lattice condition on every pair: the ribbon embedding of
+L2's chain whose complement is -L1's chain, for (L1, L2) and for the
+reversed pair (-L1, -L2).  A ribbon cobordism needs both.  Three counts
+close the output; they are printed, not asserted:
+
+- one-sided gap: pairs that embed for (L1, L2) where the classifier says no;
+- two-sided gap: pairs that embed in both orientations where the classifier
+  says no (each is listed on a "G" line);
+- theorem count: pairs that embed in both orientations where L2 is not
+  homeomorphic to L1 and L1 is not S3, L(n,1) or L(n,n-1) (each is listed
+  on a "T" line).  The paper's theorem says 0; anything else is a bug in
+  the search or in the classifier.
+
 Usage: python scripts/survey_ribbon_pairs.py [P] [--cache FILE]
 """
 
@@ -17,8 +30,10 @@ import time
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
+from ribbonlens.arith import lens_homeomorphic
 from ribbonlens.classify import ribbon_leq_lens
-from ribbonlens.cli import cache_session
+from ribbonlens.cli import cache_session, flush_standard_streams
+from ribbonlens.search import find_ribbon_embedding
 from ribbonlens.selfcheck import all_lens_spaces
 
 
@@ -35,25 +50,43 @@ def main() -> None:
         spaces = all_lens_spaces(args.max_p)
         t0 = time.monotonic()
         tags = {"T1": 0, "T2": 0, "T3": 0}
+        counts = {"one-sided gap": 0, "two-sided gap": 0, "theorem count": 0}
         inconclusive = 0
         for l1 in spaces:
             for l2 in spaces:
                 verdict = ribbon_leq_lens(l1, l2, cache=cache)
-                if verdict.answer == "inconclusive":
+                statuses = [
+                    find_ribbon_embedding(a.reverse().cf(), b.cf(), cache=cache).status
+                    for a, b in ((l1, l2), (l1.reverse(), l2.reverse()))
+                ]
+                if verdict.answer == "inconclusive" or "inconclusive" in statuses:
                     inconclusive += 1
                     print(f"?  {l1} <= {l2}")
-                elif verdict.yes:
+                    continue
+                if verdict.yes:
                     pair = verdict.witness[0]
                     tags[pair.tag] += 1
                     extra = f" n={pair.n}" if pair.n else ""
                     print(f"Y  {l1} <= {l2}  [{pair.tag}{extra}]")
+                two_sided = statuses == ["found", "found"]
+                if not verdict.yes:
+                    counts["one-sided gap"] += statuses[0] == "found"
+                    if two_sided:
+                        counts["two-sided gap"] += 1
+                        print(f"G  {l1} <= {l2}")
+                if two_sided and not lens_homeomorphic(l1, l2, oriented=False) and l1.q not in (0, 1, l1.p - 1):
+                    counts["theorem count"] += 1
+                    print(f"T  {l1} <= {l2}")
         total = len(spaces) ** 2
         print(
             f"\n{total} ordered pairs in {time.monotonic() - t0:.1f}s: "
             f"{tags['T1']} equal, {tags['T2']} family, {tags['T3']} ball-filling, "
             f"{inconclusive} inconclusive"
         )
+        for name, count in counts.items():
+            print(f"{name}: {count}")
 
 
 if __name__ == "__main__":
     main()
+    flush_standard_streams()

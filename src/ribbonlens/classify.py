@@ -10,6 +10,7 @@ no names the obstruction; oracle-dependent branches degrade to
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, replace
 from typing import Iterable
 
@@ -183,76 +184,68 @@ def ribbon_leq_sum(
     leftover right summands split into rational-ball singletons (T3) and
     two-summand shapes (T4-T7).  Backtracking with memoization on the
     remaining multisets; an inconclusive oracle poisons only the branches
-    that need it.
+    that need it, and a spent budget (one node per subproblem, one clock for
+    the whole call) makes the answer inconclusive, never "no".
     """
     if not square_ratio_check(y1.summands, y2.summands):
         return Verdict(NO, obstruction="square-ratio")
+    budget = budget if budget is not None else search.SearchBudget.from_env()
+    deadline = time.monotonic() + budget.max_seconds
 
     memo: dict[tuple, tuple[str, tuple[PairType, ...] | None]] = {}
     calls: dict[str, str] = {}  # oracle outcome per fraction, in first-use order
 
+    def pieces(rem1: tuple[LensSpace, ...], rem2: tuple[LensSpace, ...]):
+        """Each first piece of a decomposition, in search order: its witness
+        and the subproblem it leaves, None when the oracle cannot tell."""
+        if len(rem1) > len(rem2):
+            return
+        if rem1:  # T1/T2: the first left summand with a right one
+            rest1, others = rem1[1:], rem2
+        else:  # T3: the first right summand alone; T4-T7: with another
+            b, rest1, others = rem2[0], (), rem2[1:]
+            f = str(b.fraction())
+            if f not in calls:
+                calls[f] = search.r_membership(b.fraction(), budget=budget, cache=cache).outcome
+            if calls[f] != "non-member":
+                yield (PairType("T3", (), (b,)),), ((), others) if calls[f] == "member" else None
+        for idx, c in enumerate(others):
+            if idx and c == others[idx - 1]:
+                continue
+            if rem1:
+                option = _first_pair_option(rem1[0], c)
+                witness = (option,) if option is not None else ()
+            else:
+                witness = two_summand_ball(b, c).witness
+            if witness:
+                yield witness, (rest1, others[:idx] + others[idx + 1 :])
+
     def solve(rem1: tuple[LensSpace, ...], rem2: tuple[LensSpace, ...]):
         """Decide one subproblem: yields each smaller (rem1, rem2) it needs and
-        is sent back its (answer, witness)."""
-        blocked = False
-        result: tuple[str, tuple[PairType, ...] | None] = (NO, None)
+        is sent back its (answer, witness).  The first yes wins; "no" only
+        when the pieces run out and none was inconclusive."""
         if not rem1 and not rem2:
-            result = (YES, ())
-        elif len(rem1) > len(rem2):
-            result = (NO, None)
-        elif rem1:
-            a, rest1 = rem1[0], rem1[1:]
-            for idx, b in enumerate(rem2):
-                if idx and rem2[idx] == rem2[idx - 1]:
-                    continue
-                option = _first_pair_option(a, b)
-                if option is None:
-                    continue
-                sub, wit = yield (rest1, rem2[:idx] + rem2[idx + 1 :])
-                if sub == YES:
-                    result = (YES, (option,) + wit)
-                    break
-                if sub == INCONCLUSIVE:
-                    blocked = True
-        else:
-            b, rest = rem2[0], rem2[1:]
-            f = b.fraction()
-            if str(f) not in calls:
-                calls[str(f)] = search.r_membership(f, budget=budget, cache=cache).outcome
-            outcome = calls[str(f)]
-            if outcome == "member":
-                sub, wit = yield ((), rest)
-                if sub == YES:
-                    result = (YES, (PairType("T3", (), (b,)),) + wit)
-                elif sub == INCONCLUSIVE:
-                    blocked = True
-            elif outcome == "inconclusive":
-                blocked = True
-            if result[0] != YES:
-                for jdx in range(len(rest)):
-                    if jdx and rest[jdx] == rest[jdx - 1]:
-                        continue
-                    b2 = rest[jdx]
-                    pair_verdict = two_summand_ball(b, b2)
-                    if not pair_verdict.yes:
-                        continue
-                    sub, wit = yield ((), rest[:jdx] + rest[jdx + 1 :])
-                    if sub == YES:
-                        result = (YES, pair_verdict.witness + wit)
-                        break
-                    if sub == INCONCLUSIVE:
-                        blocked = True
-        if result[0] == NO and blocked:
-            result = (INCONCLUSIVE, None)
-        return result
+            return YES, ()
+        answer = NO
+        for witness, sub in pieces(rem1, rem2):
+            got, rest = (yield sub) if sub is not None else (INCONCLUSIVE, None)
+            if got == YES:
+                return YES, witness + rest
+            if got == INCONCLUSIVE:
+                answer = INCONCLUSIVE
+        return answer, None
 
     # one frame per subproblem in progress, on an explicit stack so that long
-    # sums cannot hit the recursion limit; a memoized subproblem is answered
-    # without a frame
-    root = (y1.summands, y2.summands)
-    stack = [(root, solve(*root))]
-    result = None
-    while stack:
+    # sums cannot hit the recursion limit; result is None while sub waits for
+    # a frame (a memoized one needs none), and each frame costs one node
+    stack: list = []
+    sub, result, nodes = (y1.summands, y2.summands), None, 0
+    while result is None or stack:
+        if result is None:
+            nodes += 1
+            if nodes > budget.max_nodes or time.monotonic() > deadline:
+                break
+            stack.append((sub, solve(*sub)))
         key, frame = stack[-1]
         try:
             sub = frame.send(result)
@@ -261,11 +254,11 @@ def ribbon_leq_sum(
             stack.pop()
             continue
         result = memo.get(sub)
-        if result is None:
-            stack.append((sub, solve(*sub)))
 
-    answer, witness = result
     trace = tuple(calls.items())
+    if result is None:
+        return Verdict(INCONCLUSIVE, obstruction="decomposition-budget", oracle_trace=trace)
+    answer, witness = result
     if answer == YES:
         return Verdict(YES, witness, oracle_trace=trace)
     if answer == INCONCLUSIVE:

@@ -499,16 +499,21 @@ def run(argv, stdout=None, stderr=None) -> int:
     return code
 
 
-def main() -> None:
-    code = run(sys.argv[1:])
+def flush_standard_streams() -> None:
+    """Flush stdout and stderr before exiting.  A lost answer or diagnostic is
+    still buffered, so a descriptor whose flush fails is pointed at
+    os.devnull; otherwise the interpreter's exit flush fails with exit 120."""
     for stream in (sys.stdout, sys.stderr):
         try:
             if stream is not None:
                 stream.flush()
         except OSError:
-            # a lost answer or diagnostic is still buffered: point the descriptor
-            # at os.devnull, or the interpreter's exit flush fails with exit 120
             os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
+
+
+def main() -> None:
+    code = run(sys.argv[1:])
+    flush_standard_streams()
     sys.exit(code)
 
 

@@ -147,22 +147,27 @@ def check_family_converse() -> tuple[bool, str]:
 
 
 def check_oracle_classifier_agreement(max_p: int = 12) -> tuple[bool, str]:
+    # a reversed ribbon cobordism is ribbon, so the lattice condition must hold
+    # for (l1, l2) and for (-l1, -l2): the classifier says yes exactly when
+    # both embeddings exist
     spaces = all_lens_spaces(max_p)
     pairs = 0
     yes_pairs = 0
     for l1 in spaces:
-        lam1 = l1.reverse().cf()
         for l2 in spaces:
             verdict = ribbon_leq_lens(l1, l2)
-            outcome = search.find_ribbon_embedding(lam1, l2.cf())
-            if verdict.answer == "inconclusive" or outcome.status == "inconclusive":
+            outcomes = [
+                search.find_ribbon_embedding(a.reverse().cf(), b.cf())
+                for a, b in ((l1, l2), (l1.reverse(), l2.reverse()))
+            ]
+            if verdict.answer == "inconclusive" or any(o.status == "inconclusive" for o in outcomes):
                 return False, f"inconclusive at ({l1}, {l2}); budgets are undersized"
-            if verdict.yes:
-                yes_pairs += 1
-                if not outcome.found:
-                    return False, f"classifier yes but no embedding at ({l1}, {l2})"
+            if verdict.yes != all(o.found for o in outcomes):
+                embeds = "does not embed" if verdict.yes else "embeds"
+                return False, f"classifier {verdict.answer} but {embeds} in both orientations at ({l1}, {l2})"
+            yes_pairs += verdict.yes
             pairs += 1
-    return True, f"{pairs} ordered pairs agreed ({yes_pairs} yes instances)"
+    return True, f"{pairs} ordered pairs agreed in both orientations ({yes_pairs} yes instances)"
 
 
 def check_r_oracle_invariance(max_p: int = 36) -> tuple[bool, str]:

@@ -1,16 +1,19 @@
 import itertools
 import random
 import sys
+import time
 from fractions import Fraction
 
 import pytest
 
 from ribbonlens.arith import FnWitness, LensSpace, fn_membership, lens_homeomorphic, lens_normalize, square_ratio_check
+from ribbonlens import search
 from ribbonlens.classify import (
     ConnectedSum,
     PairType,
     TwoBridgeLink,
     Verdict,
+    _first_pair_option,
     chi_leq_bridge,
     replay_witness,
     ribbon_leq_lens,
@@ -18,7 +21,7 @@ from ribbonlens.classify import (
     two_summand_ball,
 )
 from ribbonlens.cli import verdict_to_json
-from ribbonlens.search import EmbeddingCache
+from ribbonlens.search import EmbeddingCache, SearchBudget
 from ribbonlens.selfcheck import all_lens_spaces
 
 L = lens_normalize
@@ -241,6 +244,183 @@ class TestRibbonLeqSum:
                 cache=CACHE,
             )
             assert composed.yes
+
+
+def ribbon_leq_sum_three_loops(y1, y2, budget=None, cache=None):
+    """Reference for ribbon_leq_sum: the decomposition search with the
+    yield-and-judge step written out once per piece kind (T1/T2, T3, T4-T7)
+    and no budget of its own."""
+    if not square_ratio_check(y1.summands, y2.summands):
+        return Verdict("no", obstruction="square-ratio")
+    memo = {}
+    calls = {}
+
+    def solve(rem1, rem2):
+        blocked = False
+        result = ("no", None)
+        if not rem1 and not rem2:
+            result = ("yes", ())
+        elif len(rem1) > len(rem2):
+            result = ("no", None)
+        elif rem1:
+            a, rest1 = rem1[0], rem1[1:]
+            for idx, b in enumerate(rem2):
+                if idx and rem2[idx] == rem2[idx - 1]:
+                    continue
+                option = _first_pair_option(a, b)
+                if option is None:
+                    continue
+                sub, wit = yield (rest1, rem2[:idx] + rem2[idx + 1 :])
+                if sub == "yes":
+                    result = ("yes", (option,) + wit)
+                    break
+                if sub == "inconclusive":
+                    blocked = True
+        else:
+            b, rest = rem2[0], rem2[1:]
+            f = b.fraction()
+            if str(f) not in calls:
+                calls[str(f)] = search.r_membership(f, budget=budget, cache=cache).outcome
+            outcome = calls[str(f)]
+            if outcome == "member":
+                sub, wit = yield ((), rest)
+                if sub == "yes":
+                    result = ("yes", (PairType("T3", (), (b,)),) + wit)
+                elif sub == "inconclusive":
+                    blocked = True
+            elif outcome == "inconclusive":
+                blocked = True
+            if result[0] != "yes":
+                for jdx in range(len(rest)):
+                    if jdx and rest[jdx] == rest[jdx - 1]:
+                        continue
+                    pair_verdict = two_summand_ball(b, rest[jdx])
+                    if not pair_verdict.yes:
+                        continue
+                    sub, wit = yield ((), rest[:jdx] + rest[jdx + 1 :])
+                    if sub == "yes":
+                        result = ("yes", pair_verdict.witness + wit)
+                        break
+                    if sub == "inconclusive":
+                        blocked = True
+        if result[0] == "no" and blocked:
+            result = ("inconclusive", None)
+        return result
+
+    root = (y1.summands, y2.summands)
+    stack = [(root, solve(*root))]
+    result = None
+    while stack:
+        key, frame = stack[-1]
+        try:
+            sub = frame.send(result)
+        except StopIteration as stop:
+            result = memo[key] = stop.value
+            stack.pop()
+            continue
+        result = memo.get(sub)
+        if result is None:
+            stack.append((sub, solve(*sub)))
+
+    answer, witness = result
+    trace = tuple(calls.items())
+    if answer == "yes":
+        return Verdict("yes", witness, oracle_trace=trace)
+    if answer == "inconclusive":
+        return Verdict("inconclusive", obstruction="oracle-budget", oracle_trace=trace)
+    return Verdict("no", obstruction="no-decomposition", oracle_trace=trace)
+
+
+def ribbon_leq_lens_three_loops(l1, l2, cache):
+    """ribbon_leq_lens over the reference search."""
+    if l1.is_s3 and l2.is_s3:
+        return Verdict("yes", (PairType("T1", (l1,), (l2,)),))
+    verdict = ribbon_leq_sum_three_loops(ConnectedSum.of(l1), ConnectedSum.of(l2), cache=cache)
+    if verdict.obstruction == "no-decomposition":
+        return Verdict("no", obstruction="no-matching-case", oracle_trace=verdict.oracle_trace)
+    return verdict
+
+
+# 20 distinct members of the second square-multiple family 2m^2/(2mk+1), then
+# two summands that pair with nothing: S^3 against the sum is a "no" that the
+# search proves only by trying every matching of the family members
+F2_22 = [
+    (8, 5), (18, 7), (18, 13), (32, 9), (32, 25), (50, 11), (50, 21), (50, 31), (50, 41),
+    (72, 13), (72, 61), (98, 15), (98, 29), (98, 43), (98, 57), (98, 71), (98, 85),
+    (128, 17), (128, 49), (128, 81), (1009, 2), (1009, 3),
+]
+F2_18 = F2_22[:16] + F2_22[-2:]
+
+
+class TestAgainstThreeLoops:
+    """ribbon_leq_sum gives the reference search's verdict JSON, oracle trace
+    order included."""
+
+    def test_lens_pairs_up_to_sixteen(self):
+        spaces = all_lens_spaces(16)
+        for l1, l2 in itertools.product(spaces, spaces):
+            want = verdict_to_json(ribbon_leq_lens_three_loops(l1, l2, CACHE))
+            assert verdict_to_json(ribbon_leq_lens(l1, l2, cache=CACHE)) == want, (l1, l2)
+
+    def test_seeded_sums(self):
+        spaces = [lens for lens in all_lens_spaces(12) if not lens.is_s3]
+        rng = random.Random(12)
+        answers = set()
+        for _ in range(3000):
+            y1 = ConnectedSum.of(*(rng.choice(spaces) for _ in range(rng.randint(0, 3))))
+            y2 = ConnectedSum.of(*(rng.choice(spaces) for _ in range(rng.randint(0, 5))))
+            want = verdict_to_json(ribbon_leq_sum_three_loops(y1, y2, cache=CACHE))
+            assert verdict_to_json(ribbon_leq_sum(y1, y2, cache=CACHE)) == want, (str(y1), str(y2))
+            answers.add(want["answer"])
+        assert answers == {"yes", "no"}
+
+    def test_inconclusive_oracle(self, monkeypatch):
+        # the oracle cannot tell for order 4, so some branches are blocked
+        real = search.r_membership
+
+        def r_membership(f, budget=None, cache=None):
+            if Fraction(f).numerator == 4:
+                return search.RMembershipResult(Fraction(f), "inconclusive", "search budget exhausted")
+            return real(f, budget, cache)
+
+        monkeypatch.setattr(search, "r_membership", r_membership)
+        spaces = [lens for lens in all_lens_spaces(9) if not lens.is_s3]
+        rng = random.Random(12)
+        answers = set()
+        for _ in range(600):
+            y1 = ConnectedSum.of(*(rng.choice(spaces) for _ in range(rng.randint(0, 1))))
+            y2 = ConnectedSum.of(*(rng.choice(spaces) for _ in range(rng.randint(1, 4))))
+            want = verdict_to_json(ribbon_leq_sum_three_loops(y1, y2, cache=CACHE))
+            assert verdict_to_json(ribbon_leq_sum(y1, y2, cache=CACHE)) == want, (str(y1), str(y2))
+            answers.add(want["answer"])
+        assert answers == {"yes", "no", "inconclusive"}
+
+
+class TestDecompositionBudget:
+    """Each subproblem costs one node and the clock runs for the whole call;
+    a spent budget is inconclusive, never "no"."""
+
+    def test_node_budget(self):
+        verdict = ribbon_leq_sum(_sum(), _sum(*F2_18), SearchBudget(max_nodes=50), cache=CACHE)
+        assert (verdict.answer, verdict.obstruction) == ("inconclusive", "decomposition-budget")
+
+    def test_oracle_gets_the_budget(self):
+        # the chains of 25/7 have more terms than the budget has nodes
+        verdict = ribbon_leq_sum(_sum(), _sum((25, 7)), SearchBudget(max_nodes=3), cache=EmbeddingCache())
+        assert (verdict.answer, verdict.obstruction) == ("inconclusive", "oracle-budget")
+        assert verdict.oracle_trace == (("25/7", "inconclusive"),)
+
+    def test_default_budget_still_answers_no(self):
+        verdict = ribbon_leq_sum(_sum(), _sum(*F2_18), cache=CACHE)
+        assert (verdict.answer, verdict.obstruction) == ("no", "no-decomposition")
+        want = ribbon_leq_sum_three_loops(_sum(), _sum(*F2_18), cache=CACHE)
+        assert verdict_to_json(verdict) == verdict_to_json(want)
+
+    def test_clock(self):
+        start = time.monotonic()
+        verdict = ribbon_leq_sum(_sum(), _sum(*F2_22), SearchBudget(max_seconds=0.2), cache=CACHE)
+        assert time.monotonic() - start < 3
+        assert (verdict.answer, verdict.obstruction) == ("inconclusive", "decomposition-budget")
 
 
 class TestBridgeLinks:

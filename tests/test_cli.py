@@ -459,6 +459,21 @@ class TestSurveyScriptCache:
         assert not list(tmp_path.glob("*.tmp"))
 
 
+    def test_unwritable_stderr_with_buffered_warnings(self, tmp_path):
+        # both warnings are dropped but stay buffered; the exit flush must not
+        # turn the finished survey into exit 120
+        path = tmp_path / "dir"
+        path.mkdir()
+        env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+        with open(os.devnull) as read_only:
+            done = subprocess.run(
+                [sys.executable, str(SURVEY), "3", "--cache", str(path)],
+                stdout=subprocess.PIPE, stderr=read_only, text=True, env=env, timeout=120,
+            )
+        assert done.returncode == 0
+        assert "ordered pairs" in done.stdout
+
+
 class TestInternalErrors:
     def test_handler_crash_is_seventy(self, monkeypatch):
         def crash(f):

@@ -572,6 +572,28 @@ class TestNecessityChain:
                 assert outcome.found, (str(l1), str(l2))
         assert yes_pairs > 120  # diagonal alone contributes one per space
 
+    def test_two_sided_condition_is_the_classifier_up_to_sixteen(self):
+        # a reversed ribbon cobordism is ribbon, so the lattice condition holds
+        # for (L1, L2) and for (-L1, -L2); on lens pairs with p <= 16 the two
+        # together say yes exactly where the classifier does, while the first
+        # alone lets 66 more pairs through
+        from ribbonlens.classify import ribbon_leq_lens
+        from ribbonlens.selfcheck import all_lens_spaces
+
+        cache = fresh_cache()
+        spaces = all_lens_spaces(16)
+        yes_pairs = one_sided = 0
+        for l1 in spaces:
+            for l2 in spaces:
+                verdict = ribbon_leq_lens(l1, l2, cache=cache)
+                forward = find_ribbon_embedding(l1.reverse().cf(), l2.cf(), cache=cache)
+                backward = find_ribbon_embedding(l1.cf(), l2.reverse().cf(), cache=cache)
+                assert "inconclusive" not in (verdict.answer, forward.status, backward.status)
+                assert verdict.yes == (forward.found and backward.found), (str(l1), str(l2))
+                yes_pairs += verdict.yes
+                one_sided += forward.found and not verdict.yes
+        assert (yes_pairs, one_sided) == (140, 66)
+
 
 class TestVerifier:
     def test_sign_flip_is_caught(self):
