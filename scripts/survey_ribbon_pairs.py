@@ -18,12 +18,16 @@ close the output; they are printed, not asserted:
   on a "T" line).  The paper's theorem says 0; anything else is a bug in
   the search or in the classifier.
 
+A stdout that closes early or fills up ends the survey as it ends the CLI:
+exit 74 with one "output error" line on stderr.
+
 Usage: python scripts/survey_ribbon_pairs.py [P] [--cache FILE]
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import pathlib
 import sys
 import time
@@ -32,61 +36,65 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 from ribbonlens.arith import lens_homeomorphic
 from ribbonlens.classify import ribbon_leq_lens
-from ribbonlens.cli import cache_session, flush_standard_streams
-from ribbonlens.search import find_ribbon_embedding
+from ribbonlens.cli import EXIT_IOERR, cache_session, flush_standard_streams, print_lines
+from ribbonlens.search import two_sided_embeddings
 from ribbonlens.selfcheck import all_lens_spaces
 
 
-def main() -> None:
+def survey(max_p: int, cache):
+    """The survey's output lines, computed as they are consumed."""
+    spaces = all_lens_spaces(max_p)
+    t0 = time.monotonic()
+    tags = {"T1": 0, "T2": 0, "T3": 0}
+    counts = {"one-sided gap": 0, "two-sided gap": 0, "theorem count": 0}
+    inconclusive = 0
+    for l1 in spaces:
+        for l2 in spaces:
+            verdict = ribbon_leq_lens(l1, l2, cache=cache)
+            statuses = [outcome.status for outcome in two_sided_embeddings(l1, l2, cache=cache)]
+            if verdict.answer == "inconclusive" or "inconclusive" in statuses:
+                inconclusive += 1
+                yield f"?  {l1} <= {l2}"
+                continue
+            if verdict.yes:
+                pair = verdict.witness[0]
+                tags[pair.tag] += 1
+                extra = f" n={pair.n}" if pair.n else ""
+                yield f"Y  {l1} <= {l2}  [{pair.tag}{extra}]"
+            two_sided = statuses == ["found", "found"]
+            if not verdict.yes:
+                counts["one-sided gap"] += statuses[0] == "found"
+                if two_sided:
+                    counts["two-sided gap"] += 1
+                    yield f"G  {l1} <= {l2}"
+            if two_sided and not lens_homeomorphic(l1, l2, oriented=False) and l1.q not in (0, 1, l1.p - 1):
+                counts["theorem count"] += 1
+                yield f"T  {l1} <= {l2}"
+    total = len(spaces) ** 2
+    yield (
+        f"\n{total} ordered pairs in {time.monotonic() - t0:.1f}s: "
+        f"{tags['T1']} equal, {tags['T2']} family, {tags['T3']} ball-filling, "
+        f"{inconclusive} inconclusive"
+    )
+    for name, count in counts.items():
+        yield f"{name}: {count}"
+
+
+def main() -> int:
     parser = argparse.ArgumentParser()
     parser.add_argument("max_p", nargs="?", type=int, default=12)
     parser.add_argument("--cache", default=None)
     args = parser.parse_args()
 
-    # an unreadable or unwritable cache file costs a warning, as in the CLI
+    # an unreadable or unwritable cache file costs a warning, as in the CLI;
+    # the session saves what was found even if stdout failed
     with cache_session(args.cache, sys.stderr) as cache:
-        if args.cache:
-            print(f"loaded {len(cache)} cache entries")
-        spaces = all_lens_spaces(args.max_p)
-        t0 = time.monotonic()
-        tags = {"T1": 0, "T2": 0, "T3": 0}
-        counts = {"one-sided gap": 0, "two-sided gap": 0, "theorem count": 0}
-        inconclusive = 0
-        for l1 in spaces:
-            for l2 in spaces:
-                verdict = ribbon_leq_lens(l1, l2, cache=cache)
-                statuses = [
-                    find_ribbon_embedding(a.reverse().cf(), b.cf(), cache=cache).status
-                    for a, b in ((l1, l2), (l1.reverse(), l2.reverse()))
-                ]
-                if verdict.answer == "inconclusive" or "inconclusive" in statuses:
-                    inconclusive += 1
-                    print(f"?  {l1} <= {l2}")
-                    continue
-                if verdict.yes:
-                    pair = verdict.witness[0]
-                    tags[pair.tag] += 1
-                    extra = f" n={pair.n}" if pair.n else ""
-                    print(f"Y  {l1} <= {l2}  [{pair.tag}{extra}]")
-                two_sided = statuses == ["found", "found"]
-                if not verdict.yes:
-                    counts["one-sided gap"] += statuses[0] == "found"
-                    if two_sided:
-                        counts["two-sided gap"] += 1
-                        print(f"G  {l1} <= {l2}")
-                if two_sided and not lens_homeomorphic(l1, l2, oriented=False) and l1.q not in (0, 1, l1.p - 1):
-                    counts["theorem count"] += 1
-                    print(f"T  {l1} <= {l2}")
-        total = len(spaces) ** 2
-        print(
-            f"\n{total} ordered pairs in {time.monotonic() - t0:.1f}s: "
-            f"{tags['T1']} equal, {tags['T2']} family, {tags['T3']} ball-filling, "
-            f"{inconclusive} inconclusive"
-        )
-        for name, count in counts.items():
-            print(f"{name}: {count}")
+        loaded = [f"loaded {len(cache)} cache entries"] if args.cache else []
+        written = print_lines(itertools.chain(loaded, survey(args.max_p, cache)), sys.stdout, sys.stderr)
+    return 0 if written else EXIT_IOERR
 
 
 if __name__ == "__main__":
-    main()
+    code = main()
     flush_standard_streams()
+    sys.exit(code)

@@ -268,7 +268,9 @@ def cache_session(path: str | None, stderr):
 
     A cache file that cannot be read or written costs a warning on stderr,
     never the answer: the body runs against an empty cache and the save
-    replaces the file, or is skipped.  A body that raises skips the save.
+    replaces the file, or is skipped.  A body that raises skips the save, and
+    so does a session that leaves the loaded file's entries as they were: it
+    found nothing new and dropped no entry that failed verification.
     """
     cache = search.EmbeddingCache()
     if path and os.path.exists(path):
@@ -277,7 +279,7 @@ def cache_session(path: str | None, stderr):
         except (OSError, ValueError) as exc:
             _note(stderr, f"warning: ignoring unreadable cache {path}: {exc}")
     yield cache
-    if path:
+    if path and cache.changed:
         try:
             cache.save(path)
         except OSError as exc:
@@ -487,16 +489,23 @@ def run(argv, stdout=None, stderr=None) -> int:
     except Exception as exc:  # a bug must not read as "no" (exit 1)
         _note(stderr, f"internal error: {type(exc).__name__}: {exc}")
         return EXIT_SOFTWARE
-    try:  # an answer lost to a full or closed stdout must not read as given
+    return code if print_lines(text, stdout, stderr) else EXIT_IOERR
+
+
+def print_lines(lines, stdout, stderr) -> bool:
+    """Print the lines and flush stdout; False, after one "output error" line
+    on stderr, when stdout is closed or a write fails.  An answer lost to a
+    full or closed stdout must not read as given, so the caller exits 74."""
+    try:
         if stdout is None:  # Python's sys.stdout when descriptor 1 is closed
             raise OSError("stdout is closed")
-        for line in text:
+        for line in lines:
             print(line, file=stdout)
         stdout.flush()
     except OSError as exc:
         _note(stderr, f"output error: {exc}")
-        return EXIT_IOERR
-    return code
+        return False
+    return True
 
 
 def flush_standard_streams() -> None:

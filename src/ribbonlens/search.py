@@ -16,14 +16,13 @@ from __future__ import annotations
 
 import json
 import os
-import threading
 import time
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from math import isqrt, prod
 
-from .arith import CF, cf_expand, cf_length, continuant, is_perfect_square
+from .arith import CF, LensSpace, cf_expand, cf_length, continuant, is_perfect_square
 from .lattice import GramLattice, Vector, chain_basis_for, det, dot, integer_kernel
 
 ENGINE_VERSION = "3"
@@ -333,7 +332,8 @@ def _run_problem(problem: SearchProblem, budget: SearchBudget) -> SearchOutcome:
 
 def verify_certificate(problem: SearchProblem, cert: Certificate) -> bool:
     """Independent checker: recomputes every pairing and, in constrained mode,
-    the complement condition.  Run on every search hit and cache load."""
+    the complement condition.  Run on every search hit and on the first use
+    of each cache entry loaded from a file."""
     groups = cert.groups
     if len(groups) != len(problem.summands):
         return False
@@ -369,32 +369,51 @@ class EmbeddingCache:
     """In-memory cache of search outcomes with an optional JSON file behind it.
 
     Inconclusive outcomes are never stored, and absent ones stay in memory:
-    the file holds certificates only, each re-verified on load, and a file
-    written by a different engine version loads nothing.
+    the file holds certificates only, and a file written by a different
+    engine version loads nothing.  A loaded certificate is verified when
+    :meth:`get` first asks for its problem, so a session pays only for the
+    entries it uses; one that fails is dropped and its problem searched again.
     """
 
     def __init__(self) -> None:
         self._entries: dict[str, SearchOutcome] = {}
-        self._lock = threading.Lock()
+        # certificate objects from a file, by problem key, not yet verified
+        self._unverified: dict[str, object] = {}
+        # False only while the cache holds exactly what the file it loaded
+        # holds: a cache that loaded no file has nothing in common with one
+        self.changed = True
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._entries) + len(self._unverified)
 
     def get(self, problem: SearchProblem) -> SearchOutcome | None:
-        with self._lock:
-            return self._entries.get(problem.key)
+        key = problem.key
+        if key in self._unverified:
+            try:
+                cert = Certificate.from_json(self._unverified.pop(key))
+            except (ValueError, KeyError, TypeError, OverflowError):
+                cert = None
+            if cert is None or not verify_certificate(problem, cert):
+                self.changed = True
+                return None
+            self._entries[key] = SearchOutcome("found", cert, cert.nodes, 0.0)
+        return self._entries.get(key)
 
     def put(self, problem: SearchProblem, outcome: SearchOutcome) -> None:
         if outcome.status == "inconclusive":
             return
-        with self._lock:
-            self._entries[problem.key] = outcome
+        key = problem.key
+        if outcome.found or key in self._unverified:
+            self.changed = True
+        self._unverified.pop(key, None)
+        self._entries[key] = outcome
 
     def save(self, path) -> None:
-        with self._lock:
-            certificates = {
-                key: outcome.certificate.to_json() for key, outcome in self._entries.items() if outcome.found
-            }
+        """Write the verified certificates and the unverified entries as loaded."""
+        certificates = dict(self._unverified)
+        certificates.update(
+            (key, outcome.certificate.to_json()) for key, outcome in self._entries.items() if outcome.found
+        )
         doc = {"schema": CACHE_SCHEMA, "engine": ENGINE_VERSION, "certificates": certificates}
         # write beside the target and rename over it, so a run killed
         # mid-write leaves the previous file intact
@@ -410,11 +429,14 @@ class EmbeddingCache:
             raise
 
     def load(self, path) -> int:
-        """Merge certificates from a cache file; returns how many were accepted.
+        """Merge certificates from a cache file; returns how many entries have a
+        problem key that parses.  Their certificates are parsed and verified on
+        first use, so the count includes any that will fail then.
 
         Raises OSError or ValueError when the file cannot be read as a cache
-        document; an entry whose key or certificate does not parse, or whose
-        certificate fails verification, is skipped.
+        document; an entry whose key does not parse is skipped.  Afterwards
+        :attr:`changed` is False only if the cache was empty, the file has this
+        schema and engine, and every key parsed.
         """
         with open(path, "r", encoding="utf-8") as handle:
             try:
@@ -424,23 +446,24 @@ class EmbeddingCache:
         if not isinstance(doc, dict):
             raise ValueError("cache document is not a JSON object")
         if doc.get("schema") != CACHE_SCHEMA or doc.get("engine") != ENGINE_VERSION:
+            self.changed = True
             return 0
         certificates = doc.get("certificates", {})
         if not isinstance(certificates, dict):
             raise ValueError("cache certificates are not a JSON object")
-        accepted = 0
+        # an empty cache that takes every entry holds just what the file holds
+        self.changed = len(self) > 0
+        parsed = 0
         for key, entry in certificates.items():
             try:
                 problem = SearchProblem.from_key(key)
-                cert = Certificate.from_json(entry)
-            except (ValueError, KeyError, TypeError, OverflowError):
+            except ValueError:
+                self.changed = True
                 continue
-            if not verify_certificate(problem, cert):
-                continue
-            with self._lock:
-                self._entries[problem.key] = SearchOutcome("found", cert, cert.nodes, 0.0)
-            accepted += 1
-        return accepted
+            self._entries.pop(problem.key, None)
+            self._unverified[problem.key] = entry
+            parsed += 1
+        return parsed
 
 
 _shared_cache = EmbeddingCache()
@@ -476,6 +499,23 @@ def find_ribbon_embedding(
     """Embedding of the second chain into Z^N (N = total rank) whose orthogonal
     complement realizes the first chain exactly."""
     return find_embedding(ribbon_problem(lambda1, lambda2), budget, cache)
+
+
+def two_sided_embeddings(
+    l1: LensSpace,
+    l2: LensSpace,
+    budget: SearchBudget | None = None,
+    cache: EmbeddingCache | None = None,
+) -> tuple[SearchOutcome, SearchOutcome]:
+    """The lattice condition for a ribbon cobordism from the lens space l1 to
+    l2, in both orientations: the ribbon embedding of l2's chain whose
+    complement is -l1's chain, for (l1, l2) and then for (-l1, -l2).  A
+    reversed ribbon cobordism is ribbon, so a ribbon cobordism needs both
+    found."""
+    return tuple(
+        find_ribbon_embedding(a.reverse().cf(), b.cf(), budget, cache)
+        for a, b in ((l1, l2), (l1.reverse(), l2.reverse()))
+    )
 
 
 @dataclass(frozen=True)

@@ -147,19 +147,15 @@ def check_family_converse() -> tuple[bool, str]:
 
 
 def check_oracle_classifier_agreement(max_p: int = 12) -> tuple[bool, str]:
-    # a reversed ribbon cobordism is ribbon, so the lattice condition must hold
-    # for (l1, l2) and for (-l1, -l2): the classifier says yes exactly when
-    # both embeddings exist
+    # the classifier says yes exactly when both embeddings of the two-sided
+    # lattice condition exist
     spaces = all_lens_spaces(max_p)
     pairs = 0
     yes_pairs = 0
     for l1 in spaces:
         for l2 in spaces:
             verdict = ribbon_leq_lens(l1, l2)
-            outcomes = [
-                search.find_ribbon_embedding(a.reverse().cf(), b.cf())
-                for a, b in ((l1, l2), (l1.reverse(), l2.reverse()))
-            ]
+            outcomes = search.two_sided_embeddings(l1, l2)
             if verdict.answer == "inconclusive" or any(o.status == "inconclusive" for o in outcomes):
                 return False, f"inconclusive at ({l1}, {l2}); budgets are undersized"
             if verdict.yes != all(o.found for o in outcomes):

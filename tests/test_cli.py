@@ -412,6 +412,71 @@ class TestCacheFile:
         assert run_cli("--cache", str(path), "embed", "--summands", "2,2,2")[0] == cli.EXIT_SOFTWARE
         assert not path.exists()
 
+    WARM_QUERIES = (
+        ("in-r", "4/3"),
+        ("in-r", "16/7"),
+        ("ribbon", "2/1", "8/5"),
+        ("ribbon-sum", "", "7/4,7/3"),
+        ("embed", "--summands", "2,5"),
+    )
+
+    def warm_cache_file(self, path):
+        for query in self.WARM_QUERIES:
+            assert run_cli("--cache", str(path), *query)[0] == 0
+        assert len(json.loads(path.read_text())["certificates"]) > 4
+
+    def test_warm_session_verifies_only_what_it_uses(self, tmp_path, monkeypatch):
+        # a certificate is verified on its first use, not when the file loads:
+        # one verification per cache hit and per certificate found by a search
+        path = tmp_path / "cache.json"
+        self.warm_cache_file(path)
+        counts = {"verify": 0, "hits": 0, "found": 0}
+        verify, get, run_problem = search.verify_certificate, search.EmbeddingCache.get, search._run_problem
+
+        def counted_verify(problem, cert):
+            counts["verify"] += 1
+            return verify(problem, cert)
+
+        def counted_get(cache, problem):
+            hit = get(cache, problem)
+            counts["hits"] += hit is not None
+            return hit
+
+        def counted_run(problem, budget):
+            outcome = run_problem(problem, budget)
+            counts["found"] += outcome.found
+            return outcome
+
+        monkeypatch.setattr(search, "verify_certificate", counted_verify)
+        monkeypatch.setattr(search.EmbeddingCache, "get", counted_get)
+        monkeypatch.setattr(search, "_run_problem", counted_run)
+        for query in (("in-r", "4/3"), ("in-r", "25/7")):
+            counts.update(verify=0, hits=0, found=0)
+            assert run_cli("--cache", str(path), *query)[0] in (0, 1)
+            assert counts["hits"] + counts["found"] > 0
+            assert counts["verify"] <= counts["hits"] + counts["found"], (query, counts)
+
+    def test_session_of_hits_leaves_the_file_alone(self, tmp_path):
+        path = tmp_path / "cache.json"
+        self.warm_cache_file(path)
+        before = path.read_bytes()
+        # a rewrite would stamp the current time, so start from a past one
+        os.utime(path, ns=(10**18, 10**18))
+        for query in self.WARM_QUERIES:
+            clean = run_cli(*query)
+            assert run_cli("--cache", str(path), *query) == clean
+        assert path.read_bytes() == before
+        assert path.stat().st_mtime_ns == 10**18
+
+        # a search that finds something new is saved
+        assert run_cli("--cache", str(path), "in-r", "64/15")[0] == 0
+        assert path.stat().st_mtime_ns != 10**18
+        assert len(json.loads(path.read_text())["certificates"]) > len(json.loads(before)["certificates"])
+
+        # a cache that loaded no file writes on every save
+        search.EmbeddingCache().save(path)
+        assert json.loads(path.read_text())["certificates"] == {}
+
     def test_unwritable_cache_file_costs_a_warning(self, tmp_path):
         clean = run_cli("ribbon", "2/1", "8/5")
         path = tmp_path / "dir"
@@ -472,6 +537,29 @@ class TestSurveyScriptCache:
             )
         assert done.returncode == 0
         assert "ordered pairs" in done.stdout
+
+
+class TestSurveyScriptOutput:
+    @pytest.mark.parametrize("buffered", [True, False])
+    def test_closed_pipe(self, buffered, tmp_path):
+        # as the CLI: exit 74 and one "output error" line, no traceback; the
+        # cache session still saves
+        path = tmp_path / "cache.json"
+        env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+        if not buffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            done = subprocess.run(
+                [sys.executable, str(SURVEY), "3", "--cache", str(path)],
+                stdout=write_end, stderr=subprocess.PIPE, text=True, env=env, timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert done.returncode == cli.EXIT_IOERR
+        assert done.stderr.startswith("output error:") and done.stderr.count("\n") == 1
+        assert json.loads(path.read_text())["schema"] == search.CACHE_SCHEMA
 
 
 class TestInternalErrors:

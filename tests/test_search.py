@@ -23,6 +23,7 @@ from ribbonlens.search import (
     plain_problem,
     r_membership,
     ribbon_problem,
+    two_sided_embeddings,
     verify_certificate,
 )
 
@@ -586,8 +587,7 @@ class TestNecessityChain:
         for l1 in spaces:
             for l2 in spaces:
                 verdict = ribbon_leq_lens(l1, l2, cache=cache)
-                forward = find_ribbon_embedding(l1.reverse().cf(), l2.cf(), cache=cache)
-                backward = find_ribbon_embedding(l1.cf(), l2.reverse().cf(), cache=cache)
+                forward, backward = two_sided_embeddings(l1, l2, cache=cache)
                 assert "inconclusive" not in (verdict.answer, forward.status, backward.status)
                 assert verdict.yes == (forward.found and backward.found), (str(l1), str(l2))
                 yes_pairs += verdict.yes
@@ -666,17 +666,85 @@ class TestCache:
         )
         assert len(cache) == 0
 
-    def test_corrupt_certificates_are_dropped(self, tmp_path):
+    def test_corrupt_certificates_are_dropped(self, tmp_path, monkeypatch):
+        # a loaded certificate is verified on its first use: the corrupt one is
+        # never returned, its problem is searched again, and the next save
+        # holds the new certificate in its place
+        cache = fresh_cache()
+        problem = plain_problem([(2, 2, 2)])
+        found = find_embedding(problem, cache=cache).certificate
+        path = tmp_path / "cache.json"
+        cache.save(path)
+        doc = json.loads(path.read_text())
+        doc["certificates"][problem.key]["groups"][0][0][0] = "5"
+        corrupt = doc["certificates"][problem.key]
+        path.write_text(json.dumps(doc))
+        reloaded = fresh_cache()
+        reloaded.load(path)
+        assert not reloaded.changed
+        assert reloaded.get(problem) is None
+        assert reloaded.changed and reloaded.get(problem) is None
+
+        searched = []
+        run_problem = search._run_problem
+
+        def counted(*args):
+            searched.append(args)
+            return run_problem(*args)
+
+        monkeypatch.setattr(search, "_run_problem", counted)
+        outcome = find_embedding(problem, cache=reloaded)
+        assert len(searched) == 1
+        assert outcome.found and verify_certificate(problem, outcome.certificate)
+        assert outcome.certificate == found
+
+        reloaded.save(path)
+        saved = json.loads(path.read_text())["certificates"]
+        assert saved == {problem.key: found.to_json()} and saved[problem.key] != corrupt
+
+    def test_save_keeps_unused_entries_as_loaded(self, tmp_path):
+        # an entry no one asked for is written back unverified and unchanged,
+        # even one that would fail verification on first use
+        cache = fresh_cache()
+        used, unused = plain_problem([(2, 2, 2)]), plain_problem([(4,)])
+        for problem in (used, unused):
+            find_embedding(problem, cache=cache)
+        path = tmp_path / "cache.json"
+        cache.save(path)
+        doc = json.loads(path.read_text())
+        doc["certificates"][unused.key]["groups"] = [[["3"]]]
+        path.write_text(json.dumps(doc))
+
+        reloaded = fresh_cache()
+        assert reloaded.load(path) == len(reloaded) == 2
+        assert reloaded.get(used).found
+        find_embedding(plain_problem([(5,)]), cache=reloaded)  # absent: not written
+        find_embedding(plain_problem([(2, 5)]), cache=reloaded)
+        assert reloaded.changed
+        reloaded.save(path)
+        saved = json.loads(path.read_text())["certificates"]
+        assert sorted(saved) == sorted([used.key, unused.key, "plain|2,5"])
+        assert saved[unused.key] == doc["certificates"][unused.key]
+
+    def test_load_leaves_the_cache_unchanged_only_if_it_holds_the_file(self, tmp_path):
         cache = fresh_cache()
         problem = plain_problem([(2, 2, 2)])
         find_embedding(problem, cache=cache)
         path = tmp_path / "cache.json"
         cache.save(path)
+        fresh = fresh_cache()
+        assert fresh.load(path) == 1 and not fresh.changed
+        # a cache with entries of its own holds more than the file
+        other = fresh_cache()
+        find_embedding(plain_problem([(4,)]), cache=other)
+        other.load(path)
+        assert other.changed
+        # an entry skipped on load must be dropped by the session's save
         doc = json.loads(path.read_text())
-        doc["certificates"][problem.key]["groups"][0][0][0] = "5"
+        doc["certificates"]["banana|2,2,2"] = doc["certificates"][problem.key]
         path.write_text(json.dumps(doc))
         reloaded = fresh_cache()
-        assert reloaded.load(path) == 0
+        assert reloaded.load(path) == 1 and reloaded.changed
 
     def test_stale_engine_version_is_ignored(self, tmp_path):
         cache = fresh_cache()
