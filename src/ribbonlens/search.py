@@ -402,11 +402,9 @@ class EmbeddingCache:
     def put(self, problem: SearchProblem, outcome: SearchOutcome) -> None:
         if outcome.status == "inconclusive":
             return
-        key = problem.key
-        if outcome.found or key in self._unverified:
+        if outcome.found:
             self.changed = True
-        self._unverified.pop(key, None)
-        self._entries[key] = outcome
+        self._entries[problem.key] = outcome
 
     def save(self, path) -> None:
         """Write the verified certificates and the unverified entries as loaded."""
@@ -504,7 +502,6 @@ def find_ribbon_embedding(
 def two_sided_embeddings(
     l1: LensSpace,
     l2: LensSpace,
-    budget: SearchBudget | None = None,
     cache: EmbeddingCache | None = None,
 ) -> tuple[SearchOutcome, SearchOutcome]:
     """The lattice condition for a ribbon cobordism from the lens space l1 to
@@ -513,7 +510,7 @@ def two_sided_embeddings(
     reversed ribbon cobordism is ribbon, so a ribbon cobordism needs both
     found."""
     return tuple(
-        find_ribbon_embedding(a.reverse().cf(), b.cf(), budget, cache)
+        find_ribbon_embedding(a.reverse().cf(), b.cf(), cache=cache)
         for a, b in ((l1, l2), (l1.reverse(), l2.reverse()))
     )
 
