@@ -182,17 +182,20 @@ def ribbon_leq_sum(
 
     Every left summand must pair with a distinct right summand (T1/T2); the
     leftover right summands split into rational-ball singletons (T3) and
-    two-summand shapes (T4-T7).  Backtracking with memoization on the
-    remaining multisets; an inconclusive oracle poisons only the branches
-    that need it, and a spent budget (one node per subproblem, one clock for
-    the whole call) makes the answer inconclusive, never "no".
+    two-summand shapes (T4-T7).  Each piece leaves a smaller subproblem, so a
+    decomposition is a path from (y1, y2) to the empty pair, and a
+    depth-first search enters each subproblem at most once.  The answer is
+    yes when the empty pair is entered, with the path's pieces as witness;
+    otherwise inconclusive when some piece had no subproblem because the
+    oracle could not tell; otherwise no.  A spent budget (one node per
+    subproblem entered, one clock for the whole call) is inconclusive, never
+    "no".
     """
     if not square_ratio_check(y1.summands, y2.summands):
         return Verdict(NO, obstruction="square-ratio")
     budget = budget if budget is not None else search.SearchBudget.from_env()
     deadline = time.monotonic() + budget.max_seconds
 
-    memo: dict[tuple, tuple[str, tuple[PairType, ...] | None]] = {}
     calls: dict[str, str] = {}  # oracle outcome per fraction, in first-use order
 
     def pieces(rem1: tuple[LensSpace, ...], rem2: tuple[LensSpace, ...]):
@@ -220,48 +223,33 @@ def ribbon_leq_sum(
             if witness:
                 yield witness, (rest1, others[:idx] + others[idx + 1 :])
 
-    def solve(rem1: tuple[LensSpace, ...], rem2: tuple[LensSpace, ...]):
-        """Decide one subproblem: yields each smaller (rem1, rem2) it needs and
-        is sent back its (answer, witness).  The first yes wins; "no" only
-        when the pieces run out and none was inconclusive."""
-        if not rem1 and not rem2:
-            return YES, ()
-        answer = NO
-        for witness, sub in pieces(rem1, rem2):
-            got, rest = (yield sub) if sub is not None else (INCONCLUSIVE, None)
-            if got == YES:
-                return YES, witness + rest
-            if got == INCONCLUSIVE:
-                answer = INCONCLUSIVE
-        return answer, None
-
-    # one frame per subproblem in progress, on an explicit stack so that long
-    # sums cannot hit the recursion limit; result is None while sub waits for
-    # a frame (a memoized one needs none), and each frame costs one node
-    stack: list = []
-    sub, result, nodes = (y1.summands, y2.summands), None, 0
-    while result is None or stack:
-        if result is None:
-            nodes += 1
-            if nodes > budget.max_nodes or time.monotonic() > deadline:
-                break
-            stack.append((sub, solve(*sub)))
-        key, frame = stack[-1]
-        try:
-            sub = frame.send(result)
-        except StopIteration as stop:
-            result = memo[key] = stop.value
+    # the path so far, one (piece witness, pieces left) per subproblem on it,
+    # under a first entry that yields the whole problem; a subproblem already
+    # seen was left without reaching the empty pair, so it is not entered
+    # again, and each one entered costs one node
+    stack: list = [((), iter([((), (y1.summands, y2.summands))]))]
+    seen: set[tuple] = set()
+    undecided = False
+    while stack:
+        step = next(stack[-1][1], None)
+        if step is None:
             stack.pop()
             continue
-        result = memo.get(sub)
+        witness, sub = step
+        undecided |= sub is None
+        if sub is None or sub in seen:
+            continue
+        if len(seen) >= budget.max_nodes or time.monotonic() > deadline:
+            trace = tuple(calls.items())
+            return Verdict(INCONCLUSIVE, obstruction="decomposition-budget", oracle_trace=trace)
+        if sub == ((), ()):
+            path = tuple(piece for done, _ in stack for piece in done)
+            return Verdict(YES, path + witness, oracle_trace=tuple(calls.items()))
+        seen.add(sub)
+        stack.append((witness, pieces(*sub)))
 
     trace = tuple(calls.items())
-    if result is None:
-        return Verdict(INCONCLUSIVE, obstruction="decomposition-budget", oracle_trace=trace)
-    answer, witness = result
-    if answer == YES:
-        return Verdict(YES, witness, oracle_trace=trace)
-    if answer == INCONCLUSIVE:
+    if undecided:
         return Verdict(INCONCLUSIVE, obstruction="oracle-budget", oracle_trace=trace)
     return Verdict(NO, obstruction="no-decomposition", oracle_trace=trace)
 

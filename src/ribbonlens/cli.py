@@ -96,11 +96,11 @@ def parse_fraction(token: str) -> Fraction:
 def parse_lens(token: str) -> LensSpace:
     """p/q with an optional leading '-' meaning orientation reversal."""
     raw = token.strip()
-    if raw in ("S3", "s3"):
-        return LensSpace(1, 0)
     reverse = raw.startswith("-")
     if reverse:
         raw = raw[1:]
+    if raw in ("S3", "s3"):  # S3 is its own reverse
+        return LensSpace(1, 0)
     f = parse_fraction(raw)
     if f < 1:
         raise UsageError(f"lens fraction must satisfy p >= q >= 0: {token!r}")
@@ -125,7 +125,7 @@ def parse_links(token: str) -> tuple[TwoBridgeLink, ...]:
     links = []
     for part in raw.split(","):
         part = part.strip()
-        if part in ("U", "u"):
+        if part.removeprefix("-") in ("U", "u"):  # U is its own mirror
             links.append(TwoBridgeLink(1, 0))
             continue
         lens = parse_lens(part)

@@ -201,11 +201,11 @@ class TestRibbonLeqSum:
         limit = sys.getrecursionlimit()
         sys.setrecursionlimit(depth + 60)
         try:
-            verdict = ribbon_leq_sum(_sum(), _sum(*[(4, 1)] * 300), cache=CACHE)
+            verdict = ribbon_leq_sum(_sum(), _sum(*[(4, 1)] * 1200), cache=CACHE)
         finally:
             sys.setrecursionlimit(limit)
         assert verdict.yes
-        assert [p.tag for p in verdict.witness] == ["T3"] * 300
+        assert [p.tag for p in verdict.witness] == ["T3"] * 1200
         assert verdict.oracle_trace == (("4", "member"),)
 
     def test_reflexivity_on_small_sums(self):
@@ -402,6 +402,15 @@ class TestDecompositionBudget:
 
     def test_node_budget(self):
         verdict = ribbon_leq_sum(_sum(), _sum(*F2_18), SearchBudget(max_nodes=50), cache=CACHE)
+        assert (verdict.answer, verdict.obstruction) == ("inconclusive", "decomposition-budget")
+
+    def test_one_node_per_subproblem_entered(self):
+        # warm the cache first, so that the oracle searches spend no nodes
+        # of the small budgets below
+        assert ribbon_leq_sum(_sum(), _sum(*F2_18), cache=CACHE).answer == "no"
+        verdict = ribbon_leq_sum(_sum(), _sum(*F2_18), SearchBudget(max_nodes=1597), cache=CACHE)
+        assert (verdict.answer, verdict.obstruction) == ("no", "no-decomposition")
+        verdict = ribbon_leq_sum(_sum(), _sum(*F2_18), SearchBudget(max_nodes=1596), cache=CACHE)
         assert (verdict.answer, verdict.obstruction) == ("inconclusive", "decomposition-budget")
 
     def test_oracle_gets_the_budget(self):

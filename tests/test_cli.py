@@ -2,6 +2,8 @@ import io
 import json
 import os
 import pathlib
+import re
+import shlex
 import subprocess
 import sys
 
@@ -217,6 +219,41 @@ class TestParsing:
         assert len(links) == 1 and links[0].is_unknot
         links = cli.parse_links("8/3,-7/3")
         assert [(k.p, k.q) for k in links] == [(8, 3), (7, 4)]
+
+    @pytest.mark.parametrize(
+        "command, sphere, other",
+        [
+            ("ribbon", "S3", "2/1"),
+            ("ribbon", "S3", "-S3"),
+            ("ribbon-sum", "S3", "7/4,7/3"),
+            ("bridge", "U", "2/1"),
+            ("bridge", "U", "7/4,7/3"),
+            ("bridge", "U", "-U"),
+        ],
+    )
+    def test_reversed_sphere_and_mirrored_unknot(self, command, sphere, other):
+        # the reverse of S3 is S3 and the mirror of U is U
+        for argv in ((sphere, other), (other, sphere)):
+            want = run_cli(command, "--", *argv)
+            assert want[0] in (0, 1) and want[1]
+            flipped = ["-" + token if token == sphere else token for token in argv]
+            assert run_cli(command, "--", *flipped) == want, flipped
+
+
+README = SRC.parent / "README.md"
+# a "$ ribbonlens ..." line of README and the lines printed below it, up to a
+# blank line or the end of the code block
+README_EXAMPLE = re.compile(r"^\$ ribbonlens (.*)\n((?:(?!```).+\n)*)", re.MULTILINE)
+
+
+def test_readme_examples(monkeypatch):
+    for name in ("RIBBONLENS_CACHE", "RIBBONLENS_MAX_NODES", "RIBBONLENS_MAX_SECONDS"):
+        monkeypatch.delenv(name, raising=False)
+    examples = README_EXAMPLE.findall(README.read_text())
+    assert len(examples) == 3
+    for argv, printed in examples:
+        _, out, _ = run_cli(*shlex.split(argv))
+        assert out.splitlines() == printed.splitlines(), argv
 
 
 class TestStructuredOutput:
