@@ -8,6 +8,7 @@ from .arith import (
     LensSpace,
     cf_evaluate,
     cf_expand,
+    d_invariant,
     fn_membership,
     h1_order,
     lens_homeomorphic,

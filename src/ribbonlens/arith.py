@@ -8,8 +8,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt
-from typing import Iterable, NamedTuple
+from math import gcd, isqrt, prod
+from typing import Callable, Iterable, NamedTuple
 
 # A negative continued fraction string [a1,...,an]^- with every term >= 2.
 # The empty tuple is the rank-0 string (the value attached to S^3).
@@ -195,3 +195,59 @@ def square_ratio_check(y1: Iterable[LensSpace], y2: Iterable[LensSpace]) -> bool
     n1 = h1_order(y1)
     n2 = h1_order(y2)
     return n2 % n1 == 0 and is_perfect_square(n2 // n1)
+
+
+def _d_levels(p: int, q: int) -> tuple[tuple[tuple[int, int, int], ...], int]:
+    """The levels (p_k, q_k) of Euclid's algorithm from L(p, q) down to L(1, 0),
+    each with w_k = D / (p_k * q_k) for the common denominator D = p_0 p_1 ...:
+    q_k is p_(k+1), or 1 at the last level."""
+    pairs = []
+    while q:
+        pairs.append((p, q))
+        p, q = q, p % q
+    denominator = prod(pk for pk, _ in pairs)
+    return tuple((pk, qk, denominator // (pk * qk)) for pk, qk in pairs), denominator
+
+
+def _d_numerator(levels, i: int) -> int:
+    """4 * D * d(L(p, q), i) for the levels and D of :func:`_d_levels`."""
+    total, sign = 0, 1
+    for pk, qk, weight in levels:
+        s = 2 * i + 1 - pk - qk
+        total += sign * weight * (s * s - pk * qk)
+        sign = -sign
+        i %= qk
+    return total
+
+
+def d_invariant(p: int, q: int, i: int) -> Fraction:
+    """The d-invariant of L(p, q) in the spin^c structure labelled 0 <= i < p.
+
+    The recursion of Ozsvath-Szabo (Absolutely graded Floer homologies,
+    Prop. 4.8), d(L(p, q), i) = -1/4 + (2i+1-p-q)**2 / (4pq) - d(L(q, r), j)
+    with r = p mod q and j = i mod q, runs along Euclid's algorithm to
+    d(L(1, 0), 0) = 0; its terms are summed in integers over one denominator.
+    """
+    levels, denominator = _d_levels(p, q)
+    return Fraction(_d_numerator(levels, i), 4 * denominator)
+
+
+def d_obstruction(p: int, q: int, expired: Callable[[], bool]) -> bool | None:
+    """Do the d-invariants show that L(p, q), p = m**2, bounds no rational
+    homology ball?  None when ``expired()``, asked before each d, says so first.
+
+    The spin^c structures that extend over a ball form a coset i0 + m*Z of
+    the labels, and d vanishes on each of them (Ozsvath-Szabo, ibid.,
+    Prop. 9.9); so when no coset has d = 0 throughout, L(p, q) bounds no ball.
+    """
+    m = isqrt(p)
+    levels, _ = _d_levels(p, q)
+    for i0 in range(m):
+        for i in range(i0, p, m):
+            if expired():
+                return None
+            if _d_numerator(levels, i):
+                break
+        else:
+            return False
+    return True

@@ -197,6 +197,7 @@ def ribbon_leq_sum(
     deadline = time.monotonic() + budget.max_seconds
 
     calls: dict[str, str] = {}  # oracle outcome per fraction, in first-use order
+    shapes: dict[tuple[LensSpace, LensSpace], tuple[PairType, ...]] = {}  # T4-T7 per pair
 
     def pieces(rem1: tuple[LensSpace, ...], rem2: tuple[LensSpace, ...]):
         """Each first piece of a decomposition, in search order: its witness
@@ -219,7 +220,9 @@ def ribbon_leq_sum(
                 option = _first_pair_option(rem1[0], c)
                 witness = (option,) if option is not None else ()
             else:
-                witness = two_summand_ball(b, c).witness
+                if (b, c) not in shapes:
+                    shapes[b, c] = two_summand_ball(b, c).witness
+                witness = shapes[b, c]
             if witness:
                 yield witness, (rest1, others[:idx] + others[idx + 1 :])
 

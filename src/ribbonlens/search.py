@@ -22,7 +22,15 @@ from fractions import Fraction
 from itertools import accumulate
 from math import isqrt, prod
 
-from .arith import CF, LensSpace, cf_expand, cf_length, continuant, is_perfect_square
+from .arith import (
+    CF,
+    LensSpace,
+    cf_expand,
+    cf_length,
+    continuant,
+    d_obstruction,
+    is_perfect_square,
+)
 from .lattice import GramLattice, Vector, chain_basis_for, det, dot, integer_kernel
 
 ENGINE_VERSION = "3"
@@ -533,7 +541,10 @@ def r_membership(
     """Does the lens space of this fraction bound a rational homology ball?
 
     Operational criterion: the order must be a perfect square, and the chains
-    of both p/q and p/(p-q) must admit full-rank embeddings.  Exhaustion makes
+    of both p/q and p/(p-q) must admit full-rank embeddings.  The d-invariant
+    coset test runs before the searches: a necessary condition, so an
+    obstruction is a proof of "non-member", and a fraction that passes, or
+    whose test outlasts the budget's clock, is searched.  Exhaustion makes
     "non-member" a proof; budget exhaustion surfaces as "inconclusive".
     """
     f = Fraction(f)
@@ -545,6 +556,9 @@ def r_membership(
     if not is_perfect_square(p):
         return RMembershipResult(f, "non-member", f"order {p} is not a perfect square")
     budget = budget if budget is not None else SearchBudget.from_env()
+    deadline = time.monotonic() + budget.max_seconds
+    if d_obstruction(p, q, lambda: time.monotonic() > deadline):
+        return RMembershipResult(f, "non-member", "d-invariant obstruction")
     searches = []
     statuses = []
     for g in (Fraction(p, q), Fraction(p, p - q)):

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from math import gcd
 
@@ -12,6 +13,8 @@ from ribbonlens.arith import (
     cf_expand,
     cf_length,
     continuant,
+    d_invariant,
+    d_obstruction,
     fn_membership,
     h1_order,
     is_perfect_square,
@@ -204,3 +207,73 @@ class TestHomologyOrder:
         squares = {n * n for n in range(40)}
         for n in range(1500):
             assert is_perfect_square(n) == (n in squares)
+
+
+def d_invariant_by_fractions(p, q, i):
+    """Reference: the recursion of Ozsvath-Szabo in Fractions, as stated."""
+    if p == 1:
+        return Fraction(0)
+    return (
+        Fraction(-1, 4)
+        + Fraction((2 * i + 1 - p - q) ** 2, 4 * p * q)
+        - d_invariant_by_fractions(q, p % q, i % q)
+    )
+
+
+class TestDInvariants:
+    def test_matches_the_fraction_recursion(self):
+        for p in range(2, 50):
+            for q in range(1, p):
+                if gcd(p, q) == 1:
+                    for i in range(p):
+                        assert d_invariant(p, q, i) == d_invariant_by_fractions(p, q, i), (p, q, i)
+
+    def test_matches_the_fraction_recursion_on_huge_orders(self):
+        rng = random.Random(19)
+        for _ in range(300):
+            p = rng.randrange(2, 10**rng.choice((6, 18, 40)))
+            q = rng.randrange(1, p)
+            if gcd(p, q) == 1:
+                i = rng.randrange(p)
+                assert d_invariant(p, q, i) == d_invariant_by_fractions(p, q, i), (p, q, i)
+
+    def test_lens_space_p_1(self):
+        # d(L(p, 1), i) = ((2i - p)**2 - p) / 4p
+        for p in range(2, 30):
+            for i in range(p):
+                assert d_invariant(p, 1, i) == Fraction((2 * i - p) ** 2 - p, 4 * p)
+
+    def test_values_are_invariants(self):
+        # the multiset of values is that of the homeomorphic L(p, q^-1), and
+        # reversing the orientation negates it
+        for p in range(2, 40):
+            for q in range(1, p):
+                if gcd(p, q) == 1:
+                    values = sorted(d_invariant(p, q, i) for i in range(p))
+                    assert values == sorted(d_invariant(p, pow(q, -1, p), i) for i in range(p))
+                    assert values == sorted(-d_invariant(p, p - q, i) for i in range(p))
+                    # 4p * d is an integer
+                    assert all((4 * p * v).denominator == 1 for v in values)
+
+    def test_coset_test_examples(self):
+        # L(4, 1) bounds a ball: d vanishes at 1 and 3; L(9, 1) does not
+        assert d_obstruction(4, 1, lambda: False) is False
+        assert d_obstruction(9, 1, lambda: False) is True
+        assert d_obstruction(9, 8, lambda: False) is True
+        assert d_obstruction(9, 2, lambda: False) is False
+
+    def test_coset_test_against_the_fraction_recursion(self):
+        for m in range(2, 12):
+            p = m * m
+            for q in range(1, p):
+                if gcd(p, q) == 1:
+                    want = not any(
+                        all(d_invariant_by_fractions(p, q, i0 + m * k) == 0 for k in range(m))
+                        for i0 in range(m)
+                    )
+                    assert d_obstruction(p, q, lambda: False) is want, (p, q)
+
+    def test_expired_clock_answers_none(self):
+        asked = []
+        assert d_obstruction(10**18, 10**9 + 1, lambda: asked.append(1) or len(asked) > 5) is None
+        assert len(asked) == 6

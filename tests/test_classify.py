@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from ribbonlens.arith import FnWitness, LensSpace, fn_membership, lens_homeomorphic, lens_normalize, square_ratio_check
-from ribbonlens import search
+from ribbonlens import classify, search
 from ribbonlens.classify import (
     ConnectedSum,
     PairType,
@@ -424,6 +424,20 @@ class TestDecompositionBudget:
         assert (verdict.answer, verdict.obstruction) == ("no", "no-decomposition")
         want = ribbon_leq_sum_three_loops(_sum(), _sum(*F2_18), cache=CACHE)
         assert verdict_to_json(verdict) == verdict_to_json(want)
+
+    def test_two_summand_ball_is_asked_once_per_pair(self, monkeypatch):
+        # the subproblems that share a first right summand ask the same
+        # two-summand questions; one call asks each pair once
+        asked = []
+        real = classify.two_summand_ball
+        monkeypatch.setattr(classify, "two_summand_ball", lambda a, b: asked.append((a, b)) or real(a, b))
+        verdict = ribbon_leq_sum(_sum(), _sum(*F2_18), cache=CACHE)
+        assert (verdict.answer, verdict.obstruction) == ("no", "no-decomposition")
+        assert len(asked) == len(set(asked)) == 151
+        asked.clear()
+        verdict = ribbon_leq_sum(_sum(), _sum((7, 4), (7, 3), (8, 5), (2, 1)), cache=CACHE)
+        assert verdict.yes
+        assert len(asked) == len(set(asked)) > 0
 
     def test_clock(self):
         start = time.monotonic()

@@ -11,7 +11,7 @@ from math import gcd, isqrt
 import pytest
 
 from ribbonlens import search
-from ribbonlens.arith import cf_expand
+from ribbonlens.arith import cf_expand, d_obstruction
 from ribbonlens.search import (
     ENGINE_VERSION,
     Certificate,
@@ -367,6 +367,8 @@ class TestIncrementalPruning:
     BUDGETS = (SearchBudget(max_seconds=600), SearchBudget(max_nodes=50, max_seconds=600))
 
     def test_oracle_searches_match_full_scan(self, monkeypatch):
+        # both orientations of each fraction, searched directly: the
+        # d-invariant test in r_membership would skip most absent ones
         frames = checked_against_references(monkeypatch)
         orders = (49, 64, 81, 100, 121)
         fractions = [Fraction(p, q) for p in orders for q in range(1, (p + 1) // 2) if gcd(p, q) == 1]
@@ -374,8 +376,10 @@ class TestIncrementalPruning:
         for budget in self.BUDGETS:
             nodes = {"found": 0, "absent": 0, "inconclusive": 0}
             for f in fractions:
-                result = r_membership(f, budget, cache=fresh_cache())
-                for _, outcome in result.searches:
+                p, q = f.numerator, f.denominator
+                for g in (f, Fraction(p, p - q)):
+                    problem = plain_problem((cf_expand(g),))
+                    outcome = find_embedding(problem, budget, cache=fresh_cache())
                     nodes[outcome.status] += outcome.nodes
             if budget.max_nodes == SearchBudget.max_nodes:
                 # engine version 2 filled each vector's fresh coordinates
@@ -448,16 +452,22 @@ class TestTimeBudget:
         assert len(leaves) == 1
 
     def test_chain_longer_than_node_budget_is_not_expanded(self, monkeypatch):
+        # the chains of m**2/(m-1), a member for every m, have m - 1 and
+        # m + 1 terms, and its d-invariant test passes; so m = 10**4 puts
+        # the second one just above the node budget
+        budget = SearchBudget(max_nodes=10**4, max_seconds=0.5)
+        f = Fraction(10**8, 10**4 - 1)
+        assert d_obstruction(f.numerator, f.denominator, lambda: False) is False
         expanded = []
         expand = search.cf_expand
         monkeypatch.setattr(search, "cf_expand", lambda f: expanded.append(f) or expand(f))
-        result = r_membership(Fraction(10**10, 3), self.BUDGET, cache=fresh_cache())
+        result = r_membership(f, budget, cache=fresh_cache())
         assert result.outcome == "inconclusive"
         (_, short), (_, long) = result.searches
         assert (short.status, long.status) == ("inconclusive", "inconclusive")
         assert short.seconds < 2.5
-        assert long.nodes == 10**6 + 1
-        assert expanded == [Fraction(10**10, 3)]
+        assert long.nodes == budget.max_nodes + 1
+        assert expanded == [f]
 
 
 class TestRibbonSearch:
@@ -637,6 +647,49 @@ class TestRMembership:
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
             r_membership(Fraction(3, 4), cache=fresh_cache())
+
+
+class TestDInvariantTest:
+    def test_passes_exactly_when_both_orientations_embed(self):
+        # the searches run directly, not through r_membership, so the
+        # engine and the d-invariant test check each other
+        cache = fresh_cache()
+        fractions = members = 0
+        for m in range(2, 14):
+            p = m * m
+            for q in range(1, p):
+                if gcd(p, q) != 1:
+                    continue
+                problems = [plain_problem((cf_expand(g),)) for g in (Fraction(p, q), Fraction(p, p - q))]
+                embeds = all(find_embedding(problem, cache=cache).found for problem in problems)
+                assert (d_obstruction(p, q, lambda: False) is False) == embeds, (p, q)
+                fractions += 1
+                members += embeds
+        assert (fractions, members) == (530, 174)
+
+    def test_obstruction_is_a_non_member_without_search(self, monkeypatch):
+        monkeypatch.setattr(search, "find_embedding", None)
+        result = r_membership(Fraction(9, 8), cache=fresh_cache())
+        assert (result.outcome, result.reason, result.searches) == (
+            "non-member",
+            "d-invariant obstruction",
+            (),
+        )
+
+    def test_members_are_still_searched(self):
+        result = r_membership(Fraction(9, 2), cache=fresh_cache())
+        assert result.outcome == "member"
+        assert [outcome.status for _, outcome in result.searches] == ["found", "found"]
+
+    def test_clock_bounds_the_coset_loop(self):
+        # m**2/(mk+1) with m = 10**9 bounds a ball, so one coset of 10**9
+        # labels passes; the loop, then each of the two searches, stops at
+        # the clock, and the answer is never "non-member" on a spent budget
+        m = 10**9
+        start = time.monotonic()
+        result = r_membership(Fraction(m * m, 123456789 * m + 1), SearchBudget(max_seconds=1), cache=fresh_cache())
+        assert time.monotonic() - start < 3 * 1 + 2
+        assert result.outcome in ("inconclusive", "member")
 
 
 class TestCache:
