@@ -35,14 +35,12 @@ class ConnectedSum:
     summands: tuple[LensSpace, ...]
 
     def __post_init__(self) -> None:
-        if any(lens.is_s3 for lens in self.summands):
-            raise ValueError("S^3 summands are stripped; use ConnectedSum.of")
-        if tuple(sorted(self.summands)) != self.summands:
-            raise ValueError("summands must be sorted; use ConnectedSum.of")
+        # the normal form: S^3 summands stripped, the rest sorted
+        object.__setattr__(self, "summands", tuple(sorted(lens for lens in self.summands if not lens.is_s3)))
 
     @classmethod
     def of(cls, *summands: LensSpace) -> ConnectedSum:
-        return cls(tuple(sorted(lens for lens in summands if not lens.is_s3)))
+        return cls(summands)
 
     @property
     def is_s3(self) -> bool:

@@ -113,14 +113,14 @@ def parse_lens(token: str) -> LensSpace:
 
 def parse_sum(token: str) -> ConnectedSum:
     raw = token.strip()
-    if raw in ("", "S3", "s3"):
+    if not raw:
         return ConnectedSum.of()
     return ConnectedSum.of(*(parse_lens(part) for part in raw.split(",")))
 
 
 def parse_links(token: str) -> tuple[TwoBridgeLink, ...]:
     raw = token.strip()
-    if raw in ("", "U", "u"):
+    if not raw:
         return (TwoBridgeLink(1, 0),)
     links = []
     for part in raw.split(","):
@@ -269,8 +269,8 @@ def cache_session(path: str | None, stderr):
     A cache file that cannot be read or written costs a warning on stderr,
     never the answer: the body runs against an empty cache and the save
     replaces the file, or is skipped.  A body that raises skips the save, and
-    so does a session that leaves the loaded file's entries as they were: it
-    found nothing new and dropped no entry that failed verification.
+    so does a cache that is not ``changed``: the certificates it would write
+    equal those it read from the file.
     """
     cache = search.EmbeddingCache()
     if path and os.path.exists(path):

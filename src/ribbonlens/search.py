@@ -99,18 +99,6 @@ class SearchProblem:
         mode = "plain" if self.ribbon_split is None else "ribbon"
         return mode + "|" + ";".join(",".join(str(a) for a in t) for t in self.summands)
 
-    @classmethod
-    def from_key(cls, key: str) -> SearchProblem:
-        mode, _, rest = key.partition("|")
-        summands = tuple(
-            tuple(int(a) for a in part.split(",")) if part else () for part in rest.split(";")
-        )
-        if mode == "plain":
-            return cls(summands)
-        if mode == "ribbon":
-            return cls(summands, 1)
-        raise ValueError(f"unknown problem key {key!r}")
-
 
 def plain_problem(summands) -> SearchProblem:
     return SearchProblem(tuple(tuple(t) for t in summands))
@@ -381,18 +369,24 @@ class EmbeddingCache:
     engine version loads nothing.  A loaded certificate is verified when
     :meth:`get` first asks for its problem, so a session pays only for the
     entries it uses; one that fails is dropped and its problem searched again.
+    An entry whose key names no problem is never asked for and is kept as read.
     """
 
     def __init__(self) -> None:
         self._entries: dict[str, SearchOutcome] = {}
-        # certificate objects from a file, by problem key, not yet verified
+        # certificate objects from a file, by key, not yet verified
         self._unverified: dict[str, object] = {}
-        # False only while the cache holds exactly what the file it loaded
-        # holds: a cache that loaded no file has nothing in common with one
-        self.changed = True
+        # the certificates object of the file this cache loaded, as read
+        self._read: dict | None = None
 
     def __len__(self) -> int:
         return len(self._entries) + len(self._unverified)
+
+    @property
+    def changed(self) -> bool:
+        """True unless the certificates :meth:`save` would write equal those of
+        the file this cache loaded; a cache that loaded no file is changed."""
+        return self._certificates() != self._read
 
     def get(self, problem: SearchProblem) -> SearchOutcome | None:
         key = problem.key
@@ -402,25 +396,25 @@ class EmbeddingCache:
             except (ValueError, KeyError, TypeError, OverflowError):
                 cert = None
             if cert is None or not verify_certificate(problem, cert):
-                self.changed = True
                 return None
             self._entries[key] = SearchOutcome("found", cert, cert.nodes, 0.0)
         return self._entries.get(key)
 
     def put(self, problem: SearchProblem, outcome: SearchOutcome) -> None:
-        if outcome.status == "inconclusive":
-            return
-        if outcome.found:
-            self.changed = True
-        self._entries[problem.key] = outcome
+        if outcome.status != "inconclusive":
+            self._entries[problem.key] = outcome
 
-    def save(self, path) -> None:
-        """Write the verified certificates and the unverified entries as loaded."""
+    def _certificates(self) -> dict:
+        """The certificates object that :meth:`save` writes."""
         certificates = dict(self._unverified)
         certificates.update(
             (key, outcome.certificate.to_json()) for key, outcome in self._entries.items() if outcome.found
         )
-        doc = {"schema": CACHE_SCHEMA, "engine": ENGINE_VERSION, "certificates": certificates}
+        return certificates
+
+    def save(self, path) -> None:
+        """Write the verified certificates and the unverified entries as loaded."""
+        doc = {"schema": CACHE_SCHEMA, "engine": ENGINE_VERSION, "certificates": self._certificates()}
         # write beside the target and rename over it, so a run killed
         # mid-write leaves the previous file intact
         tmp = f"{path}.{os.getpid()}.tmp"
@@ -435,14 +429,13 @@ class EmbeddingCache:
             raise
 
     def load(self, path) -> int:
-        """Merge certificates from a cache file; returns how many entries have a
-        problem key that parses.  Their certificates are parsed and verified on
-        first use, so the count includes any that will fail then.
+        """Read a cache file into this fresh cache; returns how many entries the
+        file holds.  Keys and certificates are taken as read: a certificate is
+        parsed and verified on first use, so the count includes any that will
+        fail then, and any whose key names no problem.
 
         Raises OSError or ValueError when the file cannot be read as a cache
-        document; an entry whose key does not parse is skipped.  Afterwards
-        :attr:`changed` is False only if the cache was empty, the file has this
-        schema and engine, and every key parsed.
+        document.  A file of another schema or engine loads nothing.
         """
         with open(path, "r", encoding="utf-8") as handle:
             try:
@@ -452,24 +445,13 @@ class EmbeddingCache:
         if not isinstance(doc, dict):
             raise ValueError("cache document is not a JSON object")
         if doc.get("schema") != CACHE_SCHEMA or doc.get("engine") != ENGINE_VERSION:
-            self.changed = True
             return 0
         certificates = doc.get("certificates", {})
         if not isinstance(certificates, dict):
             raise ValueError("cache certificates are not a JSON object")
-        # an empty cache that takes every entry holds just what the file holds
-        self.changed = len(self) > 0
-        parsed = 0
-        for key, entry in certificates.items():
-            try:
-                problem = SearchProblem.from_key(key)
-            except ValueError:
-                self.changed = True
-                continue
-            self._entries.pop(problem.key, None)
-            self._unverified[problem.key] = entry
-            parsed += 1
-        return parsed
+        self._read = certificates
+        self._unverified.update(certificates)
+        return len(certificates)
 
 
 _shared_cache = EmbeddingCache()

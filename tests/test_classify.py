@@ -491,6 +491,6 @@ class TestConnectedSum:
         y = ConnectedSum.of(L(7, 3), L(4, 1))
         assert y.reverse() == ConnectedSum.of(L(7, 4), L(4, 3))
 
-    def test_rejects_raw_construction(self):
-        with pytest.raises(ValueError):
-            ConnectedSum((L(3, 1), L(2, 1)))
+    def test_raw_construction_equals_of(self):
+        for summands in ((L(3, 1), L(2, 1)), (L(3, 1), L(1, 0), L(2, 1)), (L(1, 0),)):
+            assert ConnectedSum(summands) == ConnectedSum.of(*summands)

@@ -202,7 +202,8 @@ class TestParsing:
         assert cli.parse_lens("5") == lens_normalize(5, 1)
 
     def test_sum_tokens(self):
-        assert cli.parse_sum("") == ConnectedSum.of()
+        for token in ("", "S3", "s3", " -S3 "):
+            assert cli.parse_sum(token) == ConnectedSum.of()
         assert cli.parse_sum("7/4,7/3").summands == (
             lens_normalize(7, 3),
             lens_normalize(7, 4),
@@ -215,8 +216,9 @@ class TestParsing:
         assert "T1 L(7,3) -> L(7,3)" in out
 
     def test_link_tokens(self):
-        links = cli.parse_links("U")
-        assert len(links) == 1 and links[0].is_unknot
+        for token in ("", "U", "u", " -U "):
+            links = cli.parse_links(token)
+            assert links == cli.parse_links("") and len(links) == 1 and links[0].is_unknot
         links = cli.parse_links("8/3,-7/3")
         assert [(k.p, k.q) for k in links] == [(8, 3), (7, 4)]
 
@@ -513,6 +515,21 @@ class TestCacheFile:
         # a cache that loaded no file writes on every save
         search.EmbeddingCache().save(path)
         assert json.loads(path.read_text())["certificates"] == {}
+
+    def test_unknown_key_does_not_cost_a_rewrite(self, tmp_path):
+        # an entry whose key names no problem is kept as read, so a session
+        # of cache hits still writes nothing
+        path = tmp_path / "cache.json"
+        argv = ("--cache", str(path), "--format", "json", "in-r", "4/3")
+        clean = run_cli(*argv)
+        doc = json.loads(path.read_text())
+        doc["certificates"]["banana|2,2,2"] = doc["certificates"]["plain|2,2,2"]
+        path.write_text(json.dumps(doc))
+        before = path.read_bytes()
+        os.utime(path, ns=(10**18, 10**18))
+        assert run_cli(*argv) == clean
+        assert path.read_bytes() == before
+        assert path.stat().st_mtime_ns == 10**18
 
     def test_unwritable_cache_file_costs_a_warning(self, tmp_path):
         clean = run_cli("ribbon", "2/1", "8/5")
