@@ -10,7 +10,6 @@ no names the obstruction; oracle-dependent branches degrade to
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, replace
 from typing import Iterable
 
@@ -186,13 +185,12 @@ def ribbon_leq_sum(
     yes when the empty pair is entered, with the path's pieces as witness;
     otherwise inconclusive when some piece had no subproblem because the
     oracle could not tell; otherwise no.  A spent budget (one node per
-    subproblem entered, one clock for the whole call) is inconclusive, never
-    "no".
+    subproblem entered, one clock for the whole call, shared with the ball
+    oracle's searches) is inconclusive, never "no".
     """
     if not square_ratio_check(y1.summands, y2.summands):
         return Verdict(NO, obstruction="square-ratio")
-    budget = budget if budget is not None else search.SearchBudget.from_env()
-    deadline = time.monotonic() + budget.max_seconds
+    budget = (budget if budget is not None else search.SearchBudget.from_env()).started()
 
     calls: dict[str, str] = {}  # oracle outcome per fraction, in first-use order
     shapes: dict[tuple[LensSpace, LensSpace], tuple[PairType, ...]] = {}  # T4-T7 per pair
@@ -240,7 +238,7 @@ def ribbon_leq_sum(
         undecided |= sub is None
         if sub is None or sub in seen:
             continue
-        if len(seen) >= budget.max_nodes or time.monotonic() > deadline:
+        if len(seen) >= budget.max_nodes or budget.expired():
             trace = tuple(calls.items())
             return Verdict(INCONCLUSIVE, obstruction="decomposition-budget", oracle_trace=trace)
         if sub == ((), ()):

@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate
 from math import isqrt, prod
@@ -43,10 +43,23 @@ class BudgetExceededError(Exception):
 
 @dataclass(frozen=True)
 class SearchBudget:
-    """Node and wall-clock caps per search problem."""
+    """A node cap per search problem and a wall-clock cap per query: each
+    public entry point starts the clock and hands the running budget down."""
 
     max_nodes: int = 10**8
     max_seconds: float = 60.0
+    deadline: float | None = field(default=None, init=False, compare=False)
+
+    def started(self) -> SearchBudget:
+        """This budget with its clock running; a running one is returned as is."""
+        if self.deadline is not None:
+            return self
+        running = SearchBudget(self.max_nodes, self.max_seconds)
+        object.__setattr__(running, "deadline", time.monotonic() + self.max_seconds)
+        return running
+
+    def expired(self) -> bool:
+        return time.monotonic() > self.deadline
 
     @classmethod
     def from_env(cls) -> SearchBudget:
@@ -154,7 +167,7 @@ class _Engine:
         self.n = len(self.flat)
         self.budget = budget
         self.nodes = 0
-        self.deadline = time.monotonic() + budget.max_seconds
+        self.deadline = budget.deadline
 
     def _tick(self) -> None:
         self.nodes += 1
@@ -467,13 +480,13 @@ def find_embedding(
 
     Exhaustive up to signed coordinate permutation: "absent" is a proof.
     Without a cache the process-wide one serves, without a budget the one
-    from the environment.
+    from the environment; its clock starts here unless it is running.
     """
     cache = cache if cache is not None else _shared_cache
     hit = cache.get(problem)
     if hit is not None:
         return hit
-    outcome = _run_problem(problem, budget if budget is not None else SearchBudget.from_env())
+    outcome = _run_problem(problem, (budget if budget is not None else SearchBudget.from_env()).started())
     cache.put(problem, outcome)
     return outcome
 
@@ -498,9 +511,10 @@ def two_sided_embeddings(
     l2, in both orientations: the ribbon embedding of l2's chain whose
     complement is -l1's chain, for (l1, l2) and then for (-l1, -l2).  A
     reversed ribbon cobordism is ribbon, so a ribbon cobordism needs both
-    found."""
+    found.  Both searches share one clock of the environment's budget."""
+    budget = SearchBudget.from_env().started()
     return tuple(
-        find_ribbon_embedding(a.reverse().cf(), b.cf(), cache=cache)
+        find_ribbon_embedding(a.reverse().cf(), b.cf(), budget, cache)
         for a, b in ((l1, l2), (l1.reverse(), l2.reverse()))
     )
 
@@ -526,8 +540,9 @@ def r_membership(
     of both p/q and p/(p-q) must admit full-rank embeddings.  The d-invariant
     coset test runs before the searches: a necessary condition, so an
     obstruction is a proof of "non-member", and a fraction that passes, or
-    whose test outlasts the budget's clock, is searched.  Exhaustion makes
-    "non-member" a proof; budget exhaustion surfaces as "inconclusive".
+    whose test outlasts the clock, is searched.  The test and both searches
+    share the query's one clock; exhaustion makes "non-member" a proof, and
+    a spent budget surfaces as "inconclusive".
     """
     f = Fraction(f)
     if f == 1:
@@ -537,9 +552,8 @@ def r_membership(
         raise ValueError(f"need p > q > 0 or the trivial fraction, got {f}")
     if not is_perfect_square(p):
         return RMembershipResult(f, "non-member", f"order {p} is not a perfect square")
-    budget = budget if budget is not None else SearchBudget.from_env()
-    deadline = time.monotonic() + budget.max_seconds
-    if d_obstruction(p, q, lambda: time.monotonic() > deadline):
+    budget = (budget if budget is not None else SearchBudget.from_env()).started()
+    if d_obstruction(p, q, budget.expired):
         return RMembershipResult(f, "non-member", "d-invariant obstruction")
     searches = []
     statuses = []

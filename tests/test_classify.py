@@ -440,10 +440,37 @@ class TestDecompositionBudget:
         assert len(asked) == len(set(asked)) > 0
 
     def test_clock(self):
+        budget = SearchBudget(max_seconds=0.2)
         start = time.monotonic()
-        verdict = ribbon_leq_sum(_sum(), _sum(*F2_22), SearchBudget(max_seconds=0.2), cache=CACHE)
-        assert time.monotonic() - start < 3
+        verdict = ribbon_leq_sum(_sum(), _sum(*F2_22), budget, cache=CACHE)
+        assert time.monotonic() - start < budget.max_seconds + 1
         assert (verdict.answer, verdict.obstruction) == ("inconclusive", "decomposition-budget")
+
+    def test_oracle_shares_the_clock(self, monkeypatch):
+        # the ball oracle's coset test and searches on 90000/301 outlast
+        # half a second; they stop at the classifier's deadline
+        budgets = []
+        real = search.r_membership
+
+        def spy(f, budget, cache):
+            budgets.append(budget)
+            return real(f, budget, cache)
+
+        monkeypatch.setattr(search, "r_membership", spy)
+        start = time.monotonic()
+        verdict = ribbon_leq_lens(L(1, 0), L(90000, 301), SearchBudget(max_seconds=0.5), cache=EmbeddingCache())
+        assert time.monotonic() - start < 1
+        assert verdict.answer == "inconclusive"
+        # the oracle is handed the classifier's budget with its clock running
+        assert len(budgets) == 1 and budgets[0].deadline is not None
+
+    def test_clock_starts_with_the_query(self):
+        # a budget built once and reused, as a benchmark does, runs its
+        # clock from each query's start, not from its construction
+        budget = SearchBudget(max_seconds=0.2)
+        time.sleep(0.3)
+        assert search.r_membership(Fraction(9, 2), budget, cache=EmbeddingCache()).outcome == "member"
+        assert ribbon_leq_lens(L(1, 0), L(9, 2), budget, cache=EmbeddingCache()).yes
 
 
 class TestBridgeLinks:

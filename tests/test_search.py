@@ -11,7 +11,7 @@ from math import gcd, isqrt
 import pytest
 
 from ribbonlens import search
-from ribbonlens.arith import cf_expand, d_obstruction
+from ribbonlens.arith import LensSpace, cf_expand, d_obstruction
 from ribbonlens.search import (
     ENGINE_VERSION,
     Certificate,
@@ -443,9 +443,30 @@ class TestTimeBudget:
         assert outcome.status == "inconclusive"
         assert outcome.seconds < 2.5
 
+    def test_clock_starts_once_per_query(self):
+        budget = SearchBudget(max_seconds=0.5)
+        assert budget.deadline is None and budget == budget.started()
+        running = budget.started()
+        assert running.started() is running and not running.expired()
+        with pytest.raises(TypeError):
+            SearchBudget(deadline=0.0)
+
+    def test_two_sided_embeddings_share_one_clock(self, monkeypatch):
+        budgets = []
+        real = search.find_ribbon_embedding
+
+        def spy(lambda1, lambda2, budget, cache):
+            budgets.append(budget)
+            return real(lambda1, lambda2, budget, cache)
+
+        monkeypatch.setattr(search, "find_ribbon_embedding", spy)
+        outcomes = two_sided_embeddings(LensSpace(2, 1), LensSpace(8, 5), cache=fresh_cache())
+        assert [outcome.status for outcome in outcomes] == ["found", "found"]
+        assert len(budgets) == 2 and budgets[0] is budgets[1] and budgets[0].deadline is not None
+
     def test_deadline_is_checked_before_every_leaf(self):
         # (5, 5) has two leaves under one frame, and the first outlasts the budget
-        engine = search._Engine(((5,), (5,)), 2, SearchBudget(max_seconds=0.1))
+        engine = search._Engine(((5,), (5,)), 2, SearchBudget(max_seconds=0.1).started())
         leaves = []
         with pytest.raises(search.BudgetExceededError):
             engine.run(lambda vecs: leaves.append(time.sleep(0.2)))
@@ -683,12 +704,12 @@ class TestDInvariantTest:
 
     def test_clock_bounds_the_coset_loop(self):
         # m**2/(mk+1) with m = 10**9 bounds a ball, so one coset of 10**9
-        # labels passes; the loop, then each of the two searches, stops at
-        # the clock, and the answer is never "non-member" on a spent budget
+        # labels passes; the loop and the two searches share one clock and
+        # stop at it, and the answer is never "non-member" on a spent budget
         m = 10**9
         start = time.monotonic()
         result = r_membership(Fraction(m * m, 123456789 * m + 1), SearchBudget(max_seconds=1), cache=fresh_cache())
-        assert time.monotonic() - start < 3 * 1 + 2
+        assert time.monotonic() - start < 1 + 1
         assert result.outcome in ("inconclusive", "member")
 
 
