@@ -7,7 +7,9 @@ the relation is and for sanity-checking new search-engine changes.
 
 It also runs the lattice condition on every pair: the ribbon embedding of
 L2's chain whose complement is -L1's chain, for (L1, L2) and for the
-reversed pair (-L1, -L2).  A ribbon cobordism needs both.  Three counts
+reversed pair (-L1, -L2).  A ribbon cobordism needs both.  And it runs the
+d-invariant pair test (``arith.d_obstruction``) on every pair whose orders
+differ by a square factor, a third route to the same answer.  Five counts
 close the output; they are printed, not asserted:
 
 - one-sided gap: pairs that embed for (L1, L2) where the classifier says no;
@@ -16,7 +18,12 @@ close the output; they are printed, not asserted:
 - theorem count: pairs that embed in both orientations where L2 is not
   homeomorphic to L1 and L1 is not S3, L(n,1) or L(n,n-1) (each is listed
   on a "T" line).  The paper's theorem says 0; anything else is a bug in
-  the search or in the classifier.
+  the search or in the classifier;
+- d gap: pairs where the d-invariant test and the classifier differ (each
+  is listed on a "DG" line);
+- d theorem count: pairs that pass the d-invariant test where L2 is not
+  homeomorphic to L1 and L1 is not S3, L(n,1) or L(n,n-1) (each is listed
+  on a "DT" line).  Again the theorem says 0.
 
 A stdout that closes early or fills up ends the survey as it ends the CLI:
 exit 74 with one "output error" line on stderr.
@@ -34,10 +41,10 @@ import time
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
-from ribbonlens.arith import lens_homeomorphic
+from ribbonlens.arith import d_obstruction, lens_homeomorphic, square_ratio_check
 from ribbonlens.classify import ribbon_leq_lens
 from ribbonlens.cli import EXIT_IOERR, cache_session, flush_standard_streams, print_lines
-from ribbonlens.search import two_sided_embeddings
+from ribbonlens.search import SearchBudget, two_sided_embeddings
 from ribbonlens.selfcheck import all_lens_spaces
 
 
@@ -46,13 +53,15 @@ def survey(max_p: int, cache):
     spaces = all_lens_spaces(max_p)
     t0 = time.monotonic()
     tags = {"T1": 0, "T2": 0, "T3": 0}
-    counts = {"one-sided gap": 0, "two-sided gap": 0, "theorem count": 0}
+    counts = dict.fromkeys(("one-sided gap", "two-sided gap", "theorem count", "d gap", "d theorem count"), 0)
     inconclusive = 0
     for l1 in spaces:
         for l2 in spaces:
             verdict = ribbon_leq_lens(l1, l2, cache=cache)
             statuses = [outcome.status for outcome in two_sided_embeddings(l1, l2, cache=cache)]
-            if verdict.answer == "inconclusive" or "inconclusive" in statuses:
+            expired = SearchBudget.from_env().started().expired
+            d = d_obstruction(l1.p, l1.q, l2.p, l2.q, expired) if square_ratio_check([l1], [l2]) else True
+            if verdict.answer == "inconclusive" or "inconclusive" in statuses or d is None:
                 inconclusive += 1
                 yield f"?  {l1} <= {l2}"
                 continue
@@ -67,9 +76,16 @@ def survey(max_p: int, cache):
                 if two_sided:
                     counts["two-sided gap"] += 1
                     yield f"G  {l1} <= {l2}"
-            if two_sided and not lens_homeomorphic(l1, l2, oriented=False) and l1.q not in (0, 1, l1.p - 1):
+            exotic = not lens_homeomorphic(l1, l2, oriented=False) and l1.q not in (0, 1, l1.p - 1)
+            if two_sided and exotic:
                 counts["theorem count"] += 1
                 yield f"T  {l1} <= {l2}"
+            if verdict.yes != (d is False):
+                counts["d gap"] += 1
+                yield f"DG {l1} <= {l2}"
+            if d is False and exotic:
+                counts["d theorem count"] += 1
+                yield f"DT {l1} <= {l2}"
     total = len(spaces) ** 2
     yield (
         f"\n{total} ordered pairs in {time.monotonic() - t0:.1f}s: "

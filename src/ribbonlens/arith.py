@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt, prod
+from math import gcd, isqrt
 from typing import Callable, Iterable, NamedTuple
 
 # A negative continued fraction string [a1,...,an]^- with every term >= 2.
@@ -197,25 +197,26 @@ def square_ratio_check(y1: Iterable[LensSpace], y2: Iterable[LensSpace]) -> bool
     return n2 % n1 == 0 and is_perfect_square(n2 // n1)
 
 
-def _d_levels(p: int, q: int) -> tuple[tuple[tuple[int, int, int], ...], int]:
+def _d_levels(p: int, q: int) -> tuple[list[tuple[int, int, int, int]], int]:
     """The levels (p_k, q_k) of Euclid's algorithm from L(p, q) down to L(1, 0),
-    each with w_k = D / (p_k * q_k) for the common denominator D = p_0 p_1 ...:
+    for the common denominator D = p_0 p_1 ..., each as the constants
+    (p_k + q_k - 1, p_k * q_k, (-1)**k * D / (p_k * q_k), q_k) of its term:
     q_k is p_(k+1), or 1 at the last level."""
-    pairs = []
+    pairs, denominator = [], 1
     while q:
         pairs.append((p, q))
+        denominator *= p
         p, q = q, p % q
-    denominator = prod(pk for pk, _ in pairs)
-    return tuple((pk, qk, denominator // (pk * qk)) for pk, qk in pairs), denominator
+    levels = [(pk + qk - 1, pk * qk, (-1) ** k * denominator // (pk * qk), qk) for k, (pk, qk) in enumerate(pairs)]
+    return levels, denominator
 
 
 def _d_numerator(levels, i: int) -> int:
     """4 * D * d(L(p, q), i) for the levels and D of :func:`_d_levels`."""
-    total, sign = 0, 1
-    for pk, qk, weight in levels:
-        s = 2 * i + 1 - pk - qk
-        total += sign * weight * (s * s - pk * qk)
-        sign = -sign
+    total = 0
+    for c, pq, weight, qk in levels:
+        s = 2 * i - c
+        total += weight * (s * s - pq)
         i %= qk
     return total
 
@@ -232,22 +233,51 @@ def d_invariant(p: int, q: int, i: int) -> Fraction:
     return Fraction(_d_numerator(levels, i), 4 * denominator)
 
 
-def d_obstruction(p: int, q: int, expired: Callable[[], bool]) -> bool | None:
-    """Do the d-invariants show that L(p, q), p = m**2, bounds no rational
-    homology ball?  None when ``expired()``, asked before each d, says so first.
+def d_obstruction(p1: int, q1: int, p2: int, q2: int, expired: Callable[[], bool]) -> bool | None:
+    """Do the d-invariants rule out a ribbon rational homology cobordism from
+    L(p1, q1) to L(p2, q2), where p2 = n**2 * p1?  At L(1, 0) = S^3 this asks
+    whether L(p2, q2) bounds a rational homology ball.  True when d obstructs,
+    False when some coset passes, None when ``expired()``, asked before each
+    d, says so first.  Orders p1 >= 1 with no such n are a ValueError.
 
-    The spin^c structures that extend over a ball form a coset i0 + m*Z of
-    the labels, and d vanishes on each of them (Ozsvath-Szabo, ibid.,
-    Prop. 9.9); so when no coset has d = 0 throughout, L(p, q) bounds no ball.
+    Cutting an arc between the two ends out of such a cobordism W leaves a
+    rational homology ball B with boundary -L1 # L2.  The spin^c structures
+    that extend over B form a coset of K = ker(H1(-L1 # L2) -> H1(B)), of
+    order n*p1, and d(-L1 # L2) = d(L2) - d(L1) vanishes on it
+    (Ozsvath-Szabo, ibid., Prop. 9.9).  W is ribbon, so H1(L2) -> H1(W) is
+    onto (Gordon 1981, Ribbon concordance of knots in the 3-sphere;
+    Daemi-Lidman-Vela-Vick-Wong 2019, Ribbon homology cobordisms); hence K
+    projects onto H1(L1), and K = <(1, n*b), (0, n*p1)> for some b < p1.  So
+    W needs b and j0 < n*p1 with d(L1, x) = d(L2, j0 + n*b*x + n*p1*k) for
+    all labels x of L1 and all k.  Prop. 9.9 and the surjectivity are cited,
+    not checked.  The coset x = 0 does not depend on b: it is tried first,
+    and b and the cosets x >= 1 only for a j0 where it passes.
     """
-    m = isqrt(p)
-    levels, _ = _d_levels(p, q)
-    for i0 in range(m):
-        for i in range(i0, p, m):
+    n = isqrt(p2 // p1)
+    if n * n * p1 != p2:
+        raise ValueError(f"need p2 = n**2 * p1, got p1 = {p1}, p2 = {p2}")
+    levels1, denominator1 = _d_levels(p1, q1)
+    levels2, denominator2 = _d_levels(p2, q2)
+    # 4 * D2 * d(L1, x), exact: p1 divides p2, hence D2, and 4 * p1 * d is an integer
+    targets = [_d_numerator(levels1, x) * denominator2 // denominator1 for x in range(p1)]
+    step = n * p1
+    for j0 in range(step):
+        for i in range(j0, p2, step):
             if expired():
                 return None
-            if _d_numerator(levels, i):
+            if _d_numerator(levels2, i) != targets[0]:
                 break
         else:
-            return False
+            for b in range(p1):
+                for x in range(1, p1):
+                    for i in range((j0 + n * b * x) % step, p2, step):
+                        if expired():
+                            return None
+                        if _d_numerator(levels2, i) != targets[x]:
+                            break
+                    else:
+                        continue
+                    break
+                else:
+                    return False
     return True

@@ -105,7 +105,7 @@ def parse_lens(token: str) -> LensSpace:
     if f < 1:
         raise UsageError(f"lens fraction must satisfy p >= q >= 0: {token!r}")
     try:
-        lens = lens_normalize(f.numerator, f.denominator % f.numerator if f.numerator > 1 else 0)
+        lens = lens_normalize(f.numerator, f.denominator)
     except ValueError as exc:
         raise UsageError(f"bad lens parameters {token!r}: {exc}") from None
     return lens.reverse() if reverse else lens

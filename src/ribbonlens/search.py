@@ -538,11 +538,12 @@ def r_membership(
 
     Operational criterion: the order must be a perfect square, and the chains
     of both p/q and p/(p-q) must admit full-rank embeddings.  The d-invariant
-    coset test runs before the searches: a necessary condition, so an
-    obstruction is a proof of "non-member", and a fraction that passes, or
-    whose test outlasts the clock, is searched.  The test and both searches
-    share the query's one clock; exhaustion makes "non-member" a proof, and
-    a spent budget surfaces as "inconclusive".
+    test, the S^3 case of the pair test, runs before the searches: a
+    necessary condition, so an obstruction is a proof of "non-member", and
+    a fraction that passes is searched.  The test and both searches share
+    the query's one clock; exhaustion makes "non-member" a proof, and a
+    spent budget surfaces as "inconclusive", a side that finds it spent
+    with 0 nodes and no chain expanded.
     """
     f = Fraction(f)
     if f == 1:
@@ -553,14 +554,16 @@ def r_membership(
     if not is_perfect_square(p):
         return RMembershipResult(f, "non-member", f"order {p} is not a perfect square")
     budget = (budget if budget is not None else SearchBudget.from_env()).started()
-    if d_obstruction(p, q, budget.expired):
+    if d_obstruction(1, 0, p, q, budget.expired):
         return RMembershipResult(f, "non-member", "d-invariant obstruction")
     searches = []
     statuses = []
     for g in (Fraction(p, q), Fraction(p, p - q)):
         # every chain vector costs a node, so a longer chain cannot be found
-        # within the budget; it is not expanded either
-        if cf_length(g) > budget.max_nodes:
+        # within the budget, nor any chain on a spent clock; neither is expanded
+        if budget.expired():
+            outcome = SearchOutcome("inconclusive", None, 0, 0.0)
+        elif cf_length(g) > budget.max_nodes:
             outcome = SearchOutcome("inconclusive", None, budget.max_nodes + 1, 0.0)
         else:
             outcome = find_embedding(plain_problem((cf_expand(g),)), budget, cache)

@@ -1,6 +1,7 @@
+import itertools
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 
 import pytest
 from hypothesis import given
@@ -220,6 +221,12 @@ def d_invariant_by_fractions(p, q, i):
     )
 
 
+
+def units(p):
+    """The labels q of the lens spaces L(p, q): 0 <= q < p coprime to p."""
+    return [q for q in range(p) if gcd(p, q) == 1]
+
+
 class TestDInvariants:
     def test_matches_the_fraction_recursion(self):
         for p in range(2, 50):
@@ -257,10 +264,10 @@ class TestDInvariants:
 
     def test_coset_test_examples(self):
         # L(4, 1) bounds a ball: d vanishes at 1 and 3; L(9, 1) does not
-        assert d_obstruction(4, 1, lambda: False) is False
-        assert d_obstruction(9, 1, lambda: False) is True
-        assert d_obstruction(9, 8, lambda: False) is True
-        assert d_obstruction(9, 2, lambda: False) is False
+        assert d_obstruction(1, 0, 4, 1, lambda: False) is False
+        assert d_obstruction(1, 0, 9, 1, lambda: False) is True
+        assert d_obstruction(1, 0, 9, 8, lambda: False) is True
+        assert d_obstruction(1, 0, 9, 2, lambda: False) is False
 
     def test_coset_test_against_the_fraction_recursion(self):
         for m in range(2, 12):
@@ -271,9 +278,58 @@ class TestDInvariants:
                         all(d_invariant_by_fractions(p, q, i0 + m * k) == 0 for k in range(m))
                         for i0 in range(m)
                     )
-                    assert d_obstruction(p, q, lambda: False) is want, (p, q)
+                    assert d_obstruction(1, 0, p, q, lambda: False) is want, (p, q)
 
     def test_expired_clock_answers_none(self):
         asked = []
-        assert d_obstruction(10**18, 10**9 + 1, lambda: asked.append(1) or len(asked) > 5) is None
+        assert d_obstruction(1, 0, 10**18, 10**9 + 1, lambda: asked.append(1) or len(asked) > 5) is None
         assert len(asked) == 6
+        # L(2, 1) -> L(8, 5): the coset 0 + 4Z passes x = 0 (labels 0 and 4),
+        # b = 0 fails x = 1 at label 0 and b = 1 passes it at labels 2 and 6
+        asked.clear()
+        assert d_obstruction(2, 1, 8, 5, lambda: asked.append(1) and False) is False
+        assert len(asked) == 5
+        asked.clear()
+        assert d_obstruction(2, 1, 8, 5, lambda: asked.append(1) or len(asked) == 5) is None
+        assert len(asked) == 5
+
+    def test_pair_orders_must_differ_by_a_square_factor(self):
+        for p1, q1, p2, q2 in ((2, 1, 6, 1), (4, 1, 2, 1), (2, 1, 3, 1), (3, 1, 24, 5)):
+            with pytest.raises(ValueError):
+                d_obstruction(p1, q1, p2, q2, lambda: False)
+
+    def test_pair_test_against_the_formula(self):
+        # passes iff some b < p1 and j0 < n*p1 give d(L1, x) =
+        # d(L2, j0 + n*b*x + n*p1*k) for every x and k, in Fractions; on every
+        # square-ratio pair with p1 < p2 <= 100 and every pair of equal
+        # orders p <= 30
+        tables = {}
+
+        def d_table(p, q):
+            if (p, q) not in tables:
+                tables[p, q] = [d_invariant_by_fractions(p, q, i) for i in range(p)]
+            return tables[p, q]
+
+        def passes_by_formula(p1, q1, p2, q2):
+            n = isqrt(p2 // p1)
+            d1, d2 = d_table(p1, q1), d_table(p2, q2)
+            return any(
+                # the coset x = 0 does not depend on b, so it is asked once per j0
+                all(d1[0] == d2[j0 + n * p1 * k] for k in range(n))
+                and any(
+                    all(d1[x] == d2[(j0 + n * b * x + n * p1 * k) % p2] for x in range(p1) for k in range(n))
+                    for b in range(p1)
+                )
+                for j0 in range(n * p1)
+            )
+
+        pairs = pass_count = 0
+        for p1 in range(1, 101):
+            for n in range(1 if p1 <= 30 else 2, isqrt(100 // p1) + 1):
+                p2 = n * n * p1
+                for q1, q2 in itertools.product(units(p1), units(p2)):
+                    passes = passes_by_formula(p1, q1, p2, q2)
+                    assert d_obstruction(p1, q1, p2, q2, lambda: False) is not passes, (p1, q1, p2, q2)
+                    pairs += 1
+                    pass_count += passes
+        assert (pairs, pass_count) == (11886, 722)

@@ -6,7 +6,15 @@ from fractions import Fraction
 
 import pytest
 
-from ribbonlens.arith import FnWitness, LensSpace, fn_membership, lens_homeomorphic, lens_normalize, square_ratio_check
+from ribbonlens.arith import (
+    FnWitness,
+    LensSpace,
+    d_obstruction,
+    fn_membership,
+    lens_homeomorphic,
+    lens_normalize,
+    square_ratio_check,
+)
 from ribbonlens import classify, search
 from ribbonlens.classify import (
     ConnectedSum,
@@ -36,6 +44,20 @@ class TestRibbonLeqLens:
     def test_identity(self):
         verdict = ribbon_leq_lens(L(3, 1), L(3, 1), cache=CACHE)
         assert verdict.yes and verdict.witness[0].tag == "T1"
+
+    def test_classifier_is_the_d_invariant_test_up_to_twenty(self):
+        # a third route on lens pairs: yes exactly where the orders differ by
+        # a square factor and the d-invariant pair test passes
+        spaces = all_lens_spaces(20)
+        yes_pairs = 0
+        for l1 in spaces:
+            for l2 in spaces:
+                verdict = ribbon_leq_lens(l1, l2, cache=CACHE)
+                assert verdict.answer != "inconclusive", (str(l1), str(l2))
+                d_passes = square_ratio_check([l1], [l2]) and not d_obstruction(l1.p, l1.q, l2.p, l2.q, lambda: False)
+                assert verdict.yes == d_passes, (str(l1), str(l2))
+                yes_pairs += d_passes
+        assert (len(spaces) ** 2, yes_pairs) == (16384, 232)
 
     def test_family_case(self):
         verdict = ribbon_leq_lens(L(2, 1), L(8, 5), cache=CACHE)

@@ -11,7 +11,7 @@ from math import gcd, isqrt
 import pytest
 
 from ribbonlens import search
-from ribbonlens.arith import LensSpace, cf_expand, d_obstruction
+from ribbonlens.arith import LensSpace, cf_expand, d_obstruction, square_ratio_check
 from ribbonlens.search import (
     ENGINE_VERSION,
     Certificate,
@@ -478,7 +478,7 @@ class TestTimeBudget:
         # the second one just above the node budget
         budget = SearchBudget(max_nodes=10**4, max_seconds=0.5)
         f = Fraction(10**8, 10**4 - 1)
-        assert d_obstruction(f.numerator, f.denominator, lambda: False) is False
+        assert d_obstruction(1, 0, f.numerator, f.denominator, lambda: False) is False
         expanded = []
         expand = search.cf_expand
         monkeypatch.setattr(search, "cf_expand", lambda f: expanded.append(f) or expand(f))
@@ -489,6 +489,19 @@ class TestTimeBudget:
         assert short.seconds < 2.5
         assert long.nodes == budget.max_nodes + 1
         assert expanded == [f]
+
+    def test_no_chain_is_expanded_on_a_spent_clock(self, monkeypatch):
+        # 9/2 is a member, but its d-invariant test outlasts the 0.1 s budget,
+        # so both sides are inconclusive at 0 nodes, as the engine would
+        # answer, and neither chain is expanded
+        real = search.d_obstruction
+        monkeypatch.setattr(search, "d_obstruction", lambda *args: time.sleep(0.2) or real(*args))
+        expanded = []
+        monkeypatch.setattr(search, "cf_expand", lambda f: expanded.append(f) or cf_expand(f))
+        result = r_membership(Fraction(9, 2), SearchBudget(max_seconds=0.1), cache=fresh_cache())
+        assert result.outcome == "inconclusive"
+        assert [(outcome.status, outcome.nodes) for _, outcome in result.searches] == [("inconclusive", 0)] * 2
+        assert expanded == []
 
 
 class TestRibbonSearch:
@@ -608,7 +621,8 @@ class TestNecessityChain:
         # a reversed ribbon cobordism is ribbon, so the lattice condition holds
         # for (L1, L2) and for (-L1, -L2); on lens pairs with p <= 16 the two
         # together say yes exactly where the classifier does, while the first
-        # alone lets 66 more pairs through
+        # alone lets 66 more pairs through; the d-invariant pair test, a third
+        # route, agrees with both searches on every pair
         from ribbonlens.classify import ribbon_leq_lens
         from ribbonlens.selfcheck import all_lens_spaces
 
@@ -621,6 +635,8 @@ class TestNecessityChain:
                 forward, backward = two_sided_embeddings(l1, l2, cache=cache)
                 assert "inconclusive" not in (verdict.answer, forward.status, backward.status)
                 assert verdict.yes == (forward.found and backward.found), (str(l1), str(l2))
+                d_passes = square_ratio_check([l1], [l2]) and not d_obstruction(l1.p, l1.q, l2.p, l2.q, lambda: False)
+                assert d_passes == (forward.found and backward.found), (str(l1), str(l2))
                 yes_pairs += verdict.yes
                 one_sided += forward.found and not verdict.yes
         assert (yes_pairs, one_sided) == (140, 66)
@@ -683,7 +699,7 @@ class TestDInvariantTest:
                     continue
                 problems = [plain_problem((cf_expand(g),)) for g in (Fraction(p, q), Fraction(p, p - q))]
                 embeds = all(find_embedding(problem, cache=cache).found for problem in problems)
-                assert (d_obstruction(p, q, lambda: False) is False) == embeds, (p, q)
+                assert (d_obstruction(1, 0, p, q, lambda: False) is False) == embeds, (p, q)
                 fractions += 1
                 members += embeds
         assert (fractions, members) == (530, 174)
