@@ -1,12 +1,15 @@
 """Brute-force isometric-embedding search into Z^N with verified certificates.
 
-The engine assigns one chain vector at a time in string order, propagating the
-required pairings, and breaks the signed-permutation symmetry of Z^N by
-(a) consuming fresh coordinates in order with positive non-increasing
-coefficients and (b) forcing non-increasing coefficients on any block of
-coordinates whose columns over the partial assignment coincide.  So the used
-coordinates are a prefix and such blocks are contiguous runs, which the engine
-carries down an explicit stack; nothing in it recurses.  The pruned
+The engine places each chain from its cheaper end (the smaller end term, then
+the longer run of 2s), since a reversed chain spans the same lattice.  It
+assigns one chain vector at a time, propagating the required pairings; a used
+coordinate where an earlier vector's support ends must pay that vector's
+pairing in full, which forces it.  It breaks the signed-permutation symmetry
+of Z^N by (a) consuming fresh coordinates in order with positive
+non-increasing coefficients and (b) forcing non-increasing coefficients on any
+block of coordinates whose columns over the partial assignment coincide.  So
+the used coordinates are a prefix and such blocks are contiguous runs, which
+the engine carries down an explicit stack; nothing in it recurses.  The pruned
 tree still contains a representative of every solution orbit, so an exhausted
 search is a proof of absence.  Exceeding a budget turns into a distinct
 "inconclusive" outcome, never into "absent".
@@ -33,7 +36,7 @@ from .arith import (
 )
 from .lattice import GramLattice, Vector, chain_basis_for, det, dot, integer_kernel
 
-ENGINE_VERSION = "3"
+ENGINE_VERSION = "4"
 CACHE_SCHEMA = "ribbonlens-cache/3"
 
 
@@ -162,7 +165,7 @@ class _Engine:
 
     def __init__(self, summands: tuple[CF, ...], ambient: int, budget: SearchBudget):
         self.N = ambient
-        # (pairs with the previous vector, norm), in string order
+        # (pairs with the previous vector, norm), in the order placed
         self.flat = [(ti > 0, a) for terms in summands for ti, a in enumerate(terms)]
         self.n = len(self.flat)
         self.budget = budget
@@ -260,6 +263,17 @@ class _Engine:
                     # the N - k fresh parts from k on are each at most x[k],
                     # which forces the last one
                     lo[k] = -cmax if k < u else isqrt((left - 1) // (N - k)) + 1
+                    # an earlier vector whose support ends at k is paid here
+                    # or never: any other value fails Cauchy-Schwarz at k + 1
+                    # (no earlier vector reaches a fresh coordinate)
+                    for c, j in support[k]:
+                        if not tails[j][k + 1]:
+                            forced, rest = divmod(owed.get(j, 0), c)
+                            if rest or not lo[k] <= forced <= top:
+                                top = lo[k] - 1
+                            else:
+                                lo[k] = top = forced
+                            break
                     if top >= lo[k]:
                         shift(k, top)
                         lefts[k + 1] = left - top * top
@@ -280,13 +294,11 @@ class _Engine:
             k += 1
 
 
-def _plain_leaf(problem: SearchProblem):
-    ends = list(accumulate(len(t) for t in problem.summands))
-
-    def leaf(vecs: tuple[Vector, ...]):
-        return tuple(vecs[end - len(t) : end] for t, end in zip(problem.summands, ends))
-
-    return leaf
+def _end_cost(terms: CF) -> tuple:
+    """The cost of placing a chain from its first term: that term, then the
+    run of 2s it starts, longer being cheaper."""
+    twos = next((i for i, a in enumerate(terms) if a != 2), len(terms))
+    return terms[:1], -twos
 
 
 def _ribbon_leaf(problem: SearchProblem, tick):
@@ -315,16 +327,35 @@ def _run_problem(problem: SearchProblem, budget: SearchBudget) -> SearchOutcome:
         # a full-rank sublattice of Z^N has square determinant (index formula)
         if not is_perfect_square(prod(continuant(t) for t in problem.summands)):
             return SearchOutcome("absent", None, 0, time.monotonic() - start)
-        engine = _Engine(problem.summands, problem.ambient_rank, budget)
-        leaf = _plain_leaf(problem)
+        placed = problem.summands
     else:
         lambda1, lambda2 = problem.summands
         p1, p2 = continuant(lambda1), continuant(lambda2)
         # det(complement) = det(saturation), so p2 = index^2 * p1 is forced
         if p2 % p1 or not is_perfect_square(p2 // p1):
             return SearchOutcome("absent", None, 0, time.monotonic() - start)
-        engine = _Engine((lambda2,), problem.ambient_rank, budget)
-        leaf = _ribbon_leaf(problem, engine._tick)
+        placed = (lambda2,)
+
+    # each chain is placed from its cheaper end; a reversed chain spans the
+    # same lattice, so the search stays exhaustive
+    flips = [_end_cost(t[::-1]) < _end_cost(t) for t in placed]
+    engine = _Engine(
+        tuple(t[::-1] if flip else t for t, flip in zip(placed, flips)), problem.ambient_rank, budget
+    )
+    ends = list(accumulate(len(t) for t in placed))
+
+    def given_order(vecs: tuple[Vector, ...]):
+        """The engine's vectors, one group per placed chain in string order."""
+        groups = (vecs[end - len(t) : end] for t, end in zip(placed, ends))
+        return tuple(group[::-1] if flip else group for group, flip in zip(groups, flips))
+
+    if problem.ribbon_split is None:
+        leaf = given_order
+    else:
+        ribbon_leaf = _ribbon_leaf(problem, engine._tick)
+
+        def leaf(vecs: tuple[Vector, ...]):
+            return ribbon_leaf(*given_order(vecs))
 
     try:
         groups = engine.run(leaf)
@@ -355,12 +386,23 @@ def verify_certificate(problem: SearchProblem, cert: Certificate) -> bool:
             if len(v) != N:
                 return False
             flat.append((tuple(v), ti > 0, a))
-    for idx, (v, pairs, a) in enumerate(flat):
-        if dot(v, v) != a:
+    # the Gram matrix from each coordinate's nonzero entries, by index pair
+    columns: list[list[tuple[int, int]]] = [[] for _ in range(N)]
+    for idx, (v, _, _) in enumerate(flat):
+        for k, x in enumerate(v):
+            if x:
+                columns[k].append((idx, x))
+    gram: dict[tuple[int, int], int] = {}
+    for column in columns:
+        for s, (idx, x) in enumerate(column):
+            for jdx, y in column[s:]:
+                gram[idx, jdx] = gram.get((idx, jdx), 0) + x * y
+    # each norm, each pairing with the previous vector of a chain, and 0 else
+    for idx, (_, pairs, a) in enumerate(flat):
+        if gram.pop((idx, idx), 0) != a or (pairs and gram.pop((idx - 1, idx), 0) != 1):
             return False
-        for jdx, (w, _, _) in enumerate(flat[:idx]):
-            if dot(v, w) != (1 if pairs and jdx == idx - 1 else 0):
-                return False
+    if any(gram.values()):
+        return False
     # the realized Gram matrix is positive definite, so the vectors are
     # automatically linearly independent; in plain mode they fill Z^N by count
     if problem.ribbon_split is None:

@@ -469,8 +469,8 @@ class TestDecompositionBudget:
         assert (verdict.answer, verdict.obstruction) == ("inconclusive", "decomposition-budget")
 
     def test_oracle_shares_the_clock(self, monkeypatch):
-        # the ball oracle's coset test and searches on 90000/301 outlast
-        # half a second; they stop at the classifier's deadline
+        # the ball oracle's searches on 10**6/1001 outlast half a second
+        # (about 2 s to "member"); they stop at the classifier's deadline
         budgets = []
         real = search.r_membership
 
@@ -480,7 +480,7 @@ class TestDecompositionBudget:
 
         monkeypatch.setattr(search, "r_membership", spy)
         start = time.monotonic()
-        verdict = ribbon_leq_lens(L(1, 0), L(90000, 301), SearchBudget(max_seconds=0.5), cache=EmbeddingCache())
+        verdict = ribbon_leq_lens(L(1, 0), L(10**6, 1001), SearchBudget(max_seconds=0.5), cache=EmbeddingCache())
         assert time.monotonic() - start < 1
         assert verdict.answer == "inconclusive"
         # the oracle is handed the classifier's budget with its clock running

@@ -132,11 +132,14 @@ class TestPlainSearch:
 # this function on the last version-1 engine, which also searched the
 # reversed string when a ribbon leaf's chain had no basis, and "2" on the
 # last version-2 engine, which filled fresh coordinates eagerly and did not
-# tick in a ribbon leaf's short-vector enumeration
+# tick in a ribbon leaf's short-vector enumeration, and "3" on the last
+# version-3 engine, which placed every chain in string order and forced no
+# used coordinate
 ENGINE_FINGERPRINTS = {
     "1": "f395473241b65e366d7bdd7642e6a6225fc98c6d5502df3c0c1c6380cd77a937",
     "2": "d7555422bc235f5ecf312b5cd0805caada9482dde4527dab9d6250f78e10fc08",
     "3": "5529d775b3bcb988a7f49d4bf8fb76bcccf77efe92799b5dc2d13fd11a5ca464",
+    "4": "9a313c0ca0bbc9e21fbe667de1e3f3628192083e269d1abf376935f0cad9528f",
 }
 
 
@@ -184,7 +187,9 @@ class TestEngine:
             )
         finally:
             sys.setrecursionlimit(limit)
-        assert outcome.status == "inconclusive"
+        # exhausted in 7,979 nodes; engine version 3 needed 22,735 and so
+        # read inconclusive under the cap
+        assert outcome.status == "absent"
 
     def test_node_budget_caps_candidates_of_one_vector(self):
         # (a, 2 x a) has determinant a^2; its first vector alone has
@@ -271,7 +276,8 @@ def eager_candidates(engine, tails, support, u, starts):
 def full_scan_candidates(engine, vecs, tails, u, starts):
     """Reference for _Engine._candidates: the same odometer over all N
     coordinates with a full scan, which re-checks every assigned vector at
-    every node and rebuilds every partial pairing on every step."""
+    every node and rebuilds every partial pairing on every step, and forces
+    a used coordinate where an earlier vector's support ends."""
     i = len(vecs)
     N = engine.N
     pairs, norm = engine.flat[i]
@@ -291,6 +297,16 @@ def full_scan_candidates(engine, vecs, tails, u, starts):
                 cmax = isqrt(left)
                 x[k] = (cmax if starts[k] else min(cmax, x[k - 1])) + 1
                 lo[k] = -cmax
+                # the first vector whose support ends at k is owed its whole
+                # rest here; a level with no such value takes none
+                for v, r, p, t in zip(vecs, req, part, tails):
+                    if v[k] and not t[k + 1]:
+                        forced, rest = divmod(r - p, v[k])
+                        if rest or not lo[k] <= forced < x[k]:
+                            x[k] = lo[k]
+                        else:
+                            x[k], lo[k] = forced + 1, forced
+                        break
                 k += 1
             elif left == 0:
                 yield tuple(x)
@@ -363,6 +379,13 @@ def checked_against_references(monkeypatch):
     return frames
 
 
+# the fractions of the benchmark's oracle workload: q < p/2 for five square orders
+ORACLE_FRACTIONS = [
+    Fraction(p, q) for p in (49, 64, 81, 100, 121) for q in range(1, (p + 1) // 2) if gcd(p, q) == 1
+]
+assert len(ORACLE_FRACTIONS) == 139
+
+
 class TestIncrementalPruning:
     BUDGETS = (SearchBudget(max_seconds=600), SearchBudget(max_nodes=50, max_seconds=600))
 
@@ -370,12 +393,9 @@ class TestIncrementalPruning:
         # both orientations of each fraction, searched directly: the
         # d-invariant test in r_membership would skip most absent ones
         frames = checked_against_references(monkeypatch)
-        orders = (49, 64, 81, 100, 121)
-        fractions = [Fraction(p, q) for p in orders for q in range(1, (p + 1) // 2) if gcd(p, q) == 1]
-        assert len(fractions) == 139
         for budget in self.BUDGETS:
             nodes = {"found": 0, "absent": 0, "inconclusive": 0}
-            for f in fractions:
+            for f in ORACLE_FRACTIONS:
                 p, q = f.numerator, f.denominator
                 for g in (f, Fraction(p, p - q)):
                     problem = plain_problem((cf_expand(g),))
@@ -383,8 +403,10 @@ class TestIncrementalPruning:
                     nodes[outcome.status] += outcome.nodes
             if budget.max_nodes == SearchBudget.max_nodes:
                 # engine version 2 filled each vector's fresh coordinates
-                # before descending, and took 52,291 nodes on found searches
-                assert (nodes["found"], nodes["absent"]) == (37_137, 149_498)
+                # before descending, and took 52,291 nodes on found searches;
+                # version 3 placed each chain in string order and forced no
+                # coordinate, and took 37,137 and 149,498
+                assert (nodes["found"], nodes["absent"]) == (11_757, 49_280)
         assert len(frames) > 3_000
 
     def test_seeded_plain_problems_match_full_scan(self, monkeypatch):
@@ -413,17 +435,18 @@ class TestTimeBudget:
     BUDGET = SearchBudget(max_nodes=10**6, max_seconds=0.5)
 
     def test_huge_norm_is_found_within_a_second(self):
-        # the fresh-coordinate bound forces the last part, so the first
-        # vector's odometer never walks it down
-        outcome = find_embedding(
-            plain_problem([(333334, 2, 2)]), SearchBudget(max_seconds=1), cache=fresh_cache()
-        )
-        assert outcome.found
+        # the fresh-coordinate bound forces the last fresh part, and the end
+        # of an earlier vector's support forces a used coordinate, so the
+        # huge norm's odometer walks neither down, whichever end is placed first
+        for terms in ((333334, 2, 2), (2, 2, 333334)):
+            outcome = find_embedding(plain_problem([terms]), SearchBudget(max_seconds=1), cache=fresh_cache())
+            assert outcome.found
 
     def test_deadline_holds_while_fresh_coordinates_fill(self):
-        # the first vector's odometer steps O(norm) times between a few
-        # candidates, even with its last part forced
-        problem = plain_problem([(3333333334, 2, 2)])
+        # the huge norm's odometer still steps O(sqrt(norm)) times between a
+        # few candidates: about 2.3 million nodes here, while norm
+        # 3,333,333,334 is found in 231,902, too close to the budget
+        problem = plain_problem([(333333333334, 2, 2)])
         outcome = find_embedding(problem, self.BUDGET, cache=fresh_cache())
         assert outcome.status == "inconclusive"
         assert outcome.seconds < 2.5
@@ -502,6 +525,55 @@ class TestTimeBudget:
         assert result.outcome == "inconclusive"
         assert [(outcome.status, outcome.nodes) for _, outcome in result.searches] == [("inconclusive", 0)] * 2
         assert expanded == []
+
+
+class TestOrientation:
+    def test_stalled_members_are_found(self):
+        # engine version 3 was inconclusive on both at 5 s
+        for f in (Fraction(10**4, 101), Fraction(9 * 10**4, 301)):
+            result = r_membership(f, SearchBudget(max_seconds=5), cache=fresh_cache())
+            assert result.outcome == "member", f
+
+    def test_square_over_mk_plus_or_minus_one_are_members(self):
+        # L(m^2, mk +- 1) bounds a rational ball whenever gcd(m, k) = 1
+        members = 0
+        for m in range(2, 31):
+            for k in range(1, m):
+                if gcd(m, k) != 1:
+                    continue
+                for q in (m * k - 1, m * k + 1):
+                    result = r_membership(Fraction(m * m, q), cache=fresh_cache())
+                    assert result.outcome == "member", (m, q)
+                    members += 1
+        assert members == 554
+
+    def test_orientation_keeps_every_status(self):
+        # a reversed chain spans the same lattice: the engine run directly on
+        # the given string agrees with the oriented search on every chain
+        searched = found = 0
+        for m in range(2, 16):
+            p = m * m
+            for q in range(1, p):
+                if gcd(p, q) != 1:
+                    continue
+                terms = cf_expand(Fraction(p, q))
+                oriented = find_embedding(plain_problem((terms,)), cache=fresh_cache())
+                engine = search._Engine((terms,), len(terms), SearchBudget().started())
+                forward = engine.run(lambda vecs: vecs)
+                assert oriented.status == ("absent" if forward is None else "found"), (p, q)
+                searched += 1
+                found += oriented.found
+        assert (searched, found) == (734, 466)
+
+    def test_certificate_is_in_the_given_order(self):
+        # 9/2 and 9/7 are placed from their last terms, the reversed strings
+        # from their first; a flipped group is turned back
+        for terms in ((5, 2), (2, 5), (2, 2, 2, 3), (3, 2, 2, 2)):
+            problem = plain_problem([terms, (4,)])
+            outcome = find_embedding(problem, cache=fresh_cache())
+            assert outcome.found and verify_certificate(problem, outcome.certificate), terms
+            norms = [sum(x * x for x in v) for v in outcome.certificate.groups[0]]
+            assert norms == list(terms)
 
 
 class TestRibbonSearch:
@@ -642,7 +714,96 @@ class TestNecessityChain:
         assert (yes_pairs, one_sided) == (140, 66)
 
 
+def dense_verify(problem, cert):
+    """Reference for verify_certificate: the engine version 3 checker, which
+    takes the dot product of every pair of vectors."""
+    from ribbonlens.lattice import det, dot, integer_kernel
+
+    groups = cert.groups
+    if len(groups) != len(problem.summands):
+        return False
+    N = problem.ambient_rank
+    flat = []
+    for terms, group in zip(problem.summands, groups):
+        if len(group) != len(terms):
+            return False
+        for ti, (a, v) in enumerate(zip(terms, group)):
+            if len(v) != N:
+                return False
+            flat.append((tuple(v), ti > 0, a))
+    for idx, (v, pairs, a) in enumerate(flat):
+        if dot(v, v) != a:
+            return False
+        for jdx, (w, _, _) in enumerate(flat[:idx]):
+            if dot(v, w) != (1 if pairs and jdx == idx - 1 else 0):
+                return False
+    if problem.ribbon_split is None:
+        return len(flat) == N
+    group1, group2 = groups
+    kernel = integer_kernel(group2, N)
+    gram_kernel = tuple(tuple(dot(a, b) for b in kernel) for a in kernel)
+    return len(group1) == len(kernel) and det(gram_kernel) == search.continuant(problem.summands[0])
+
+
+def mutations(cert, rng):
+    """Certificates one entry away from cert, three of each kind: an entry
+    moved by one, a nonzero entry negated, a vector an entry short or long."""
+    spots = [(g, i) for g, group in enumerate(cert.groups) for i in range(len(group))]
+    for kind in ("step", "negate", "length") * 3 if spots else ():
+        g, i = rng.choice(spots)
+        v = list(cert.groups[g][i])
+        k = rng.randrange(len(v))
+        if kind == "step":
+            v[k] += rng.choice((-1, 1))
+        elif kind == "negate":
+            k = rng.choice([k for k, x in enumerate(v) if x])
+            v[k] = -v[k]
+        elif rng.random() < 0.5:
+            del v[k]
+        else:
+            v.insert(k, rng.choice((-1, 0, 1)))
+        groups = [list(group) for group in cert.groups]
+        groups[g][i] = tuple(v)
+        yield Certificate(tuple(map(tuple, groups)), cert.nodes)
+
+
 class TestVerifier:
+    def test_sparse_checker_agrees_with_dense_reference(self):
+        # every certificate of the oracle workload and of the ribbon pairs
+        # with p <= 8, and nine single-entry mutations of each
+        from ribbonlens.selfcheck import all_lens_spaces
+
+        rng = random.Random(23)
+        cases = []
+        for f in ORACLE_FRACTIONS:
+            for g, outcome in r_membership(f, cache=fresh_cache()).searches:
+                if outcome.found:
+                    cases.append((plain_problem((cf_expand(Fraction(g)),)), outcome.certificate))
+        assert len(cases) == 96
+        spaces = all_lens_spaces(8)
+        for l1, l2 in itertools.product(spaces, spaces):
+            problem = ribbon_problem(l1.reverse().cf(), l2.cf())
+            outcome = find_embedding(problem, cache=fresh_cache())
+            if outcome.found:
+                cases.append((problem, outcome.certificate))
+        verdicts = {True: 0, False: 0}
+        for problem, cert in cases:
+            assert verify_certificate(problem, cert) and dense_verify(problem, cert)
+            for bad in mutations(cert, rng):
+                verdict = verify_certificate(problem, bad)
+                assert verdict == dense_verify(problem, bad), (problem.key, bad.groups)
+                verdicts[verdict] += 1
+        # a negated entry that no other vector shares keeps a certificate valid
+        assert verdicts[True] > 0 and verdicts[False] > 9 * len(cases) // 2
+
+    def test_sparse_checker_is_fast_on_a_long_certificate(self):
+        # dense_verify takes about half a second on these 301 vectors
+        problem = plain_problem((cf_expand(Fraction(90000, 301)),))
+        cert = find_embedding(problem, cache=fresh_cache()).certificate
+        start = time.process_time()
+        assert verify_certificate(problem, cert)
+        assert time.process_time() - start < 0.05
+
     def test_sign_flip_is_caught(self):
         problem = plain_problem([(2, 2, 2)])
         cert = find_embedding(problem, cache=fresh_cache()).certificate
