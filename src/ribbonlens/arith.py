@@ -16,13 +16,6 @@ from typing import Callable, Iterable, NamedTuple
 CF = tuple[int, ...]
 
 
-def is_perfect_square(n: int) -> bool:
-    if n < 0:
-        return False
-    r = isqrt(n)
-    return r * r == n
-
-
 class FnWitness(NamedTuple):
     """Witness (n, m, k) that p/q = n*m**2 / (n*m*k + 1) with m > k > 0 coprime."""
 
@@ -186,15 +179,29 @@ def h1_order(summands: Iterable[LensSpace]) -> int:
     return order
 
 
+def square_index(p1: int, p2: int) -> int | None:
+    """The n >= 1 with p2 = n**2 * p1, or None; p1 >= 1.
+
+    A ribbon rational homology cobordism from Y1 to Y2 needs
+    |H1(Y2)| = n**2 * |H1(Y1)|.  In lattice terms, a sublattice l2 of Z^N
+    has det(l2) = [sat(l2) : l2]**2 * det(l2^perp), so with det(l2) = p2 its
+    complement has determinant p1 exactly when the index is n; p1 = 1 is the
+    full-rank case, where the complement is 0.
+    """
+    ratio, rest = divmod(p2, p1)
+    if rest or ratio < 1:
+        return None
+    n = isqrt(ratio)
+    return n if n * n == ratio else None
+
+
 def square_ratio_check(y1: Iterable[LensSpace], y2: Iterable[LensSpace]) -> bool:
-    """True iff |H1(Y2)| = u**2 * |H1(Y1)| for some integer u >= 1, each side
-    given by its summands.
+    """True iff :func:`square_index` finds |H1(Y2)| = n**2 * |H1(Y1)|, each
+    side given by its summands.
 
     A failure obstructs any ribbon cobordism from Y1 to Y2.
     """
-    n1 = h1_order(y1)
-    n2 = h1_order(y2)
-    return n2 % n1 == 0 and is_perfect_square(n2 // n1)
+    return square_index(h1_order(y1), h1_order(y2)) is not None
 
 
 def _d_levels(p: int, q: int) -> tuple[list[tuple[int, int, int, int]], int]:
@@ -253,8 +260,8 @@ def d_obstruction(p1: int, q1: int, p2: int, q2: int, expired: Callable[[], bool
     not checked.  The coset x = 0 does not depend on b: it is tried first,
     and b and the cosets x >= 1 only for a j0 where it passes.
     """
-    n = isqrt(p2 // p1)
-    if n * n * p1 != p2:
+    n = square_index(p1, p2)
+    if n is None:
         raise ValueError(f"need p2 = n**2 * p1, got p1 = {p1}, p2 = {p2}")
     levels1, denominator1 = _d_levels(p1, q1)
     levels2, denominator2 = _d_levels(p2, q2)

@@ -142,19 +142,13 @@ def two_summand_ball(m1: LensSpace, m2: LensSpace) -> Verdict:
     if m1.is_s3 or m2.is_s3:
         raise ValueError("two-summand check needs nontrivial summands")
     pair = (m1, m2)
-    # mirror pair: L(p,p-q) # L(p,q)
-    if lens_homeomorphic(m2, m1.reverse(), oriented=True):
-        return Verdict(YES, (PairType("T4", (), pair),))
-    for rev in (False, True):
-        a, b = pair if not rev else (m1.reverse(), m2.reverse())
-        for x, y in ((a, b), (b, a)):
-            # L(n, n-1) # (fraction in the n-th family)
-            if x.q == x.p - 1:
-                wit = _fn_witness(y)
-                if wit is not None and wit.n == x.p:
-                    return Verdict(
-                        YES, (PairType("T5", (), pair, reversed=rev, n=x.p, witness=wit),)
-                    )
+    # the mirror pair L(p,p-q) # L(p,q) (T4) and L(n,n-1) beside the n-th
+    # family (T5) are the T1 and T2 pairings of -x with y
+    for x, y in ((m1, m2), (m2, m1)):
+        option = _first_pair_option(x.reverse(), y)
+        if option is not None:
+            tag = "T4" if option.tag == "T1" else "T5"
+            return Verdict(YES, (replace(option, tag=tag, left=(), right=pair),))
     # fn(-m1) against fn(m2) and fn(-m2) against fn(m1); the reversed pair
     # asks the same two questions with the roles swapped
     for x, y in ((m1, m2), (m2, m1)):

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, prod
 
 from .arith import CF, continuant
 
@@ -166,11 +166,17 @@ def saturation(embedded: EmbeddedLattice) -> EmbeddedLattice:
     return orthogonal_complement(orthogonal_complement(embedded))
 
 
+def saturation_index(rows, width: int) -> int:
+    """[sat : span] for linearly independent rows in Z^width, sat the span over
+    Q intersected with Z^width: |product of pivots|, as A V = [H | 0] with V
+    unimodular puts the span at H's rows and the saturation at Z^rank."""
+    pivots, _ = _column_reduce(rows, width)
+    return abs(prod(pivots))
+
+
 def primitivity_test(embedded: EmbeddedLattice) -> bool:
-    """True iff Z^N modulo the span is torsion-free: every pivot is +/-1, as
-    |product of pivots| is the index of the span in its saturation."""
-    pivots, _ = _column_reduce(embedded.vectors, embedded.ambient_rank)
-    return all(abs(d) == 1 for d in pivots)
+    """True iff Z^N modulo the span is torsion-free: the span is its saturation."""
+    return saturation_index(embedded.vectors, embedded.ambient_rank) == 1
 
 
 def primitivity_test_saturation(embedded: EmbeddedLattice) -> bool:

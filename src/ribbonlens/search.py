@@ -32,9 +32,9 @@ from .arith import (
     cf_length,
     continuant,
     d_obstruction,
-    is_perfect_square,
+    square_index,
 )
-from .lattice import GramLattice, Vector, chain_basis_for, det, dot, integer_kernel
+from .lattice import GramLattice, Vector, chain_basis_for, dot, integer_kernel, saturation_index
 
 ENGINE_VERSION = "4"
 CACHE_SCHEMA = "ribbonlens-cache/3"
@@ -323,18 +323,13 @@ def _ribbon_leaf(problem: SearchProblem, tick):
 
 def _run_problem(problem: SearchProblem, budget: SearchBudget) -> SearchOutcome:
     start = time.monotonic()
-    if problem.ribbon_split is None:
-        # a full-rank sublattice of Z^N has square determinant (index formula)
-        if not is_perfect_square(prod(continuant(t) for t in problem.summands)):
-            return SearchOutcome("absent", None, 0, time.monotonic() - start)
-        placed = problem.summands
-    else:
-        lambda1, lambda2 = problem.summands
-        p1, p2 = continuant(lambda1), continuant(lambda2)
-        # det(complement) = det(saturation), so p2 = index^2 * p1 is forced
-        if p2 % p1 or not is_perfect_square(p2 // p1):
-            return SearchOutcome("absent", None, 0, time.monotonic() - start)
-        placed = (lambda2,)
+    ribbon = problem.ribbon_split is not None
+    # the placed chains' determinant is index^2 times their complement's: the
+    # first chain's in constrained mode, 1 at full rank
+    placed = problem.summands[1:] if ribbon else problem.summands
+    p1 = continuant(problem.summands[0]) if ribbon else 1
+    if square_index(p1, prod(continuant(t) for t in placed)) is None:
+        return SearchOutcome("absent", None, 0, time.monotonic() - start)
 
     # each chain is placed from its cheaper end; a reversed chain spans the
     # same lattice, so the search stays exhaustive
@@ -349,7 +344,7 @@ def _run_problem(problem: SearchProblem, budget: SearchBudget) -> SearchOutcome:
         groups = (vecs[end - len(t) : end] for t, end in zip(placed, ends))
         return tuple(group[::-1] if flip else group for group, flip in zip(groups, flips))
 
-    if problem.ribbon_split is None:
+    if not ribbon:
         leaf = given_order
     else:
         ribbon_leaf = _ribbon_leaf(problem, engine._tick)
@@ -407,13 +402,11 @@ def verify_certificate(problem: SearchProblem, cert: Certificate) -> bool:
     # automatically linearly independent; in plain mode they fill Z^N by count
     if problem.ribbon_split is None:
         return len(flat) == N
-    group1, group2 = groups
-    kernel = integer_kernel(group2, N)
-    gram_kernel = tuple(tuple(dot(a, b) for b in kernel) for a in kernel)
-    # group1 sits inside the complement (cross pairings vanish) with equal
-    # rank, and the pairings above make its determinant lambda1's continuant;
-    # equal determinants force equality of the two lattices
-    return len(group1) == len(kernel) and det(gram_kernel) == continuant(problem.summands[0])
+    # group1 sits inside the complement of group2 (cross pairings vanish) with
+    # equal rank, and the pairings above make their determinants p1 and p2;
+    # the complement's is p2 / index^2, and equal determinants force equality
+    p1, p2 = (continuant(t) for t in problem.summands)
+    return saturation_index(groups[1], N) == square_index(p1, p2)
 
 
 class EmbeddingCache:
@@ -593,7 +586,7 @@ def r_membership(
     p, q = f.numerator, f.denominator
     if not p > q > 0:
         raise ValueError(f"need p > q > 0 or the trivial fraction, got {f}")
-    if not is_perfect_square(p):
+    if square_index(1, p) is None:
         return RMembershipResult(f, "non-member", f"order {p} is not a perfect square")
     budget = (budget if budget is not None else SearchBudget.from_env()).started()
     if d_obstruction(1, 0, p, q, budget.expired):

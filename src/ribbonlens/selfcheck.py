@@ -16,15 +16,9 @@ from fractions import Fraction
 from math import gcd
 
 from . import cli, search
-from .arith import LensSpace, cf_evaluate, cf_expand, fn_membership, is_perfect_square, lens_normalize
+from .arith import LensSpace, cf_evaluate, cf_expand, fn_membership, lens_normalize, square_index
 from .classify import ConnectedSum, ribbon_leq_lens, ribbon_leq_sum, replay_witness
-from .lattice import (
-    EmbeddedLattice,
-    _column_reduce,
-    orthogonal_complement,
-    primitivity_test,
-    primitivity_test_saturation,
-)
+from .lattice import EmbeddedLattice, orthogonal_complement, primitivity_test, primitivity_test_saturation
 from .subsets import (
     bad_component_complement,
     components,
@@ -86,9 +80,10 @@ def check_primitivity_routes() -> tuple[bool, str]:
         rows = tuple(
             tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(k)
         )
-        if len(_column_reduce(rows, n)[0]) != k:
+        try:
+            embedded = EmbeddedLattice(n, rows)
+        except ValueError:  # dependent rows
             continue
-        embedded = EmbeddedLattice(n, rows)
         via_pivots = primitivity_test(embedded)
         via_sat = primitivity_test_saturation(embedded)
         if via_pivots != via_sat:
@@ -182,7 +177,7 @@ def check_r_oracle_invariance(max_p: int = 36) -> tuple[bool, str]:
             return False, f"not invariant under reversal at {p}/{q}"
         if outcome == "member":
             members += 1
-            if not is_perfect_square(p):
+            if square_index(1, p) is None:
                 return False, f"member with non-square order at {p}/{q}"
     return True, f"{len(outcomes)} fractions invariant ({members} members)"
 

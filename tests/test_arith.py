@@ -18,9 +18,9 @@ from ribbonlens.arith import (
     d_obstruction,
     fn_membership,
     h1_order,
-    is_perfect_square,
     lens_homeomorphic,
     lens_normalize,
+    square_index,
     square_ratio_check,
 )
 
@@ -204,10 +204,12 @@ class TestHomologyOrder:
     def test_square_ratio_reflexive(self, lens):
         assert square_ratio_check([lens], [lens])
 
-    def test_perfect_square(self):
-        squares = {n * n for n in range(40)}
-        for n in range(1500):
-            assert is_perfect_square(n) == (n in squares)
+    def test_square_index(self):
+        # brute force: the n >= 1 with p2 = n**2 * p1, or None
+        for p1 in range(1, 30):
+            index = {n * n * p1: n for n in range(1, 40)}
+            for p2 in range(1500):
+                assert square_index(p1, p2) == index.get(p2), (p1, p2)
 
 
 def d_invariant_by_fractions(p, q, i):

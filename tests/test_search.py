@@ -796,6 +796,18 @@ class TestVerifier:
         # a negated entry that no other vector shares keeps a certificate valid
         assert verdicts[True] > 0 and verdicts[False] > 9 * len(cases) // 2
 
+    def test_complement_condition_alone_rejects(self):
+        # group 2 spans D3 inside Z^3 + 0, of index 2 in its saturation, so
+        # its complement is 0 + Z, of determinant 1, not 4; every norm and
+        # pairing is right, and only the complement condition decides
+        problem = ribbon_problem((4,), (2, 2, 2))
+        group2 = ((1, -1, 0, 0), (0, -1, -1, 0), (-1, -1, 0, 0))
+        bad = Certificate((((0, 0, 0, 2),), group2), 0)
+        assert not verify_certificate(problem, bad)
+        assert not dense_verify(problem, bad)
+        cert = find_embedding(problem, cache=fresh_cache()).certificate
+        assert verify_certificate(problem, cert) and dense_verify(problem, cert)
+
     def test_sparse_checker_is_fast_on_a_long_certificate(self):
         # dense_verify takes about half a second on these 301 vectors
         problem = plain_problem((cf_expand(Fraction(90000, 301)),))
