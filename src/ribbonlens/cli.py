@@ -18,7 +18,7 @@ from fractions import Fraction
 from math import gcd
 
 from . import search, selfcheck
-from .arith import FnWitness, LensSpace, cf_evaluate, cf_expand, fn_membership, lens_homeomorphic, lens_normalize
+from .arith import FnWitness, LensSpace, cf_evaluate, cf_expand, cf_length, fn_membership, lens_homeomorphic, lens_normalize
 from .classify import (
     ConnectedSum,
     PairType,
@@ -297,9 +297,18 @@ def cmd_cf(args) -> tuple[int, dict, list[str]]:
     f = parse_fraction(args.fraction)
     if f <= 1:
         raise UsageError(f"expansion needs p/q > 1: {args.fraction!r}")
+    budget = _budget(args)
+    # every term costs a node, so an expansion longer than the budget is
+    # counted in closed form and never built
+    length = cf_length(f)
+    if length > budget.max_nodes:
+        _note(args.stderr, f"cf: the expansion has {length} terms, over the node budget of {budget.max_nodes}")
+        doc = {"fraction": str(f), "terms": None, "value": None}
+        return EXIT_INCONCLUSIVE, doc, [f"{f}: inconclusive"]
     terms = cf_expand(f)
     value = cf_evaluate(terms)
-    assert value == f
+    if value != f:
+        raise RuntimeError(f"the expansion of {f} evaluates to {value}")
     doc = {"fraction": str(f), "terms": [str(a) for a in terms], "value": str(value)}
     text = [f"{f} = [{','.join(str(a) for a in terms)}]^-"]
     return EXIT_YES, doc, text

@@ -111,6 +111,12 @@ class SearchProblem:
         return sum(len(t) for t in self.summands)
 
     @property
+    def placed(self) -> tuple[CF, ...]:
+        """The chains the engine places: every summand in plain mode, the
+        second in constrained mode, where the first is their complement."""
+        return self.summands if self.ribbon_split is None else self.summands[1:]
+
+    @property
     def key(self) -> str:
         mode = "plain" if self.ribbon_split is None else "ribbon"
         return mode + "|" + ";".join(",".join(str(a) for a in t) for t in self.summands)
@@ -324,13 +330,7 @@ def _ribbon_leaf(problem: SearchProblem, tick):
 def _run_problem(problem: SearchProblem, budget: SearchBudget) -> SearchOutcome:
     start = time.monotonic()
     ribbon = problem.ribbon_split is not None
-    # the placed chains' determinant is index^2 times their complement's: the
-    # first chain's in constrained mode, 1 at full rank
-    placed = problem.summands[1:] if ribbon else problem.summands
-    p1 = continuant(problem.summands[0]) if ribbon else 1
-    if square_index(p1, prod(continuant(t) for t in placed)) is None:
-        return SearchOutcome("absent", None, 0, time.monotonic() - start)
-
+    placed = problem.placed
     # each chain is placed from its cheaper end; a reversed chain spans the
     # same lattice, so the search stays exhaustive
     flips = [_end_cost(t[::-1]) < _end_cost(t) for t in placed]
@@ -412,12 +412,15 @@ def verify_certificate(problem: SearchProblem, cert: Certificate) -> bool:
 class EmbeddingCache:
     """In-memory cache of search outcomes with an optional JSON file behind it.
 
+    It holds searched problems only: :func:`find_embedding` answers a problem
+    that the square-index rule refutes before it asks the cache.
     Inconclusive outcomes are never stored, and absent ones stay in memory:
     the file holds certificates only, and a file written by a different
     engine version loads nothing.  A loaded certificate is verified when
     :meth:`get` first asks for its problem, so a session pays only for the
     entries it uses; one that fails is dropped and its problem searched again.
-    An entry whose key names no problem is never asked for and is kept as read.
+    An entry whose key names no problem, or a problem the square-index rule
+    refutes, is never asked for and is kept as read.
     """
 
     def __init__(self) -> None:
@@ -514,9 +517,17 @@ def find_embedding(
     constrained mode, the second chain with the first as its complement.
 
     Exhaustive up to signed coordinate permutation: "absent" is a proof.
-    Without a cache the process-wide one serves, without a budget the one
-    from the environment; its clock starts here unless it is running.
+    A problem whose determinants break the square-index rule is "absent"
+    with 0 nodes before the cache is asked or the clock started, and is
+    never stored.  Without a cache the process-wide one serves, without a
+    budget the one from the environment; its clock starts here unless it is
+    running.
     """
+    # the placed chains' determinant is index^2 times their complement's: the
+    # first chain's in constrained mode, 1 at full rank
+    p1 = 1 if problem.ribbon_split is None else continuant(problem.summands[0])
+    if square_index(p1, prod(continuant(t) for t in problem.placed)) is None:
+        return SearchOutcome("absent", None, 0, 0.0)
     cache = cache if cache is not None else _shared_cache
     hit = cache.get(problem)
     if hit is not None:

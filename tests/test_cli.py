@@ -6,12 +6,14 @@ import re
 import shlex
 import subprocess
 import sys
+import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ribbonlens import cli, search
+from ribbonlens import cli, search, selfcheck
 from ribbonlens.arith import lens_normalize
 from ribbonlens.classify import ribbon_leq_lens, ribbon_leq_sum, ConnectedSum
 from ribbonlens.search import EmbeddingCache, find_ribbon_embedding
@@ -74,6 +76,8 @@ class TestExitCodes:
             ({"RIBBONLENS_MAX_SECONDS": "abc"}, ["in-r", "4/3"], "RIBBONLENS_MAX_SECONDS"),
             ({}, ["--max-nodes", "-5", "in-r", "4/3"], "--max-nodes"),
             ({}, ["--max-seconds", "0", "in-r", "4/3"], "--max-seconds"),
+            ({}, ["--max-nodes", "-5", "cf", "7/4"], "--max-nodes"),
+            ({"RIBBONLENS_MAX_NODES": "abc"}, ["cf", "7/4"], "RIBBONLENS_MAX_NODES"),
         ],
     )
     def test_bad_budget_is_usage_error(self, monkeypatch, env, argv, named):
@@ -82,6 +86,38 @@ class TestExitCodes:
         code, out, err = run_cli(*argv)
         assert code == 64
         assert named in err and not out
+
+
+class TestContinuedFractionBudget:
+    """cf counts the terms first and builds no expansion over the node budget."""
+
+    def test_expansion_over_the_node_budget_is_not_built(self):
+        # 1000001/1000000 is a run of 10**6 terms 2 and one 1000001
+        start = time.perf_counter()
+        code, out, err = run_cli("--max-nodes", "1000", "--format", "json", "cf", "1000001/1000000")
+        assert time.perf_counter() - start < 0.5
+        assert code == cli.EXIT_INCONCLUSIVE == 2
+        assert json.loads(out)["result"] == {"fraction": "1000001/1000000", "terms": None, "value": None}
+        # one line naming the term count and the budget
+        assert err.count("\n") == 1 and "1000000 terms" in err and err.rstrip().endswith(" 1000")
+
+    def test_expansion_at_the_node_budget_is_built(self):
+        code, out, err = run_cli("--max-nodes", "2", "cf", "7/4")
+        assert (code, out, err) == (0, "7/4 = [2,4]^-\n", "")
+        code, out, err = run_cli("--max-nodes", "1", "cf", "7/4")
+        assert (code, out) == (2, "7/4: inconclusive\n") and "2 terms" in err
+
+    def test_seven_fourths_is_the_golden(self, monkeypatch):
+        for name in ("RIBBONLENS_MAX_NODES", "RIBBONLENS_MAX_SECONDS"):
+            monkeypatch.delenv(name, raising=False)
+        _, out, _ = run_cli("--format", "json", "cf", "7/4")
+        assert out.encode() == selfcheck.golden_path("cf-7-4").read_bytes()
+
+    def test_failed_round_trip_is_an_internal_error(self, monkeypatch):
+        # a check that python -O would not remove
+        monkeypatch.setattr(cli, "cf_evaluate", lambda terms: Fraction(5, 3))
+        code, out, err = run_cli("cf", "7/4")
+        assert code == cli.EXIT_SOFTWARE and not out and "evaluates to 5/3" in err
 
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"

@@ -599,6 +599,104 @@ class TestRibbonSearch:
                 assert sum(a * b for a, b in zip(v, w)) == 0
 
 
+def has_square_ratio(p1: int, p2: int) -> bool:
+    return p2 % p1 == 0 and isqrt(p2 // p1) ** 2 == p2 // p1
+
+
+def prefilter_problems():
+    """The ribbon problems of every ordered lens pair with p <= 12 in both
+    orientations, and plain problems of one or two chains of p/q, p <= 16,
+    split by whether the orders break the square-index rule (p2 = n^2 * p1,
+    with p1 = 1 in plain mode): (refuted, searched), each without repeats."""
+    from ribbonlens.selfcheck import all_lens_spaces
+
+    refuted, searched = [], []
+    spaces = all_lens_spaces(12)
+    for l1 in spaces:
+        for l2 in spaces:
+            for a, b in ((l1, l2), (l1.reverse(), l2.reverse())):
+                problem = ribbon_problem(a.reverse().cf(), b.cf())
+                (searched if has_square_ratio(a.p, b.p) else refuted).append(problem)
+    fractions = [Fraction(p, q) for p in range(2, 17) for q in range(1, p) if gcd(p, q) == 1]
+    for summands in [(f,) for f in fractions] + list(itertools.combinations(fractions[:24], 2)):
+        problem = plain_problem(tuple(cf_expand(f) for f in summands))
+        order = 1
+        for f in summands:
+            order *= f.numerator
+        (searched if has_square_ratio(1, order) else refuted).append(problem)
+    return list(dict.fromkeys(refuted)), list(dict.fromkeys(searched))
+
+
+class CountingCache(EmbeddingCache):
+    """Records the key of every get and put."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.asked: list[str] = []
+
+    def get(self, problem):
+        self.asked.append(problem.key)
+        return super().get(problem)
+
+    def put(self, problem, outcome):
+        self.asked.append(problem.key)
+        super().put(problem, outcome)
+
+
+class TestSquareIndexPrefilter:
+    """find_embedding answers a problem that breaks the square-index rule
+    before the cache and the clock."""
+
+    def test_refuted_problems_touch_neither_cache_nor_clock(self, monkeypatch):
+        refuted, searched = prefilter_problems()
+        assert len(refuted) > len(searched) > 200
+        cache = CountingCache()
+
+        def no_clock(*args):
+            raise AssertionError("clock started for a refuted problem")
+
+        with monkeypatch.context() as patched:
+            patched.setattr(SearchBudget, "started", no_clock)
+            patched.setattr(SearchBudget, "from_env", no_clock)
+            for problem in refuted:
+                outcome = find_embedding(problem, cache=cache)
+                assert (outcome.status, outcome.certificate, outcome.nodes) == ("absent", None, 0)
+        assert cache.asked == [] and len(cache) == 0
+        # a searched problem is looked up and stored once each
+        for problem in searched[:200]:
+            find_embedding(problem, cache=cache)
+        assert cache.asked == [key for problem in searched[:200] for key in (problem.key,) * 2]
+
+    def test_the_search_alone_proves_them_absent(self):
+        # _run_problem has no prefilter: its exhausted search must agree
+        refuted, _ = prefilter_problems()
+        budget = SearchBudget().started()
+        for problem in refuted:
+            assert search._run_problem(problem, budget).status == "absent", problem.key
+
+    def test_file_entry_under_a_refuted_key_survives_the_next_save(self, tmp_path):
+        # no query asks the cache for a refuted problem, so the entry is
+        # neither verified nor dropped, and the save writes it back as read
+        refuted = [plain_problem([(2, 2)]), ribbon_problem((3,), (2, 2, 2))]
+        entries = {
+            problem.key: {"groups": [[["1", "0"]] * len(t) for t in problem.summands], "nodes": "7"}
+            for problem in refuted
+        }
+        path = tmp_path / "cache.json"
+        doc = {"schema": search.CACHE_SCHEMA, "engine": ENGINE_VERSION, "certificates": entries}
+        path.write_text(json.dumps(doc))
+        cache = fresh_cache()
+        assert cache.load(path) == 2
+        for problem in refuted:
+            assert find_embedding(problem, cache=cache).status == "absent"
+        assert not cache.changed
+        found = find_embedding(plain_problem([(2, 2, 2)]), cache=cache)
+        assert cache.changed
+        cache.save(path)
+        doc["certificates"]["plain|2,2,2"] = found.certificate.to_json()
+        assert path.read_text() == json.dumps(doc, indent=1, sort_keys=True) + "\n"
+
+
 def naive_ribbon_exists(lambda1, lambda2):
     """Independent constrained-mode oracle.
 
