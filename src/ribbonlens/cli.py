@@ -29,7 +29,7 @@ from .classify import (
     ribbon_leq_sum,
 )
 
-SCHEMA = "ribbonlens/1"
+SCHEMA = "ribbonlens/2"
 
 EXIT_YES = 0
 EXIT_NO = 1
@@ -388,7 +388,7 @@ def cmd_embed(args) -> tuple[int, dict, list[str]]:
     text = [f"{outcome.status} (nodes={outcome.nodes})"]
     if outcome.certificate:
         for group in outcome.certificate.groups:
-            text.append("  " + " ".join(str(list(v)) for v in group))
+            text.append("  " + " ".join("{" + ",".join(f"{k}:{x}" for k, x in v) + "}" for v in group))
     return EXIT_CODES[outcome.status], doc, text
 
 

@@ -37,7 +37,7 @@ from .arith import (
 from .lattice import GramLattice, Vector, chain_basis_for, dot, integer_kernel, saturation_index
 
 ENGINE_VERSION = "4"
-CACHE_SCHEMA = "ribbonlens-cache/3"
+CACHE_SCHEMA = "ribbonlens-cache/4"
 
 
 class BudgetExceededError(Exception):
@@ -130,17 +130,22 @@ def ribbon_problem(lambda1: CF, lambda2: CF) -> SearchProblem:
     return SearchProblem((tuple(lambda1), tuple(lambda2)), 1)
 
 
+# a certificate vector: its (coordinate, value) pairs with nonzero values, by
+# increasing coordinate
+SparseVector = tuple[tuple[int, int], ...]
+
+
 @dataclass(frozen=True)
 class Certificate:
-    """Embedding witness: one integer vector per chain element, per summand."""
+    """Embedding witness: one :data:`SparseVector` per chain element, per summand."""
 
-    groups: tuple[tuple[Vector, ...], ...]
+    groups: tuple[tuple[SparseVector, ...], ...]
     nodes: int
 
     def to_json(self) -> dict:
         """The JSON object of the CLI's output and of a cache entry."""
         return {
-            "groups": [[[str(x) for x in v] for v in group] for group in self.groups],
+            "groups": [[[[str(k), str(x)] for k, x in v] for v in group] for group in self.groups],
             "nodes": str(self.nodes),
         }
 
@@ -150,7 +155,7 @@ class Certificate:
         nodes = int(doc["nodes"])
         if nodes < 0:
             raise ValueError(f"negative node count: {nodes}")
-        groups = tuple(tuple(tuple(int(x) for x in v) for v in group) for group in doc["groups"])
+        groups = tuple(tuple(tuple((int(k), int(x)) for k, x in v) for v in group) for group in doc["groups"])
         return cls(groups, nodes)
 
 
@@ -359,7 +364,9 @@ def _run_problem(problem: SearchProblem, budget: SearchBudget) -> SearchOutcome:
     seconds = time.monotonic() - start
     if groups is None:
         return SearchOutcome("absent", None, engine.nodes, seconds)
-    cert = Certificate(tuple(groups), engine.nodes)
+    # the engine's vectors are dense; a certificate keeps their nonzero entries
+    groups = tuple(tuple(tuple((k, x) for k, x in enumerate(v) if x) for v in group) for group in groups)
+    cert = Certificate(groups, engine.nodes)
     if not verify_certificate(problem, cert):
         raise RuntimeError(f"internal error: unverifiable certificate for {problem.key}")
     return SearchOutcome("found", cert, engine.nodes, seconds)
@@ -373,27 +380,28 @@ def verify_certificate(problem: SearchProblem, cert: Certificate) -> bool:
     if len(groups) != len(problem.summands):
         return False
     N = problem.ambient_rank
-    flat: list[tuple[Vector, bool, int]] = []  # (vector, pairs with the previous, norm)
+    flat: list[tuple[bool, int]] = []  # (pairs with the previous, norm)
+    # the Gram matrix from each coordinate's nonzero entries, by index pair
+    columns: list[list[tuple[int, int]]] = [[] for _ in range(N)]
     for terms, group in zip(problem.summands, groups):
         if len(group) != len(terms):
             return False
         for ti, (a, v) in enumerate(zip(terms, group)):
-            if len(v) != N:
-                return False
-            flat.append((tuple(v), ti > 0, a))
-    # the Gram matrix from each coordinate's nonzero entries, by index pair
-    columns: list[list[tuple[int, int]]] = [[] for _ in range(N)]
-    for idx, (v, _, _) in enumerate(flat):
-        for k, x in enumerate(v):
-            if x:
-                columns[k].append((idx, x))
+            # the one form: coordinates increasing inside [0, N), values nonzero
+            last = -1
+            for k, x in v:
+                if not (last < k < N and x):
+                    return False
+                columns[k].append((len(flat), x))
+                last = k
+            flat.append((ti > 0, a))
     gram: dict[tuple[int, int], int] = {}
     for column in columns:
         for s, (idx, x) in enumerate(column):
             for jdx, y in column[s:]:
                 gram[idx, jdx] = gram.get((idx, jdx), 0) + x * y
     # each norm, each pairing with the previous vector of a chain, and 0 else
-    for idx, (_, pairs, a) in enumerate(flat):
+    for idx, (pairs, a) in enumerate(flat):
         if gram.pop((idx, idx), 0) != a or (pairs and gram.pop((idx - 1, idx), 0) != 1):
             return False
     if any(gram.values()):
@@ -406,7 +414,8 @@ def verify_certificate(problem: SearchProblem, cert: Certificate) -> bool:
     # equal rank, and the pairings above make their determinants p1 and p2;
     # the complement's is p2 / index^2, and equal determinants force equality
     p1, p2 = (continuant(t) for t in problem.summands)
-    return saturation_index(groups[1], N) == square_index(p1, p2)
+    rows = [[dict(v).get(k, 0) for k in range(N)] for v in groups[1]]
+    return saturation_index(rows, N) == square_index(p1, p2)
 
 
 class EmbeddingCache:
@@ -467,12 +476,12 @@ class EmbeddingCache:
         """Write the verified certificates and the unverified entries as loaded."""
         doc = {"schema": CACHE_SCHEMA, "engine": ENGINE_VERSION, "certificates": self._certificates()}
         # write beside the target and rename over it, so a run killed
-        # mid-write leaves the previous file intact
+        # mid-write leaves the previous file intact; json.dumps, as json.dump
+        # always takes the pure-Python encoder
         tmp = f"{path}.{os.getpid()}.tmp"
         try:
             with open(tmp, "w", encoding="utf-8") as handle:
-                json.dump(doc, handle, indent=1, sort_keys=True)
-                handle.write("\n")
+                handle.write(json.dumps(doc, sort_keys=True) + "\n")
             os.replace(tmp, path)
         except BaseException:
             if os.path.exists(tmp):

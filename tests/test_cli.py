@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ribbonlens import cli, search, selfcheck
-from ribbonlens.arith import lens_normalize
+from ribbonlens.arith import cf_expand, lens_normalize
 from ribbonlens.classify import ribbon_leq_lens, ribbon_leq_sum, ConnectedSum
 from ribbonlens.search import EmbeddingCache, find_ribbon_embedding
 
@@ -299,7 +299,7 @@ class TestStructuredOutput:
         code, out, _ = run_cli("--format", "json", "cf", "7/4")
         doc = json.loads(out)
         assert code == 0
-        assert doc["schema"] == "ribbonlens/1"
+        assert doc["schema"] == "ribbonlens/2"
         assert doc["result"]["terms"] == ["2", "4"]
 
     def test_verdict_round_trip(self):
@@ -328,6 +328,22 @@ class TestStructuredOutput:
         rebuilt = cli.certificate_from_json(doc["result"]["certificate"])
         direct = find_ribbon_embedding((2,), (2, 3, 2), cache=EmbeddingCache())
         assert rebuilt == direct.certificate
+
+    def test_embed_text_lists_nonzero_entries(self):
+        # one line per group, each vector as coordinate:value of its nonzero entries
+        code, out, _ = run_cli("embed", "--summands", "2", "--summands", "2,3,2", "--ribbon-split", "1")
+        assert (code, out) == (0, "found (nodes=18)\n  {2:-1,3:1}\n  {0:1,1:1} {0:1,2:1,3:1} {0:1,1:-1}\n")
+
+    def test_long_certificates_are_compact(self):
+        # 301 vectors in Z^301 and 300 in Z^300, under 1% of their entries
+        # nonzero: 722 KB when every entry was printed
+        code, out, _ = run_cli("--format", "json", "in-r", "90000/301")
+        assert code == 0 and len(out) < 40_000
+        direct = search.r_membership(Fraction(90000, 301), cache=EmbeddingCache()).searches
+        for item, (g, outcome) in zip(json.loads(out)["result"]["searches"], direct):
+            rebuilt = cli.certificate_from_json(item["certificate"])
+            assert rebuilt == outcome.certificate
+            assert search.verify_certificate(search.plain_problem((cf_expand(Fraction(g)),)), rebuilt)
 
     def test_no_floats_anywhere(self):
         for argv in (
@@ -413,12 +429,29 @@ class TestCacheFile:
         # a forged count would be reported as the search's own
         negative_nodes = {key: dict(entry, nodes="-7") for key, entry in certs.items()}
         huge_coefficient = {
-            key: dict(entry, groups=[[["HUGE", *v[1:]] for v in group] for group in entry["groups"]])
+            key: dict(entry, groups=[[[[k, "HUGE"] for k, _ in v] for v in group] for group in entry["groups"]])
             for key, entry in certs.items()
         }
         for entries in (bad_nodes, bad_key, huge_nodes, negative_nodes, huge_coefficient):
             path.write_text(json.dumps(dict(doc, certificates=entries)).replace('"HUGE"', "1e999"))
             assert run_cli(*argv) == clean
+
+    def test_vector_not_in_the_sparse_form_is_searched_again(self, tmp_path):
+        # the first vector of 2,2,2 in Z^3 given with a coordinate outside
+        # [0, 3), a repeated or unsorted coordinate, or a zero value: the entry
+        # is dropped, its problem searched again, and the save replaces it
+        path = tmp_path / "cache.json"
+        argv = ("--cache", str(path), "--format", "json", "in-r", "4/3")
+        clean = run_cli(*argv)
+        assert clean[0] == 0
+        doc = json.loads(path.read_text())
+        (k, x), (l, y) = doc["certificates"]["plain|2,2,2"]["groups"][0][0]
+        for first in ([[k, x], ["3", y]], [["-1", x], [l, y]], [[k, x], [k, x]], [[l, y], [k, x]], [[k, x], [l, y], ["2", "0"]]):
+            bad = json.loads(json.dumps(doc))
+            bad["certificates"]["plain|2,2,2"]["groups"][0][0] = first
+            path.write_text(json.dumps(bad))
+            assert run_cli(*argv) == clean, first
+            assert json.loads(path.read_text()) == doc
 
     def test_unproven_entries_are_not_trusted(self, tmp_path):
         # a negative entry carries nothing to verify, so neither the old
@@ -463,20 +496,26 @@ class TestCacheFile:
         assert run_cli("--cache", str(path), *argv) == clean
 
     def test_previous_schema_loads_nothing_and_is_replaced(self, tmp_path):
+        # /2 named the groups "vectors"; /3 wrote every entry of a vector
         argv = ("--format", "json", "embed", "--summands", "2,2,2")
         clean = run_cli(*argv)
         printed = json.loads(clean[1])["result"]["certificate"]
+        dense = [[["1", "1", "0"], ["1", "0", "1"], ["1", "-1", "0"]]]
         path = tmp_path / "cache.json"
-        path.write_text(json.dumps({
-            "schema": "ribbonlens-cache/2",
-            "engine": search.ENGINE_VERSION,
-            "certificates": {"plain|2,2,2": {"nodes": printed["nodes"], "vectors": printed["groups"]}},
-        }))
-        assert search.EmbeddingCache().load(path) == 0
-        assert run_cli("--cache", str(path), *argv) == clean
-        doc = json.loads(path.read_text())
-        assert doc["schema"] == search.CACHE_SCHEMA
-        assert doc["certificates"] == {"plain|2,2,2": printed}
+        for schema, entry in (
+            ("ribbonlens-cache/2", {"nodes": printed["nodes"], "vectors": dense}),
+            ("ribbonlens-cache/3", {"nodes": printed["nodes"], "groups": dense}),
+        ):
+            path.write_text(json.dumps({
+                "schema": schema,
+                "engine": search.ENGINE_VERSION,
+                "certificates": {"plain|2,2,2": entry},
+            }))
+            assert search.EmbeddingCache().load(path) == 0
+            assert run_cli("--cache", str(path), *argv) == clean
+            doc = json.loads(path.read_text())
+            assert doc["schema"] == search.CACHE_SCHEMA == "ribbonlens-cache/4"
+            assert doc["certificates"] == {"plain|2,2,2": printed}
 
     def test_query_that_raises_skips_the_save(self, tmp_path, monkeypatch):
         def crash(problem, budget):

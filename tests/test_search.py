@@ -32,6 +32,19 @@ def fresh_cache():
     return EmbeddingCache()
 
 
+def sparse(v):
+    """A vector's (coordinate, value) pairs with nonzero values."""
+    return tuple((k, x) for k, x in enumerate(v) if x)
+
+
+def dense(v, N):
+    """The N entries of a vector given by its (coordinate, value) pairs."""
+    x = [0] * N
+    for k, c in v:
+        x[k] = c
+    return tuple(x)
+
+
 def naive_embedding_exists(blocks, ambient):
     """Independent oracle: raw DFS over all vectors, no symmetry breaking."""
     flat = [(bi, ti, a) for bi, terms in enumerate(blocks) for ti, a in enumerate(terms)]
@@ -72,7 +85,7 @@ class TestPlainSearch:
     def test_norm_four_in_rank_one(self):
         outcome = find_embedding(plain_problem([(4,)]), cache=fresh_cache())
         assert outcome.found
-        assert outcome.certificate.groups == (((2,),),)
+        assert outcome.certificate.groups == ((((0, 2),),),)
 
     def test_three_chain_of_twos(self):
         outcome = find_embedding(plain_problem([(2, 2, 2)]), cache=fresh_cache())
@@ -146,7 +159,9 @@ ENGINE_FINGERPRINTS = {
 def engine_fingerprint() -> str:
     """(key, status, groups, nodes) of a fixed problem set, with and without a
     tight node budget: plain chains of p/q for square p <= 64 and ribbon pairs
-    with p <= 12, where the ribbon leaf meets strings with no chain basis."""
+    with p <= 12, where the ribbon leaf meets strings with no chain basis.
+    Each vector is written out to its N entries, the form the hashes of every
+    engine version were taken on."""
     from ribbonlens.selfcheck import all_lens_spaces
 
     problems = [
@@ -162,7 +177,9 @@ def engine_fingerprint() -> str:
     for budget in (SearchBudget(), SearchBudget(max_nodes=50)):
         for problem in problems:
             outcome = find_embedding(problem, budget=budget, cache=fresh_cache())
-            groups = outcome.certificate.groups if outcome.found else None
+            groups = None
+            if outcome.found:
+                groups = [[dense(v, problem.ambient_rank) for v in group] for group in outcome.certificate.groups]
             rows.append((problem.key, outcome.status, groups, outcome.nodes))
     return hashlib.sha256(json.dumps(rows, separators=(",", ":")).encode()).hexdigest()
 
@@ -572,7 +589,7 @@ class TestOrientation:
             problem = plain_problem([terms, (4,)])
             outcome = find_embedding(problem, cache=fresh_cache())
             assert outcome.found and verify_certificate(problem, outcome.certificate), terms
-            norms = [sum(x * x for x in v) for v in outcome.certificate.groups[0]]
+            norms = [sum(x * x for _, x in v) for v in outcome.certificate.groups[0]]
             assert norms == list(terms)
 
 
@@ -596,7 +613,7 @@ class TestRibbonSearch:
         group1, group2 = outcome.certificate.groups
         for v in group1:
             for w in group2:
-                assert sum(a * b for a, b in zip(v, w)) == 0
+                assert sum(x * dict(w).get(k, 0) for k, x in v) == 0
 
 
 def has_square_ratio(p1: int, p2: int) -> bool:
@@ -679,7 +696,7 @@ class TestSquareIndexPrefilter:
         # neither verified nor dropped, and the save writes it back as read
         refuted = [plain_problem([(2, 2)]), ribbon_problem((3,), (2, 2, 2))]
         entries = {
-            problem.key: {"groups": [[["1", "0"]] * len(t) for t in problem.summands], "nodes": "7"}
+            problem.key: {"groups": [[[["0", "1"]]] * len(t) for t in problem.summands], "nodes": "7"}
             for problem in refuted
         }
         path = tmp_path / "cache.json"
@@ -694,7 +711,7 @@ class TestSquareIndexPrefilter:
         assert cache.changed
         cache.save(path)
         doc["certificates"]["plain|2,2,2"] = found.certificate.to_json()
-        assert path.read_text() == json.dumps(doc, indent=1, sort_keys=True) + "\n"
+        assert path.read_text() == json.dumps(doc, sort_keys=True) + "\n"
 
 
 def naive_ribbon_exists(lambda1, lambda2):
@@ -814,7 +831,8 @@ class TestNecessityChain:
 
 def dense_verify(problem, cert):
     """Reference for verify_certificate: the engine version 3 checker, which
-    takes the dot product of every pair of vectors."""
+    takes the dot product of every pair of vectors, each written out to its N
+    entries."""
     from ribbonlens.lattice import det, dot, integer_kernel
 
     groups = cert.groups
@@ -826,9 +844,10 @@ def dense_verify(problem, cert):
         if len(group) != len(terms):
             return False
         for ti, (a, v) in enumerate(zip(terms, group)):
-            if len(v) != N:
+            # a vector in the one sparse form survives writing out and back
+            if not all(0 <= k < N for k, _ in v) or sparse(dense(v, N)) != v:
                 return False
-            flat.append((tuple(v), ti > 0, a))
+            flat.append((dense(v, N), ti > 0, a))
     for idx, (v, pairs, a) in enumerate(flat):
         if dot(v, v) != a:
             return False
@@ -838,18 +857,19 @@ def dense_verify(problem, cert):
     if problem.ribbon_split is None:
         return len(flat) == N
     group1, group2 = groups
-    kernel = integer_kernel(group2, N)
+    kernel = integer_kernel([dense(v, N) for v in group2], N)
     gram_kernel = tuple(tuple(dot(a, b) for b in kernel) for a in kernel)
     return len(group1) == len(kernel) and det(gram_kernel) == search.continuant(problem.summands[0])
 
 
-def mutations(cert, rng):
+def mutations(cert, N, rng):
     """Certificates one entry away from cert, three of each kind: an entry
-    moved by one, a nonzero entry negated, a vector an entry short or long."""
+    moved by one, a nonzero entry negated, a vector an entry short or long,
+    each made on the vector written out to its N entries."""
     spots = [(g, i) for g, group in enumerate(cert.groups) for i in range(len(group))]
     for kind in ("step", "negate", "length") * 3 if spots else ():
         g, i = rng.choice(spots)
-        v = list(cert.groups[g][i])
+        v = list(dense(cert.groups[g][i], N))
         k = rng.randrange(len(v))
         if kind == "step":
             v[k] += rng.choice((-1, 1))
@@ -861,7 +881,7 @@ def mutations(cert, rng):
         else:
             v.insert(k, rng.choice((-1, 0, 1)))
         groups = [list(group) for group in cert.groups]
-        groups[g][i] = tuple(v)
+        groups[g][i] = sparse(v)
         yield Certificate(tuple(map(tuple, groups)), cert.nodes)
 
 
@@ -887,7 +907,7 @@ class TestVerifier:
         verdicts = {True: 0, False: 0}
         for problem, cert in cases:
             assert verify_certificate(problem, cert) and dense_verify(problem, cert)
-            for bad in mutations(cert, rng):
+            for bad in mutations(cert, problem.ambient_rank, rng):
                 verdict = verify_certificate(problem, bad)
                 assert verdict == dense_verify(problem, bad), (problem.key, bad.groups)
                 verdicts[verdict] += 1
@@ -899,8 +919,8 @@ class TestVerifier:
         # its complement is 0 + Z, of determinant 1, not 4; every norm and
         # pairing is right, and only the complement condition decides
         problem = ribbon_problem((4,), (2, 2, 2))
-        group2 = ((1, -1, 0, 0), (0, -1, -1, 0), (-1, -1, 0, 0))
-        bad = Certificate((((0, 0, 0, 2),), group2), 0)
+        group2 = tuple(map(sparse, ((1, -1, 0, 0), (0, -1, -1, 0), (-1, -1, 0, 0))))
+        bad = Certificate(((((3, 2),),), group2), 0)
         assert not verify_certificate(problem, bad)
         assert not dense_verify(problem, bad)
         cert = find_embedding(problem, cache=fresh_cache()).certificate
@@ -917,21 +937,35 @@ class TestVerifier:
     def test_sign_flip_is_caught(self):
         problem = plain_problem([(2, 2, 2)])
         cert = find_embedding(problem, cache=fresh_cache()).certificate
-        tampered = [[list(v) for v in group] for group in cert.groups]
-        tampered[0][0][0] *= -1
-        bad = Certificate(
-            tuple(tuple(tuple(v) for v in group) for group in tampered), cert.nodes
-        )
+        (k, x), *rest = cert.groups[0][0]
+        flipped = ((k, -x), *rest)
+        bad = Certificate(((flipped, *cert.groups[0][1:]),), cert.nodes)
         assert not verify_certificate(problem, bad)
 
     def test_dependent_vectors_are_caught(self):
         problem = plain_problem([(2,), (2,)])
-        duplicated = Certificate((((1, 1),), ((1, 1),)), 0)
+        duplicated = Certificate(((((0, 1), (1, 1)),), (((0, 1), (1, 1)),)), 0)
         assert not verify_certificate(problem, duplicated)
 
     def test_wrong_shape_is_caught(self):
         problem = plain_problem([(2, 2)])
-        assert not verify_certificate(problem, Certificate((((1, 1),),), 0))
+        assert not verify_certificate(problem, Certificate(((((0, 1), (1, 1)),),), 0))
+
+    def test_vectors_not_in_the_sparse_form_are_caught(self):
+        # each defect turns the valid 2,2,2 certificate into an invalid one:
+        # a coordinate outside [0, 3) on either side, coordinates out of
+        # order, or a zero value
+        problem = plain_problem([(2, 2, 2)])
+        cert = find_embedding(problem, cache=fresh_cache()).certificate
+        (k, x), (l, y) = cert.groups[0][0]
+        for first in (((k, x), (3, y)), ((-1, x), (l, y)), ((l, y), (k, x)), ((k, x), (l, y), (2, 0))):
+            bad = Certificate(((first, *cert.groups[0][1:]),), cert.nodes)
+            assert not verify_certificate(problem, bad) and not dense_verify(problem, bad), first
+        # a repeated coordinate would be summed into the Gram table as a
+        # norm of 3, which no vector of Z^1 has
+        repeated = Certificate(((((0, 1), (0, 1)),),), 0)
+        assert not verify_certificate(plain_problem([(3,)]), repeated)
+        assert not dense_verify(plain_problem([(3,)]), repeated)
 
 
 class TestRMembership:
@@ -1037,7 +1071,7 @@ class TestCache:
         path = tmp_path / "cache.json"
         cache.save(path)
         doc = json.loads(path.read_text())
-        doc["certificates"][problem.key]["groups"][0][0][0] = "5"
+        doc["certificates"][problem.key]["groups"][0][0][0][1] = "5"
         corrupt = doc["certificates"][problem.key]
         path.write_text(json.dumps(doc))
         reloaded = fresh_cache()
@@ -1073,7 +1107,7 @@ class TestCache:
         path = tmp_path / "cache.json"
         cache.save(path)
         doc = json.loads(path.read_text())
-        doc["certificates"][unused.key]["groups"] = [[["3"]]]
+        doc["certificates"][unused.key]["groups"] = [[[["0", "3"]]]]
         path.write_text(json.dumps(doc))
 
         reloaded = fresh_cache()
@@ -1129,11 +1163,10 @@ class TestCache:
         before = path.read_bytes()
         find_embedding(plain_problem([(2, 2)]), cache=cache)
 
-        def dump_then_fail(doc, handle, **kwargs):
-            handle.write('{"schema": "%s", "certif' % search.CACHE_SCHEMA)
+        def fail(doc, **kwargs):
             raise OSError("disk full")
 
-        monkeypatch.setattr(json, "dump", dump_then_fail)
+        monkeypatch.setattr(json, "dumps", fail)
         with pytest.raises(OSError):
             cache.save(path)
         monkeypatch.undo()
