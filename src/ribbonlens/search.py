@@ -1,5 +1,11 @@
 """Brute-force isometric-embedding search into Z^N with verified certificates.
 
+A single plain chain is first built where it can be: it is grown by 2-final
+expansions (Lisca 2007) from a shorter string on its contraction path, whose
+embedding is searched.  Every built certificate is verified, and a chain that
+no base grows into is searched whole, so "absent" still only comes from an
+exhausted search.
+
 The engine places each chain from its cheaper end (the smaller end term, then
 the longer run of 2s), since a reversed chain spans the same lattice.  It
 assigns one chain vector at a time, propagating the required pairings; a used
@@ -36,7 +42,7 @@ from .arith import (
 )
 from .lattice import GramLattice, Vector, chain_basis_for, dot, integer_kernel, saturation_index
 
-ENGINE_VERSION = "4"
+ENGINE_VERSION = "5"
 CACHE_SCHEMA = "ribbonlens-cache/4"
 
 
@@ -63,6 +69,12 @@ class SearchBudget:
 
     def expired(self) -> bool:
         return time.monotonic() > self.deadline
+
+    def after(self, nodes: int) -> SearchBudget:
+        """This running budget with ``nodes`` of its node cap used."""
+        rest = SearchBudget(self.max_nodes - nodes, self.max_seconds)
+        object.__setattr__(rest, "deadline", self.deadline)
+        return rest
 
     @classmethod
     def from_env(cls) -> SearchBudget:
@@ -372,6 +384,122 @@ def _run_problem(problem: SearchProblem, budget: SearchBudget) -> SearchOutcome:
     return SearchOutcome("found", cert, engine.nodes, seconds)
 
 
+def _square_refuted(problem: SearchProblem) -> bool:
+    """The square-index rule: the placed chains' determinant is index^2 times
+    their complement's, the first chain's in constrained mode, 1 at full rank."""
+    p1 = 1 if problem.ribbon_split is None else continuant(problem.summands[0])
+    return square_index(p1, prod(continuant(t) for t in problem.placed)) is None
+
+
+def _bases(terms: CF):
+    """(base, steps) for each string on the chain's contraction path that is
+    shorter than the chain and longer than one term, shortest first, with the
+    expansion steps that grow it back into the chain (1 where the new 2 goes
+    last).  A string that ends in 2 and whose other end is at least 3
+    contracts: it drops the 2 and lowers the other end by one.  The path is
+    walked on its end indices and end terms; inner terms are the chain's."""
+    if len(terms) < 3:
+        return  # no string of two or more terms is shorter
+    lo, hi, first, last = 0, len(terms) - 1, terms[0], terms[-1]
+    path = bytearray()
+    while lo < hi:
+        if last == 2 and first >= 3:
+            hi, first = hi - 1, first - 1
+            last = terms[hi] if hi > lo else first
+            path.append(1)
+        elif first == 2 and last >= 3:
+            lo, last = lo + 1, last - 1
+            first = terms[lo] if lo < hi else last
+            path.append(0)
+        else:
+            break
+    for i in range(len(path), 0, -1):
+        if lo < hi:
+            yield (first, *terms[lo + 1 : hi], last), (path[j] for j in range(i - 1, -1, -1))
+        # undo step i - 1: the lowered end goes back up, and the 2 returns
+        if path[i - 1]:
+            hi, first, last = hi + 1, first + 1, 2
+        else:
+            lo, first, last = lo - 1, 2, last + 1
+
+
+def _expand(base: tuple[SparseVector, ...], steps, tick) -> tuple[SparseVector, ...] | None:
+    """Grow a base's vectors by one 2-final expansion per step: a step of 1
+    adds one to the first vector's norm and puts a new 2 after the last, a
+    step of 0 is the mirror image.  None when a step finds no unit
+    coordinate that the two end vectors share with no other vector."""
+    vecs = [dict(v) for v in base]
+    use = [0] * len(base)  # per coordinate, how many vectors are nonzero there
+    for v in vecs:
+        for k in v:
+            use[k] += 1
+    before, after = [], []  # the new 2s, outward from the base
+    ends = [vecs[0], vecs[-1]]
+    for step in steps:
+        tick()
+        # a grows, and the new 2 sits beside b
+        a, b = ends[1 - step], ends[step]
+        # h: the least unit coordinate of both and of no other vector, found
+        # on the smaller support
+        small, large = sorted((a, b), key=len)
+        shared = [k for k, x in small.items() if use[k] == 2 and x * x == 1 == large.get(k, 0) ** 2]
+        if not shared:
+            return None
+        h = min(shared)
+        # a new coordinate e: a + sigma e and tau e_h + e pair to 0, and the
+        # new vector pairs to tau^2 = 1 with b, to 0 with every other one
+        e, tau = len(use), b[h]
+        a[e] = -tau * a[h]
+        new = {h: tau, e: 1}
+        use[h] += 1
+        use.append(2)
+        (after if step else before).append(new)
+        ends[step] = new
+    # coordinates join each vector in increasing order, so its items are sorted
+    return tuple(tuple(v.items()) for v in (*before[::-1], *vecs, *after))
+
+
+def _built(problem: SearchProblem, budget: SearchBudget) -> SearchOutcome:
+    """A plain problem of one chain, built from the shortest base on its
+    contraction path that passes the square-index rule, is found, and
+    expands all the way, or else searched whole.  Bases are searched on the
+    query's budget and never cached; every expansion step ticks a node and
+    checks the clock, so a built chain of n vectors costs at least n nodes."""
+    start = time.monotonic()
+    (terms,) = problem.summands
+    nodes = 0
+
+    def tick() -> None:
+        nonlocal nodes
+        nodes += 1
+        if nodes > budget.max_nodes or budget.expired():
+            raise BudgetExceededError
+
+    try:
+        for base, steps in _bases(terms):
+            if budget.expired():
+                raise BudgetExceededError
+            base_problem = plain_problem((base,))
+            if _square_refuted(base_problem):
+                continue
+            outcome = _run_problem(base_problem, budget.after(nodes))
+            nodes += outcome.nodes
+            if outcome.status == "inconclusive":
+                raise BudgetExceededError
+            group = outcome.found and _expand(outcome.certificate.groups[0], steps, tick)
+            if group:
+                cert = Certificate((group,), nodes)
+                if not verify_certificate(problem, cert):
+                    raise RuntimeError(f"internal error: unverifiable certificate for {problem.key}")
+                return SearchOutcome("found", cert, nodes, time.monotonic() - start)
+        outcome = _run_problem(problem, budget.after(nodes))
+    except BudgetExceededError:
+        return SearchOutcome("inconclusive", None, nodes, time.monotonic() - start)
+    nodes += outcome.nodes
+    cert = outcome.certificate and Certificate(outcome.certificate.groups, nodes)
+    return SearchOutcome(outcome.status, cert, nodes, time.monotonic() - start)
+
+
 def verify_certificate(problem: SearchProblem, cert: Certificate) -> bool:
     """Independent checker: recomputes every pairing and, in constrained mode,
     the complement condition.  Run on every search hit and on the first use
@@ -526,22 +654,25 @@ def find_embedding(
     constrained mode, the second chain with the first as its complement.
 
     Exhaustive up to signed coordinate permutation: "absent" is a proof.
+    A plain problem of one chain is built by 2-final expansions where it can
+    be, and searched otherwise; only the problem asked is cached.
     A problem whose determinants break the square-index rule is "absent"
     with 0 nodes before the cache is asked or the clock started, and is
     never stored.  Without a cache the process-wide one serves, without a
     budget the one from the environment; its clock starts here unless it is
     running.
     """
-    # the placed chains' determinant is index^2 times their complement's: the
-    # first chain's in constrained mode, 1 at full rank
-    p1 = 1 if problem.ribbon_split is None else continuant(problem.summands[0])
-    if square_index(p1, prod(continuant(t) for t in problem.placed)) is None:
+    if _square_refuted(problem):
         return SearchOutcome("absent", None, 0, 0.0)
     cache = cache if cache is not None else _shared_cache
     hit = cache.get(problem)
     if hit is not None:
         return hit
-    outcome = _run_problem(problem, (budget if budget is not None else SearchBudget.from_env()).started())
+    budget = (budget if budget is not None else SearchBudget.from_env()).started()
+    if problem.ribbon_split is None and len(problem.summands) == 1:
+        outcome = _built(problem, budget)
+    else:
+        outcome = _run_problem(problem, budget)
     cache.put(problem, outcome)
     return outcome
 

@@ -469,8 +469,9 @@ class TestDecompositionBudget:
         assert (verdict.answer, verdict.obstruction) == ("inconclusive", "decomposition-budget")
 
     def test_oracle_shares_the_clock(self, monkeypatch):
-        # the ball oracle's searches on 10**6/1001 outlast half a second
-        # (about 2 s to "member"); they stop at the classifier's deadline
+        # the ball oracle on m**2/(123456789 m + 1), m = 10**9, outlasts half
+        # a second: its d-invariant coset loop alone takes longer, and stops
+        # at the classifier's deadline
         budgets = []
         real = search.r_membership
 
@@ -480,7 +481,10 @@ class TestDecompositionBudget:
 
         monkeypatch.setattr(search, "r_membership", spy)
         start = time.monotonic()
-        verdict = ribbon_leq_lens(L(1, 0), L(10**6, 1001), SearchBudget(max_seconds=0.5), cache=EmbeddingCache())
+        m = 10**9
+        verdict = ribbon_leq_lens(
+            L(1, 0), L(m * m, 123456789 * m + 1), SearchBudget(max_seconds=0.5), cache=EmbeddingCache()
+        )
         assert time.monotonic() - start < 1
         assert verdict.answer == "inconclusive"
         # the oracle is handed the classifier's budget with its clock running

@@ -10,7 +10,7 @@ from math import gcd, isqrt
 
 import pytest
 
-from ribbonlens import search
+from ribbonlens import search, subsets
 from ribbonlens.arith import LensSpace, cf_expand, d_obstruction, square_ratio_check
 from ribbonlens.search import (
     ENGINE_VERSION,
@@ -26,6 +26,7 @@ from ribbonlens.search import (
     two_sided_embeddings,
     verify_certificate,
 )
+from ribbonlens.subsets import linear_subset
 
 
 def fresh_cache():
@@ -147,12 +148,14 @@ class TestPlainSearch:
 # last version-2 engine, which filled fresh coordinates eagerly and did not
 # tick in a ribbon leaf's short-vector enumeration, and "3" on the last
 # version-3 engine, which placed every chain in string order and forced no
-# used coordinate
+# used coordinate, and "4" on the last version-4 engine, which searched every
+# plain chain whole instead of building it by 2-final expansions
 ENGINE_FINGERPRINTS = {
     "1": "f395473241b65e366d7bdd7642e6a6225fc98c6d5502df3c0c1c6380cd77a937",
     "2": "d7555422bc235f5ecf312b5cd0805caada9482dde4527dab9d6250f78e10fc08",
     "3": "5529d775b3bcb988a7f49d4bf8fb76bcccf77efe92799b5dc2d13fd11a5ca464",
     "4": "9a313c0ca0bbc9e21fbe667de1e3f3628192083e269d1abf376935f0cad9528f",
+    "5": "07beb6b83bec65e9712cd5ee5af0e39fdcd0a4946ba57ca0257366eb5457f670",
 }
 
 
@@ -422,8 +425,10 @@ class TestIncrementalPruning:
                 # engine version 2 filled each vector's fresh coordinates
                 # before descending, and took 52,291 nodes on found searches;
                 # version 3 placed each chain in string order and forced no
-                # coordinate, and took 37,137 and 149,498
-                assert (nodes["found"], nodes["absent"]) == (11_757, 49_280)
+                # coordinate, and took 37,137 and 149,498; version 4 searched
+                # every chain whole, and took 11,757 and 49,280.  An absent
+                # chain now also pays for the bases tried before its search
+                assert (nodes["found"], nodes["absent"]) == (6_049, 50_198)
         assert len(frames) > 3_000
 
     def test_seeded_plain_problems_match_full_scan(self, monkeypatch):
@@ -525,7 +530,12 @@ class TestTimeBudget:
         result = r_membership(f, budget, cache=fresh_cache())
         assert result.outcome == "inconclusive"
         (_, short), (_, long) = result.searches
-        assert (short.status, long.status) == ("inconclusive", "inconclusive")
+        # the short side may be built from (5, 2) within its nodes; found, it
+        # carries a certificate that verifies
+        assert short.status in ("inconclusive", "found")
+        if short.found:
+            assert verify_certificate(plain_problem((cf_expand(f),)), short.certificate)
+        assert long.status == "inconclusive"
         assert short.seconds < 2.5
         assert long.nodes == budget.max_nodes + 1
         assert expanded == [f]
@@ -591,6 +601,155 @@ class TestOrientation:
             assert outcome.found and verify_certificate(problem, outcome.certificate), terms
             norms = [sum(x * x for _, x in v) for v in outcome.certificate.groups[0]]
             assert norms == list(terms)
+
+
+def member_sides(max_p):
+    """The chains p/q of every ball-oracle member with square p <= max_p that
+    the d-invariant test lets through: both sides of each member, since
+    p/(p - q) is a member with it."""
+    for m in range(2, isqrt(max_p) + 1):
+        p = m * m
+        for q in range(1, p):
+            if gcd(p, q) == 1 and not d_obstruction(1, 0, p, q, lambda: False):
+                yield cf_expand(Fraction(p, q))
+
+
+def expansion_steps(monkeypatch, terms):
+    """(vectors before, vectors after, direction) of each expansion step that
+    built the chain's certificate, or None when it was searched whole."""
+    expand = search._expand
+    calls = []
+
+    def recorded(base, steps, tick):
+        steps = list(steps)
+        calls.append((base, steps))
+        return expand(base, steps, tick)
+
+    monkeypatch.setattr(search, "_expand", recorded)
+    outcome = find_embedding(plain_problem((terms,)), cache=fresh_cache())
+    monkeypatch.setattr(search, "_expand", expand)
+    if not calls or expand(*calls[-1], lambda: None) is None:
+        return None
+    base, steps = calls[-1]
+    grown = [base] + [expand(base, steps[: k + 1], lambda: None) for k in range(len(steps))]
+    assert grown[-1] == outcome.certificate.groups[0]
+    return [(grown[k], grown[k + 1], steps[k]) for k in range(len(steps))]
+
+
+class TestTwoFinalBuild:
+    def test_contraction_path_walks_back_to_the_chain(self):
+        # (5, 2, 2, 2) -> (4, 2, 2) -> (3, 2) -> (2), whose one term cannot
+        # expand; a string with both ends 2, or neither, does not contract
+        assert [(base, list(steps)) for base, steps in search._bases((5, 2, 2, 2))] == [
+            ((3, 2), [1, 1]),
+            ((4, 2, 2), [1]),
+        ]
+        for terms in ((2, 2, 2), (3, 4), (2, 3, 2), (4,), (3, 2), ()):
+            assert list(search._bases(terms)) == []
+        for terms in ((2, 2, 3, 4), (3, 3, 2, 2), (2, 4, 2, 5), (7, 2, 3, 2, 2, 2)):
+            lengths = []
+            for base, steps in search._bases(terms):
+                lengths.append(len(base))
+                # undoing a contraction: grow one end, put a 2 beside the other
+                for step in steps:
+                    base = (base[0] + 1, *base[1:], 2) if step else (2, *base[:-1], base[-1] + 1)
+                assert base == terms
+            # one term shorter per step, shortest first
+            assert lengths and lengths == list(range(len(terms) - len(lengths), len(terms))), terms
+
+    def test_members_up_to_900_keep_their_statuses(self, monkeypatch):
+        # every side is found, by a build or a whole search, with a certificate
+        # that verifies, and agrees with the whole-string search
+        whole = []
+        run_problem = search._run_problem
+
+        def counted(problem, budget):
+            whole.append(problem.key)
+            return run_problem(problem, budget)
+
+        monkeypatch.setattr(search, "_run_problem", counted)
+        sides = built = 0
+        for terms in member_sides(900):
+            problem = plain_problem((terms,))
+            whole.clear()
+            outcome = find_embedding(problem, cache=fresh_cache())
+            assert outcome.found and verify_certificate(problem, outcome.certificate), terms
+            built += problem.key not in whole
+            assert run_problem(problem, SearchBudget().started()).status == outcome.status, terms
+            sides += 1
+        assert sides == 890
+        assert built > 650
+
+    def test_each_step_is_the_two_final_move_it_undoes(self, monkeypatch):
+        # the new coordinate e is supported on the new 2 (s) and the grown end
+        # (t) alone, and contracting there gives the previous step back;
+        # subsets takes unit coefficients only, which bases such as (2, 5)
+        # cannot have, so it is asked where every coefficient is a unit
+        sides = unit_sides = 0
+        for terms in member_sides(121):
+            steps = expansion_steps(monkeypatch, terms)
+            if steps is None:
+                continue
+            sides += 1
+            unit = all(x * x == 1 for v in steps[-1][1] for _, x in v)
+            unit_sides += unit
+            for before, after, step in steps:
+                n = len(after)
+                # the new coordinate is the last one
+                e = max(k for v in after for k, _ in v)
+                s, t = (n - 1, 0) if step else (0, n - 1)
+                assert [i for i, v in enumerate(after) if dict(v).get(e)] == sorted((s, t))
+                assert sum(x * x for _, x in after[s]) == 2 < sum(x * x for _, x in after[t])
+                stripped = [tuple((k, x) for k, x in v if k != e) for i, v in enumerate(after) if i != s]
+                assert tuple(stripped) == before
+                if unit:
+                    grown = linear_subset([dense(v, n) for v in after], n)
+                    assert subsets._two_final_move(grown, tuple(range(n))) == (e, s, t)
+                    back = subsets.contract(grown, e, s, t)
+                    assert back.vectors == tuple(dense(v, n - 1) for v in before)
+        assert (sides, unit_sides) == (94, 48)
+
+    def test_long_member_is_built(self):
+        # 10**8/10001 builds from (2, 2, 2) and (2, 5): 10,001 and 9,999 terms
+        f = Fraction(10**8, 10001)
+        result = r_membership(f, SearchBudget(max_seconds=10), cache=fresh_cache())
+        assert result.outcome == "member"
+        for g, outcome in result.searches:
+            terms = cf_expand(Fraction(g))
+            assert verify_certificate(plain_problem((terms,)), outcome.certificate)
+            assert outcome.nodes >= len(terms)
+
+    def test_long_member_under_fewer_nodes_than_terms_is_inconclusive(self):
+        # each expansion step ticks a node, so a chain longer than the node
+        # budget is never built
+        terms = cf_expand(Fraction(10**8, 10001))
+        for max_nodes in (len(terms) - 1, len(terms) // 2):
+            budget = SearchBudget(max_nodes=max_nodes, max_seconds=10)
+            outcome = find_embedding(plain_problem((terms,)), budget, cache=fresh_cache())
+            assert (outcome.status, outcome.nodes) == ("inconclusive", max_nodes + 1)
+
+    def test_chains_of_rank_zero_and_one(self):
+        # nothing to build from: the search answers as it always did
+        for terms, status in (((), "found"), ((4,), "found"), ((2,), "absent"), ((3, 2), "absent")):
+            outcome = find_embedding(plain_problem([terms]), cache=fresh_cache())
+            assert outcome.status == status, terms
+        assert find_embedding(plain_problem([()]), cache=fresh_cache()).certificate.groups == ((),)
+
+    def test_bases_are_never_cached(self, monkeypatch):
+        # (4, 2, 2, 2, 2) is built from (2, 2, 2), whose search is not stored
+        searched = []
+        run_problem = search._run_problem
+
+        def counted(problem, budget):
+            searched.append(problem.key)
+            return run_problem(problem, budget)
+
+        monkeypatch.setattr(search, "_run_problem", counted)
+        cache = fresh_cache()
+        problem = plain_problem([(4, 2, 2, 2, 2)])
+        assert find_embedding(problem, cache=cache).found
+        assert searched == ["plain|2,2,2"]
+        assert len(cache) == 1 and cache.get(problem) is not None
 
 
 class TestRibbonSearch:
