@@ -2,9 +2,9 @@
 
 A single plain chain is first built where it can be: it is grown by 2-final
 expansions (Lisca 2007) from a shorter string on its contraction path, whose
-embedding is searched.  Every built certificate is verified, and a chain that
-no base grows into is searched whole, so "absent" still only comes from an
-exhausted search.
+embedding is searched once per cache.  Every built certificate is verified,
+and a chain that no base grows into is searched whole, so "absent" still only
+comes from an exhausted search.
 
 The engine places each chain from its cheaper end (the smaller end term, then
 the longer run of 2s), since a reversed chain spans the same lattice.  It
@@ -392,12 +392,15 @@ def _square_refuted(problem: SearchProblem) -> bool:
 
 
 def _bases(terms: CF):
-    """(base, steps) for each string on the chain's contraction path that is
-    shorter than the chain and longer than one term, shortest first, with the
-    expansion steps that grow it back into the chain (1 where the new 2 goes
-    last).  A string that ends in 2 and whose other end is at least 3
-    contracts: it drops the 2 and lowers the other end by one.  The path is
-    walked on its end indices and end terms; inner terms are the chain's."""
+    """(det, base, steps) for each string on the chain's contraction path that
+    is shorter than the chain and longer than one term, shortest first: its
+    continuant, a function that builds it, and the expansion steps that grow
+    it back into the chain (1 where the new 2 goes last).  A string that ends
+    in 2 and whose other end is at least 3 contracts: it drops the 2 and
+    lowers the other end by one.  The path is walked on its end indices and
+    end terms; inner terms are the chain's, and their continuant matrix is
+    carried up the path, so a base's determinant costs O(1) and no string is
+    built unless asked for."""
     if len(terms) < 3:
         return  # no string of two or more terms is shorter
     lo, hi, first, last = 0, len(terms) - 1, terms[0], terms[-1]
@@ -413,13 +416,29 @@ def _bases(terms: CF):
             path.append(0)
         else:
             break
+    # the product of the det-1 transfer matrices [[a, -1], [1, 0]] of the
+    # inner terms, the first term's rightmost: it takes continuant's
+    # (value, prev) = (first, 1) after the first term to the pair before the last
+    m00, m01, m10, m11 = 1, 0, 0, 1
+    for a in terms[lo + 1 : hi]:
+        m00, m01, m10, m11 = a * m00 - m10, a * m01 - m11, m00, m01
     for i in range(len(path), 0, -1):
         if lo < hi:
-            yield (first, *terms[lo + 1 : hi], last), (path[j] for j in range(i - 1, -1, -1))
-        # undo step i - 1: the lowered end goes back up, and the 2 returns
+            det = last * (m00 * first + m01) - (m10 * first + m11)
+            yield (
+                det,
+                lambda lo=lo, hi=hi, first=first, last=last: (first, *terms[lo + 1 : hi], last),
+                (path[j] for j in range(i - 1, -1, -1)),
+            )
+        # undo step i - 1: the lowered end goes back up, and the 2 returns;
+        # the end beside the 2 keeps its term and joins the inner terms
         if path[i - 1]:
+            if lo < hi:
+                m00, m01, m10, m11 = last * m00 - m10, last * m01 - m11, m00, m01
             hi, first, last = hi + 1, first + 1, 2
         else:
+            if lo < hi:
+                m00, m01, m10, m11 = first * m00 + m01, -m00, first * m10 + m11, -m10
             lo, first, last = lo - 1, 2, last + 1
 
 
@@ -459,15 +478,21 @@ def _expand(base: tuple[SparseVector, ...], steps, tick) -> tuple[SparseVector, 
     return tuple(tuple(v.items()) for v in (*before[::-1], *vecs, *after))
 
 
-def _built(problem: SearchProblem, budget: SearchBudget) -> SearchOutcome:
+def _built(problem: SearchProblem, budget: SearchBudget, cache: EmbeddingCache) -> SearchOutcome:
     """A plain problem of one chain, built from the shortest base on its
     contraction path that passes the square-index rule, is found, and
     expands all the way, or else searched whole.  Bases are searched on the
-    query's budget and never cached; every expansion step ticks a node and
-    checks the clock, so a built chain of n vectors costs at least n nodes."""
+    query's budget.  The first base that passes the rule has no base of its
+    own that does, so its own query would search it whole too: it is looked
+    up in the cache and stored like any problem.  A hit costs the nodes its
+    search did, and ends the build inconclusive at ``max_nodes + 1`` when
+    they do not fit, as that search would, so no answer depends on the
+    cache.  Every expansion step ticks a node and checks the clock, so a
+    built chain of n vectors costs at least n nodes."""
     start = time.monotonic()
     (terms,) = problem.summands
     nodes = 0
+    first = True  # no base so far has passed the square-index rule
 
     def tick() -> None:
         nonlocal nodes
@@ -476,13 +501,21 @@ def _built(problem: SearchProblem, budget: SearchBudget) -> SearchOutcome:
             raise BudgetExceededError
 
     try:
-        for base, steps in _bases(terms):
+        for det, base, steps in _bases(terms):
             if budget.expired():
                 raise BudgetExceededError
-            base_problem = plain_problem((base,))
-            if _square_refuted(base_problem):
+            if square_index(1, det) is None:
                 continue
-            outcome = _run_problem(base_problem, budget.after(nodes))
+            base_problem = plain_problem((base(),))
+            outcome = cache.get(base_problem) if first else None
+            if outcome is None:
+                outcome = _run_problem(base_problem, budget.after(nodes))
+                if first:
+                    cache.put(base_problem, outcome)
+            elif outcome.nodes > budget.max_nodes - nodes:
+                nodes = budget.max_nodes + 1
+                raise BudgetExceededError
+            first = False
             nodes += outcome.nodes
             if outcome.status == "inconclusive":
                 raise BudgetExceededError
@@ -550,7 +583,9 @@ class EmbeddingCache:
     """In-memory cache of search outcomes with an optional JSON file behind it.
 
     It holds searched problems only: :func:`find_embedding` answers a problem
-    that the square-index rule refutes before it asks the cache.
+    that the square-index rule refutes before it asks the cache.  Besides the
+    problems asked, it holds the first base of each built chain that passes
+    that rule, so a base is searched once per cache, not once per chain.
     Inconclusive outcomes are never stored, and absent ones stay in memory:
     the file holds certificates only, and a file written by a different
     engine version loads nothing.  A loaded certificate is verified when
@@ -655,7 +690,8 @@ def find_embedding(
 
     Exhaustive up to signed coordinate permutation: "absent" is a proof.
     A plain problem of one chain is built by 2-final expansions where it can
-    be, and searched otherwise; only the problem asked is cached.
+    be, and searched otherwise; the cache holds the problem asked and the
+    shortest base on its contraction path that passes the square-index rule.
     A problem whose determinants break the square-index rule is "absent"
     with 0 nodes before the cache is asked or the clock started, and is
     never stored.  Without a cache the process-wide one serves, without a
@@ -670,7 +706,7 @@ def find_embedding(
         return hit
     budget = (budget if budget is not None else SearchBudget.from_env()).started()
     if problem.ribbon_split is None and len(problem.summands) == 1:
-        outcome = _built(problem, budget)
+        outcome = _built(problem, budget, cache)
     else:
         outcome = _run_problem(problem, budget)
     cache.put(problem, outcome)

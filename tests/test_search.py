@@ -11,7 +11,7 @@ from math import gcd, isqrt
 import pytest
 
 from ribbonlens import search, subsets
-from ribbonlens.arith import LensSpace, cf_expand, d_obstruction, square_ratio_check
+from ribbonlens.arith import LensSpace, cf_expand, continuant, d_obstruction, square_ratio_check
 from ribbonlens.search import (
     ENGINE_VERSION,
     Certificate,
@@ -640,15 +640,16 @@ class TestTwoFinalBuild:
     def test_contraction_path_walks_back_to_the_chain(self):
         # (5, 2, 2, 2) -> (4, 2, 2) -> (3, 2) -> (2), whose one term cannot
         # expand; a string with both ends 2, or neither, does not contract
-        assert [(base, list(steps)) for base, steps in search._bases((5, 2, 2, 2))] == [
-            ((3, 2), [1, 1]),
-            ((4, 2, 2), [1]),
+        assert [(det, base(), list(steps)) for det, base, steps in search._bases((5, 2, 2, 2))] == [
+            (5, (3, 2), [1, 1]),
+            (10, (4, 2, 2), [1]),
         ]
         for terms in ((2, 2, 2), (3, 4), (2, 3, 2), (4,), (3, 2), ()):
             assert list(search._bases(terms)) == []
         for terms in ((2, 2, 3, 4), (3, 3, 2, 2), (2, 4, 2, 5), (7, 2, 3, 2, 2, 2)):
             lengths = []
-            for base, steps in search._bases(terms):
+            for _, base, steps in search._bases(terms):
+                base = base()
                 lengths.append(len(base))
                 # undoing a contraction: grow one end, put a 2 beside the other
                 for step in steps:
@@ -735,21 +736,142 @@ class TestTwoFinalBuild:
             assert outcome.status == status, terms
         assert find_embedding(plain_problem([()]), cache=fresh_cache()).certificate.groups == ((),)
 
-    def test_bases_are_never_cached(self, monkeypatch):
-        # (4, 2, 2, 2, 2) is built from (2, 2, 2), whose search is not stored
-        searched = []
-        run_problem = search._run_problem
+    def test_carried_determinants_are_the_continuants(self):
+        # _bases carries the inner terms' continuant matrix up the path; each
+        # base's determinant must be the continuant of the string it builds
+        rng = random.Random(2028)
+        chains = [(5, 2, 2, 2), (3, 3, 2, 2), (2, 4, 2, 5), (7, 2, 3, 2, 2, 2), (2,) * 40 + (81,)]
+        chains += [cf_expand(Fraction(p, q)) for p, q in ((10000, 101), (10000, 9899), (144, 35), (225, 179))]
+        chains += [tuple(rng.choice((2, 2, 2, 3, 4, 5, 9)) for _ in range(rng.randint(3, 14))) for _ in range(2000)]
+        bases = 0
+        for terms in chains:
+            for det, base, _ in search._bases(terms):
+                assert det == continuant(base()), (terms, base())
+                bases += 1
+        assert bases > 1500
 
-        def counted(problem, budget):
-            searched.append(problem.key)
-            return run_problem(problem, budget)
-
-        monkeypatch.setattr(search, "_run_problem", counted)
+    def test_first_base_is_searched_once_per_cache(self, monkeypatch):
+        # (4, 2, 2, 2, 2) and (3, 2, 2, 2) both build from (2, 2, 2): the
+        # second query takes it from the cache, which holds it with both chains
+        chains = ((4, 2, 2, 2, 2), (3, 2, 2, 2))
+        fresh = [fresh_answer(terms) for terms in chains]
+        searched = record_searches(monkeypatch)
         cache = fresh_cache()
-        problem = plain_problem([(4, 2, 2, 2, 2)])
-        assert find_embedding(problem, cache=cache).found
+        base = plain_problem([(2, 2, 2)])
+        for terms, want in zip(chains, fresh):
+            outcome = find_embedding(plain_problem([terms]), cache=cache)
+            assert outcome.found and outcome.nodes > len(terms)
+            assert (outcome.status, outcome.nodes, outcome.certificate.groups) == want
         assert searched == ["plain|2,2,2"]
-        assert len(cache) == 1 and cache.get(problem) is not None
+        assert len(cache) == 3 and cache.get(base).found
+
+    def test_base_from_a_file_is_verified_and_not_searched(self, monkeypatch, tmp_path):
+        path = tmp_path / "cache.json"
+        cache = fresh_cache()
+        find_embedding(plain_problem([(4, 2, 2, 2, 2)]), cache=cache)
+        cache.save(path)
+        assert "plain|2,2,2" in json.loads(path.read_text())["certificates"]
+        searched = record_searches(monkeypatch)
+        verified = []
+        verify = search.verify_certificate
+
+        def recorded(problem, cert):
+            verified.append(problem.key)
+            return verify(problem, cert)
+
+        monkeypatch.setattr(search, "verify_certificate", recorded)
+        loaded = fresh_cache()
+        assert loaded.load(path) == 2
+        outcome = find_embedding(plain_problem([(3, 2, 2, 2)]), cache=loaded)
+        assert searched == []
+        assert verified == ["plain|2,2,2", "plain|3,2,2,2"]  # the base's, then the built one's
+        assert (outcome.status, outcome.nodes, outcome.certificate.groups) == fresh_answer((3, 2, 2, 2))
+
+    def test_tampered_base_entry_is_searched_again(self, monkeypatch, tmp_path):
+        path = tmp_path / "cache.json"
+        cache = fresh_cache()
+        find_embedding(plain_problem([(2, 2, 2)]), cache=cache)
+        cache.save(path)
+        doc = json.loads(path.read_text())
+        doc["certificates"]["plain|2,2,2"]["groups"][0][0][0][1] = "2"
+        path.write_text(json.dumps(doc))
+        searched = record_searches(monkeypatch)
+        loaded = fresh_cache()
+        assert loaded.load(path) == 1
+        outcome = find_embedding(plain_problem([(3, 2, 2, 2)]), cache=loaded)
+        assert searched == ["plain|2,2,2"]
+        assert (outcome.status, outcome.nodes, outcome.certificate.groups) == fresh_answer((3, 2, 2, 2))
+        assert loaded.get(plain_problem([(2, 2, 2)])).certificate == find_embedding(
+            plain_problem([(2, 2, 2)]), cache=fresh_cache()
+        ).certificate
+
+    def test_later_bases_are_not_cached(self, monkeypatch):
+        # 144/35 has no embedding; its first base that passes the square-index
+        # rule, (3, 2, ..., 2, 3), does not grow into it, so the next one is
+        # searched too.  That one has a base of its own, so its own query
+        # costs more nodes than its search as a base: it is never stored
+        chain = cf_expand(Fraction(144, 35))
+        first, later = (3,) + (2,) * 7 + (3,), (4,) + (2,) * 7 + (3, 2)
+        searched = record_searches(monkeypatch)
+        cache = fresh_cache()
+        assert find_embedding(plain_problem([chain]), cache=cache).status == "absent"
+        assert searched == [plain_problem([t]).key for t in (first, later, chain)]
+        assert cache.get(plain_problem([first])) is not None
+        assert cache.get(plain_problem([later])) is None
+        for terms in (later, first, chain):
+            outcome = find_embedding(plain_problem([terms]), cache=cache)
+            assert (outcome.status, outcome.nodes) == fresh_answer(terms)[:2], terms
+
+    def test_ball_oracle_answers_do_not_depend_on_the_cache(self):
+        # every m**2/q with p <= 900: one cache shared by all of them gives
+        # each side the status, nodes and certificate of a fresh cache
+        fractions = [Fraction(m * m, q) for m in range(2, 31) for q in range(1, m * m) if gcd(m, q) == 1]
+        assert len(fractions) == 5600
+        shared = fresh_cache()
+
+        def sides(result):
+            return [(g, o.status, o.nodes, o.certificate and o.certificate.groups) for g, o in result.searches]
+
+        for f in fractions:
+            assert sides(r_membership(f, cache=shared)) == sides(r_membership(f, cache=fresh_cache())), f
+        assert shared.get(plain_problem([(2, 2, 2)])) is not None
+
+    def test_cached_base_under_every_node_budget(self):
+        # 10000/101 builds from (2, 2, 2): with the base in the cache, every
+        # node cap up to the fresh count + 1 answers as a fresh cache does, a
+        # cap below the base's own nodes included
+        terms = cf_expand(Fraction(10000, 101))
+        base = plain_problem([(2, 2, 2)])
+        stored = find_embedding(base, cache=fresh_cache())
+        fresh_nodes = fresh_answer(terms)[1]
+        assert stored.nodes > 1 and fresh_nodes > len(terms)
+        for max_nodes in range(fresh_nodes + 2):
+            budget = SearchBudget(max_nodes=max_nodes, max_seconds=10)
+            cache = fresh_cache()
+            cache.put(base, stored)
+            got = find_embedding(plain_problem([terms]), budget, cache)
+            want = find_embedding(plain_problem([terms]), budget, fresh_cache())
+            assert (got.status, got.nodes) == (want.status, want.nodes), max_nodes
+            assert got.status == ("found" if max_nodes >= fresh_nodes else "inconclusive")
+
+
+def record_searches(monkeypatch):
+    """The keys of the problems _run_problem searches from here on."""
+    searched = []
+    run_problem = search._run_problem
+
+    def counted(problem, budget):
+        searched.append(problem.key)
+        return run_problem(problem, budget)
+
+    monkeypatch.setattr(search, "_run_problem", counted)
+    return searched
+
+
+def fresh_answer(terms):
+    """(status, nodes, certificate groups) of the chain with a fresh cache."""
+    outcome = find_embedding(plain_problem([terms]), cache=fresh_cache())
+    return outcome.status, outcome.nodes, outcome.certificate and outcome.certificate.groups
 
 
 class TestRibbonSearch:
