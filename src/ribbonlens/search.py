@@ -1,10 +1,11 @@
 """Brute-force isometric-embedding search into Z^N with verified certificates.
 
 A single plain chain is first built where it can be: it is grown by 2-final
-expansions (Lisca 2007) from a shorter string on its contraction path, whose
-embedding is searched once per cache.  Every built certificate is verified,
-and a chain that no base grows into is searched whole, so "absent" still only
-comes from an exhausted search.
+expansions (Lisca 2007) from one shorter string on its contraction path, its
+base, whose embedding is asked for like any problem's and so searched once
+per cache.  A chain that its base does not grow into is searched whole, so
+"absent" still only comes from an exhausted search.  Every certificate that
+a query builds or finds is verified before it is stored.
 
 The engine places each chain from its cheaper end (the smaller end term, then
 the longer run of 2s), since a reversed chain spans the same lattice.  It
@@ -15,10 +16,11 @@ of Z^N by (a) consuming fresh coordinates in order with positive
 non-increasing coefficients and (b) forcing non-increasing coefficients on any
 block of coordinates whose columns over the partial assignment coincide.  So
 the used coordinates are a prefix and such blocks are contiguous runs, which
-the engine carries down an explicit stack; nothing in it recurses.  The pruned
-tree still contains a representative of every solution orbit, so an exhausted
-search is a proof of absence.  Exceeding a budget turns into a distinct
-"inconclusive" outcome, never into "absent".
+the engine carries down an explicit stack; nothing in it recurses, and
+:func:`find_embedding` re-enters itself only to ask for a base, once.  The
+pruned tree still contains a representative of every solution orbit, so an
+exhausted search is a proof of absence.  Exceeding a budget turns into a
+distinct "inconclusive" outcome, never into "absent".
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from .arith import (
 )
 from .lattice import GramLattice, Vector, chain_basis_for, dot, integer_kernel, saturation_index
 
-ENGINE_VERSION = "5"
+ENGINE_VERSION = "6"
 CACHE_SCHEMA = "ribbonlens-cache/4"
 
 
@@ -378,10 +380,7 @@ def _run_problem(problem: SearchProblem, budget: SearchBudget) -> SearchOutcome:
         return SearchOutcome("absent", None, engine.nodes, seconds)
     # the engine's vectors are dense; a certificate keeps their nonzero entries
     groups = tuple(tuple(tuple((k, x) for k, x in enumerate(v) if x) for v in group) for group in groups)
-    cert = Certificate(groups, engine.nodes)
-    if not verify_certificate(problem, cert):
-        raise RuntimeError(f"internal error: unverifiable certificate for {problem.key}")
-    return SearchOutcome("found", cert, engine.nodes, seconds)
+    return SearchOutcome("found", Certificate(groups, engine.nodes), engine.nodes, seconds)
 
 
 def _square_refuted(problem: SearchProblem) -> bool:
@@ -480,19 +479,18 @@ def _expand(base: tuple[SparseVector, ...], steps, tick) -> tuple[SparseVector, 
 
 def _built(problem: SearchProblem, budget: SearchBudget, cache: EmbeddingCache) -> SearchOutcome:
     """A plain problem of one chain, built from the shortest base on its
-    contraction path that passes the square-index rule, is found, and
-    expands all the way, or else searched whole.  Bases are searched on the
-    query's budget.  The first base that passes the rule has no base of its
-    own that does, so its own query would search it whole too: it is looked
-    up in the cache and stored like any problem.  A hit costs the nodes its
-    search did, and ends the build inconclusive at ``max_nodes + 1`` when
-    they do not fit, as that search would, so no answer depends on the
-    cache.  Every expansion step ticks a node and checks the clock, so a
-    built chain of n vectors costs at least n nodes."""
+    contraction path that passes the square-index rule, when that base is
+    found and expands all the way; else searched whole.  The base is asked
+    through :func:`find_embedding` on the query's budget, so it is looked
+    up, searched and stored like any problem.  Its nodes count as spent.
+    The build ends inconclusive when the base is, or when the base's nodes,
+    stored or searched, exceed ``max_nodes``; then at ``max_nodes + 1``, as
+    a search that ran out would, so under a node budget no answer depends
+    on the cache.  Every expansion step ticks a node and checks the clock,
+    so a built chain of n vectors costs at least n nodes."""
     start = time.monotonic()
     (terms,) = problem.summands
     nodes = 0
-    first = True  # no base so far has passed the square-index rule
 
     def tick() -> None:
         nonlocal nodes
@@ -501,30 +499,19 @@ def _built(problem: SearchProblem, budget: SearchBudget, cache: EmbeddingCache) 
             raise BudgetExceededError
 
     try:
-        for det, base, steps in _bases(terms):
-            if budget.expired():
-                raise BudgetExceededError
-            if square_index(1, det) is None:
-                continue
-            base_problem = plain_problem((base(),))
-            outcome = cache.get(base_problem) if first else None
-            if outcome is None:
-                outcome = _run_problem(base_problem, budget.after(nodes))
-                if first:
-                    cache.put(base_problem, outcome)
-            elif outcome.nodes > budget.max_nodes - nodes:
-                nodes = budget.max_nodes + 1
-                raise BudgetExceededError
-            first = False
-            nodes += outcome.nodes
-            if outcome.status == "inconclusive":
+        passing = ((base, steps) for det, base, steps in _bases(terms) if square_index(1, det) is not None)
+        first = next(passing, None)
+        if first is not None:
+            base, steps = first
+            # no shorter string on the path passes the rule, so the base's own
+            # query searches it whole: find_embedding re-enters once, no deeper
+            outcome = find_embedding(plain_problem((base(),)), budget, cache)
+            nodes = min(outcome.nodes, budget.max_nodes + 1)
+            if outcome.status == "inconclusive" or nodes > budget.max_nodes:
                 raise BudgetExceededError
             group = outcome.found and _expand(outcome.certificate.groups[0], steps, tick)
             if group:
-                cert = Certificate((group,), nodes)
-                if not verify_certificate(problem, cert):
-                    raise RuntimeError(f"internal error: unverifiable certificate for {problem.key}")
-                return SearchOutcome("found", cert, nodes, time.monotonic() - start)
+                return SearchOutcome("found", Certificate((group,), nodes), nodes, time.monotonic() - start)
         outcome = _run_problem(problem, budget.after(nodes))
     except BudgetExceededError:
         return SearchOutcome("inconclusive", None, nodes, time.monotonic() - start)
@@ -535,8 +522,9 @@ def _built(problem: SearchProblem, budget: SearchBudget, cache: EmbeddingCache) 
 
 def verify_certificate(problem: SearchProblem, cert: Certificate) -> bool:
     """Independent checker: recomputes every pairing and, in constrained mode,
-    the complement condition.  Run on every search hit and on the first use
-    of each cache entry loaded from a file."""
+    the complement condition.  Run by :func:`find_embedding` on every outcome
+    it finds or builds, and on the first use of each cache entry loaded from
+    a file."""
     groups = cert.groups
     if len(groups) != len(problem.summands):
         return False
@@ -583,12 +571,13 @@ class EmbeddingCache:
     """In-memory cache of search outcomes with an optional JSON file behind it.
 
     It holds searched problems only: :func:`find_embedding` answers a problem
-    that the square-index rule refutes before it asks the cache.  Besides the
-    problems asked, it holds the first base of each built chain that passes
-    that rule, so a base is searched once per cache, not once per chain.
-    Inconclusive outcomes are never stored, and absent ones stay in memory:
-    the file holds certificates only, and a file written by a different
-    engine version loads nothing.  A loaded certificate is verified when
+    that the square-index rule refutes before it asks the cache, and stores
+    every other outcome it did not take from here, verified.  Besides the
+    problems asked, it holds the base of each one-chain problem, which is
+    asked through :func:`find_embedding` too, so a base is searched once per
+    cache, not once per chain.  Inconclusive outcomes are never stored, and
+    absent ones stay in memory: the file holds certificates only, and a file
+    written by a different engine version loads nothing.  A loaded certificate is verified when
     :meth:`get` first asks for its problem, so a session pays only for the
     entries it uses; one that fails is dropped and its problem searched again.
     An entry whose key names no problem, or a problem the square-index rule
@@ -690,13 +679,14 @@ def find_embedding(
 
     Exhaustive up to signed coordinate permutation: "absent" is a proof.
     A plain problem of one chain is built by 2-final expansions where it can
-    be, and searched otherwise; the cache holds the problem asked and the
-    shortest base on its contraction path that passes the square-index rule.
-    A problem whose determinants break the square-index rule is "absent"
-    with 0 nodes before the cache is asked or the clock started, and is
-    never stored.  Without a cache the process-wide one serves, without a
-    budget the one from the environment; its clock starts here unless it is
-    running.
+    be, and searched otherwise; its base is asked for here too, so the cache
+    holds the problem asked and its base.  A problem whose determinants
+    break the square-index rule is "absent" with 0 nodes before the cache is
+    asked or the clock started, and is never stored.  Every found outcome
+    not taken from the cache is verified before it is stored; one that
+    fails is a RuntimeError that stores nothing.  Without a cache the
+    process-wide one serves, without a budget the one from the environment;
+    its clock starts here unless it is running.
     """
     if _square_refuted(problem):
         return SearchOutcome("absent", None, 0, 0.0)
@@ -709,6 +699,8 @@ def find_embedding(
         outcome = _built(problem, budget, cache)
     else:
         outcome = _run_problem(problem, budget)
+    if outcome.found and not verify_certificate(problem, outcome.certificate):
+        raise RuntimeError(f"internal error: unverifiable certificate for {problem.key}")
     cache.put(problem, outcome)
     return outcome
 

@@ -1,7 +1,9 @@
 import hashlib
+import io
 import itertools
 import json
 import random
+import re
 import sys
 import time
 from fractions import Fraction
@@ -10,13 +12,14 @@ from math import gcd, isqrt
 
 import pytest
 
-from ribbonlens import search, subsets
+from ribbonlens import cli, search, subsets
 from ribbonlens.arith import LensSpace, cf_expand, continuant, d_obstruction, square_ratio_check
 from ribbonlens.search import (
     ENGINE_VERSION,
     Certificate,
     EmbeddingCache,
     SearchBudget,
+    SearchOutcome,
     SearchProblem,
     find_embedding,
     find_ribbon_embedding,
@@ -149,13 +152,17 @@ class TestPlainSearch:
 # tick in a ribbon leaf's short-vector enumeration, and "3" on the last
 # version-3 engine, which placed every chain in string order and forced no
 # used coordinate, and "4" on the last version-4 engine, which searched every
-# plain chain whole instead of building it by 2-final expansions
+# plain chain whole instead of building it by 2-final expansions.  "6" equals
+# "5": version 5 also searched the later bases on a chain's contraction path
+# that pass the square-index rule, but no chain of this problem set has a
+# first such base that fails to build it; TestTwoFinalBuild pins chains that do
 ENGINE_FINGERPRINTS = {
     "1": "f395473241b65e366d7bdd7642e6a6225fc98c6d5502df3c0c1c6380cd77a937",
     "2": "d7555422bc235f5ecf312b5cd0805caada9482dde4527dab9d6250f78e10fc08",
     "3": "5529d775b3bcb988a7f49d4bf8fb76bcccf77efe92799b5dc2d13fd11a5ca464",
     "4": "9a313c0ca0bbc9e21fbe667de1e3f3628192083e269d1abf376935f0cad9528f",
     "5": "07beb6b83bec65e9712cd5ee5af0e39fdcd0a4946ba57ca0257366eb5457f670",
+    "6": "07beb6b83bec65e9712cd5ee5af0e39fdcd0a4946ba57ca0257366eb5457f670",
 }
 
 
@@ -427,7 +434,7 @@ class TestIncrementalPruning:
                 # version 3 placed each chain in string order and forced no
                 # coordinate, and took 37,137 and 149,498; version 4 searched
                 # every chain whole, and took 11,757 and 49,280.  An absent
-                # chain now also pays for the bases tried before its search
+                # chain now also pays for its base's search before its own
                 assert (nodes["found"], nodes["absent"]) == (6_049, 50_198)
         assert len(frames) > 3_000
 
@@ -805,22 +812,52 @@ class TestTwoFinalBuild:
             plain_problem([(2, 2, 2)]), cache=fresh_cache()
         ).certificate
 
-    def test_later_bases_are_not_cached(self, monkeypatch):
+    def test_one_base_per_chain(self, monkeypatch):
         # 144/35 has no embedding; its first base that passes the square-index
-        # rule, (3, 2, ..., 2, 3), does not grow into it, so the next one is
-        # searched too.  That one has a base of its own, so its own query
-        # costs more nodes than its search as a base: it is never stored
+        # rule, (3, 2, ..., 2, 3), does not grow into it, so the chain is
+        # searched whole next, and (4, 2, ..., 2, 3, 2), a later base that
+        # passes, is never searched
         chain = cf_expand(Fraction(144, 35))
-        first, later = (3,) + (2,) * 7 + (3,), (4,) + (2,) * 7 + (3, 2)
+        assert chain == (5,) + (2,) * 7 + (3, 2, 2)
+        base = (3,) + (2,) * 7 + (3,)
+        fresh = [fresh_answer(terms) for terms in (chain, base)]
         searched = record_searches(monkeypatch)
         cache = fresh_cache()
-        assert find_embedding(plain_problem([chain]), cache=cache).status == "absent"
-        assert searched == [plain_problem([t]).key for t in (first, later, chain)]
-        assert cache.get(plain_problem([first])) is not None
-        assert cache.get(plain_problem([later])) is None
-        for terms in (later, first, chain):
-            outcome = find_embedding(plain_problem([terms]), cache=cache)
-            assert (outcome.status, outcome.nodes) == fresh_answer(terms)[:2], terms
+        outcome = find_embedding(plain_problem([chain]), cache=cache)
+        assert searched == [plain_problem([t]).key for t in (base, chain)]
+        # version 5 also searched the later base, and took 576 nodes
+        assert (outcome.status, outcome.nodes) == ("absent", 431)
+        for terms, want in zip((chain, base), fresh):
+            assert fresh_answer(terms, cache) == want, terms
+        assert len(searched) == 2  # both answered from the cache
+
+    def test_chains_up_to_400_search_one_base_at_most(self, monkeypatch):
+        # every chain m**2/q with p <= 400, searched directly: at most its
+        # first passing base and then the chain itself, with the whole
+        # search's status.  Version 5 searched 225/44 and 225/179 four times
+        run_problem = search._run_problem
+        searched = record_searches(monkeypatch)
+        chains = 0
+        for m in range(2, 21):
+            for q in range(1, m * m):
+                if gcd(m, q) != 1:
+                    continue
+                problem = plain_problem([cf_expand(Fraction(m * m, q))])
+                searched.clear()
+                outcome = find_embedding(problem, cache=fresh_cache())
+                assert len(searched) <= 2 and searched[1:] in ([], [problem.key]), (m * m, q)
+                assert run_problem(problem, SearchBudget().started()).status == outcome.status, (m * m, q)
+                chains += 1
+        assert chains == 1744
+
+    def test_built_chains_take_the_whole_search_certificate(self):
+        # the first base of each does not expand, so the chain is searched
+        # whole; version 5 built them from a later base in 156 and 280 nodes
+        for f, nodes in ((Fraction(529, 6), 109), (Fraction(1024, 11), 132)):
+            problem = plain_problem([cf_expand(f)])
+            outcome = find_embedding(problem, cache=fresh_cache())
+            assert (outcome.status, outcome.nodes) == ("found", nodes), f
+            assert verify_certificate(problem, outcome.certificate), f
 
     def test_ball_oracle_answers_do_not_depend_on_the_cache(self):
         # every m**2/q with p <= 900: one cache shared by all of them gives
@@ -868,9 +905,10 @@ def record_searches(monkeypatch):
     return searched
 
 
-def fresh_answer(terms):
-    """(status, nodes, certificate groups) of the chain with a fresh cache."""
-    outcome = find_embedding(plain_problem([terms]), cache=fresh_cache())
+def fresh_answer(terms, cache=None):
+    """(status, nodes, certificate groups) of the chain, with a fresh cache
+    unless one is given."""
+    outcome = find_embedding(plain_problem([terms]), cache=cache if cache is not None else fresh_cache())
     return outcome.status, outcome.nodes, outcome.certificate and outcome.certificate.groups
 
 
@@ -1247,6 +1285,58 @@ class TestVerifier:
         repeated = Certificate(((((0, 1), (0, 1)),),), 0)
         assert not verify_certificate(plain_problem([(3,)]), repeated)
         assert not dense_verify(plain_problem([(3,)]), repeated)
+
+
+def doubled_first_value(group):
+    """The group with the first value of its first vector doubled."""
+    (k, x), *rest = group[0]
+    return (((k, 2 * x), *rest), *group[1:])
+
+
+class TestOneVerificationSite:
+    """find_embedding verifies every found outcome it did not take from the
+    cache, built or searched, before it stores it."""
+
+    def bad_expansions(self, monkeypatch):
+        expand = search._expand
+
+        def corrupted(base, steps, tick):
+            group = expand(base, steps, tick)
+            return group and doubled_first_value(group)
+
+        monkeypatch.setattr(search, "_expand", corrupted)
+        return (3, 2, 2, 2)  # built from (2, 2, 2): the chain's certificate is bad
+
+    def bad_searches(self, monkeypatch):
+        run_problem = search._run_problem
+
+        def corrupted(problem, budget):
+            outcome = run_problem(problem, budget)
+            if not outcome.found:
+                return outcome
+            group, *rest = outcome.certificate.groups
+            cert = Certificate((doubled_first_value(group), *rest), outcome.certificate.nodes)
+            return SearchOutcome("found", cert, outcome.nodes, outcome.seconds)
+
+        monkeypatch.setattr(search, "_run_problem", corrupted)
+        return (2, 2, 2)  # the base of (3, 2, 2, 2), searched first
+
+    @pytest.mark.parametrize("corrupt", ["bad_expansions", "bad_searches"])
+    def test_an_unverifiable_certificate_is_an_internal_error(self, corrupt, monkeypatch, tmp_path):
+        bad = plain_problem([getattr(self, corrupt)(monkeypatch)])
+        problem = plain_problem([(3, 2, 2, 2)])
+        cache = fresh_cache()
+        with pytest.raises(RuntimeError, match=f"unverifiable certificate for {re.escape(bad.key)}$"):
+            find_embedding(problem, cache=cache)
+        assert cache.get(problem) is None and cache.get(bad) is None
+        # the CLI reports it as exit 70 and one line, and saves no cache
+        path = tmp_path / "cache.json"
+        out, err = io.StringIO(), io.StringIO()
+        code = cli.run(["--cache", str(path), "embed", "--summands", "3,2,2,2"], stdout=out, stderr=err)
+        assert code == cli.EXIT_SOFTWARE == 70
+        assert not out.getvalue() and err.getvalue().startswith("internal error:")
+        assert err.getvalue().count("\n") == 1 and bad.key in err.getvalue()
+        assert not path.exists()
 
 
 class TestRMembership:
