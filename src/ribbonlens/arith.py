@@ -257,8 +257,25 @@ def d_obstruction(p1: int, q1: int, p2: int, q2: int, expired: Callable[[], bool
     projects onto H1(L1), and K = <(1, n*b), (0, n*p1)> for some b < p1.  So
     W needs b and j0 < n*p1 with d(L1, x) = d(L2, j0 + n*b*x + n*p1*k) for
     all labels x of L1 and all k.  Prop. 9.9 and the surjectivity are cited,
-    not checked.  The coset x = 0 does not depend on b: it is tried first,
-    and b and the cosets x >= 1 only for a j0 where it passes.
+    not checked.
+
+    Only cosets closed under conjugation are tried.  Restriction of spin^c
+    structures commutes with conjugation, so the structures on the boundary
+    that extend over B form a coset closed under it; d itself is invariant
+    under conjugation, as HF^+ is (Ozsvath-Szabo 2004, Holomorphic disks
+    and three-manifold invariants: properties and applications).  In the
+    labels of Prop. 4.8 conjugation on L(p, q) is i -> q - 1 - i (mod p):
+    it negates c1, hence the first term (2i + 1 - p - q)**2 of the
+    recursion, and the second term goes to the smaller lens's own
+    reflection j -> r - 1 - j.  This label map is not cited: tier-1 checks
+    that for every p <= 100 it is the one reflection i -> c - i that keeps
+    d.  The coset above is closed under conjugation
+    exactly when 2*j0 = q2 - 1 - n*b*(q1 - 1) (mod n*p1), hence
+    2*j0 = q2 - 1 (mod n): j0 runs over that class, in steps of
+    n / gcd(2, n), and each b that breaks the congruence is skipped.  A
+    ball (p1 = 1, n = m) so costs at most two cosets, not m.  The coset
+    x = 0 does not depend on b: it is tried first, and b and the cosets
+    x >= 1 only for a j0 where it passes.
     """
     n = square_index(p1, p2)
     if n is None:
@@ -268,7 +285,10 @@ def d_obstruction(p1: int, q1: int, p2: int, q2: int, expired: Callable[[], bool
     # 4 * D2 * d(L1, x), exact: p1 divides p2, hence D2, and 4 * p1 * d is an integer
     targets = [_d_numerator(levels1, x) * denominator2 // denominator1 for x in range(p1)]
     step = n * p1
-    for j0 in range(step):
+    # solve 2*j0 = q2 - 1 (mod n); for even n the order p2 is even, so q2 is odd
+    h = n // gcd(2, n)
+    first = (q2 - 1 + (q2 - 1) % 2 * n) // 2 % h
+    for j0 in range(first, step, h):
         for i in range(j0, p2, step):
             if expired():
                 return None
@@ -276,6 +296,8 @@ def d_obstruction(p1: int, q1: int, p2: int, q2: int, expired: Callable[[], bool
                 break
         else:
             for b in range(p1):
+                if (2 * j0 - q2 + 1 + n * b * (q1 - 1)) % step:
+                    continue
                 for x in range(1, p1):
                     for i in range((j0 + n * b * x) % step, p2, step):
                         if expired():

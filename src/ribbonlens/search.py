@@ -486,8 +486,9 @@ def _built(problem: SearchProblem, budget: SearchBudget, cache: EmbeddingCache) 
     The build ends inconclusive when the base is, or when the base's nodes,
     stored or searched, exceed ``max_nodes``; then at ``max_nodes + 1``, as
     a search that ran out would, so under a node budget no answer depends
-    on the cache.  Every expansion step ticks a node and checks the clock,
-    so a built chain of n vectors costs at least n nodes."""
+    on the cache.  A clock already spent is inconclusive at 0 nodes, before
+    the base is asked.  Every expansion step ticks a node and checks the
+    clock, so a built chain of n vectors costs at least n nodes."""
     start = time.monotonic()
     (terms,) = problem.summands
     nodes = 0
@@ -499,6 +500,10 @@ def _built(problem: SearchProblem, budget: SearchBudget, cache: EmbeddingCache) 
             raise BudgetExceededError
 
     try:
+        # a spent clock answers before the base is asked, so the answer and
+        # its 0 nodes do not depend on whether the base is cached
+        if budget.expired():
+            raise BudgetExceededError
         passing = ((base, steps) for det, base, steps in _bases(terms) if square_index(1, det) is not None)
         first = next(passing, None)
         if first is not None:

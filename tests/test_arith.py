@@ -22,6 +22,8 @@ from ribbonlens.arith import (
     lens_normalize,
     square_index,
     square_ratio_check,
+    _d_levels,
+    _d_numerator,
 )
 
 
@@ -229,6 +231,26 @@ def units(p):
     return [q for q in range(p) if gcd(p, q) == 1]
 
 
+def d_obstruction_full_scan(p1, q1, p2, q2):
+    """Reference: the d-invariant pair test over every coset j0 < n*p1 and
+    every b < p1, conjugation-invariant or not, with no clock."""
+    n = square_index(p1, p2)
+    levels1, denominator1 = _d_levels(p1, q1)
+    levels2, denominator2 = _d_levels(p2, q2)
+    targets = [_d_numerator(levels1, x) * denominator2 // denominator1 for x in range(p1)]
+    step = n * p1
+    for j0 in range(step):
+        if all(_d_numerator(levels2, i) == targets[0] for i in range(j0, p2, step)):
+            for b in range(p1):
+                if all(
+                    _d_numerator(levels2, i) == targets[x]
+                    for x in range(1, p1)
+                    for i in range((j0 + n * b * x) % step, p2, step)
+                ):
+                    return False
+    return True
+
+
 class TestDInvariants:
     def test_matches_the_fraction_recursion(self):
         for p in range(2, 50):
@@ -335,3 +357,39 @@ class TestDInvariants:
                     pairs += 1
                     pass_count += passes
         assert (pairs, pass_count) == (11886, 722)
+
+    def test_conjugation_is_the_one_reflection_that_keeps_d(self):
+        # the premise of the coset restriction: in the labels of Prop. 4.8,
+        # i -> q - 1 - i (mod p) keeps every d of L(p, q), and no other
+        # reflection i -> c - i does
+        for p in range(1, 101):
+            for q in units(p):
+                d = [d_invariant(p, q, i) for i in range(p)]
+                keeping = [c for c in range(p) if all(d[(c - i) % p] == d[i] for i in range(p))]
+                assert keeping == [(q - 1) % p], (p, q)
+
+    def test_cosets_not_closed_under_conjugation_are_skipped(self):
+        # L(3, 2) -> L(3, 2): j0 = 0 passes x = 0 at label 0; b = 0 gives the
+        # coset {(x, 0)}, which conjugation (x, i) -> (1 - x, 1 - i) moves,
+        # so it is skipped unread, and b = 1, the identity, passes x = 1 and
+        # x = 2 at labels 1 and 2: three d-invariants, where the full scan
+        # reads five
+        asked = []
+        assert d_obstruction(3, 2, 3, 2, lambda: asked.append(1) and False) is False
+        assert len(asked) == 3
+
+    def test_conjugation_invariant_cosets_give_the_full_scan(self):
+        # every ball L(m**2, q) with m <= 40 and every pair with p1 <= p2 <=
+        # 30 whose orders differ by a square factor: trying only the cosets
+        # closed under conjugation answers as trying all of them
+        balls = [(1, 0, m * m, q) for m in range(2, 41) for q in units(m * m)]
+        pairs = [
+            (p1, q1, n * n * p1, q2)
+            for p1 in range(1, 31)
+            for n in range(1, isqrt(30 // p1) + 1)
+            for q1 in units(p1)
+            for q2 in units(n * n * p1)
+        ]
+        assert (len(balls), len(pairs)) == (13110, 4116)
+        for args in balls + pairs:
+            assert d_obstruction(*args, lambda: False) is d_obstruction_full_scan(*args), args

@@ -40,6 +40,16 @@ class TestExitCodes:
         code, _, _ = run_cli("--max-nodes", "1", "in-r", "16/7")
         assert code == 2
 
+    def test_d_invariant_refutes_a_large_order_at_once(self):
+        # L(10**14, 77777777) has 10**7 cosets of labels, at most two of them
+        # closed under conjugation: the non-member is proved inside a second,
+        # where a scan of every coset spent the 2 s clock and exited 2
+        start = time.perf_counter()
+        code, out, _ = run_cli("--max-seconds", "2", "--format", "json", "in-r", "100000000000000/77777777")
+        assert time.perf_counter() - start < 1
+        assert code == 1
+        assert json.loads(out)["result"]["reason"] == "d-invariant obstruction"
+
     def test_usage_error_is_sixty_four(self):
         for argv in (
             ["cf", "7/0"],

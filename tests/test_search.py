@@ -891,6 +891,24 @@ class TestTwoFinalBuild:
             assert (got.status, got.nodes) == (want.status, want.nodes), max_nodes
             assert got.status == ("found" if max_nodes >= fresh_nodes else "inconclusive")
 
+    def test_spent_clock_answers_before_the_base_is_asked(self, monkeypatch):
+        # (3, 2, 2, 2) builds from (2, 2, 2): on a clock already spent the
+        # chain is inconclusive at 0 nodes, with its base cached or not, and
+        # the base is neither looked up nor searched
+        chain, base = plain_problem([(3, 2, 2, 2)]), plain_problem([(2, 2, 2)])
+        stored = find_embedding(base, cache=fresh_cache())
+        warm = CountingCache()
+        warm.put(base, stored)
+        searched = record_searches(monkeypatch)
+        for cache in (CountingCache(), warm):
+            cache.asked.clear()
+            budget = SearchBudget(max_seconds=0.001).started()
+            time.sleep(0.01)
+            outcome = find_embedding(chain, budget, cache)
+            assert (outcome.status, outcome.nodes, outcome.certificate) == ("inconclusive", 0, None)
+            assert cache.asked == [chain.key, chain.key]
+        assert searched == []
+
 
 def record_searches(monkeypatch):
     """The keys of the problems _run_problem searches from here on."""
