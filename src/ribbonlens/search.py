@@ -1,9 +1,9 @@
 """Brute-force isometric-embedding search into Z^N with verified certificates.
 
 A single plain chain is first built where it can be: it is grown by 2-final
-expansions (Lisca 2007) from one shorter string on its contraction path, its
-base, whose embedding is asked for like any problem's and so searched once
-per cache.  A chain that its base does not grow into is searched whole, so
+expansions (Lisca 2007), one :func:`~ribbonlens.subsets.two_final_step` at a
+time, from one shorter string on its contraction path, its base, whose
+embedding is asked for like any problem's and so searched once per cache.  A chain that its base does not grow into is searched whole, so
 "absent" still only comes from an exhausted search.  Every certificate that
 a query builds or finds is verified before it is stored.
 
@@ -28,6 +28,7 @@ from __future__ import annotations
 import json
 import os
 import time
+from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate
@@ -43,6 +44,7 @@ from .arith import (
     square_index,
 )
 from .lattice import GramLattice, Vector, chain_basis_for, dot, integer_kernel, saturation_index
+from .subsets import two_final_coordinates, two_final_step
 
 ENGINE_VERSION = "6"
 CACHE_SCHEMA = "ribbonlens-cache/4"
@@ -442,39 +444,30 @@ def _bases(terms: CF):
 
 
 def _expand(base: tuple[SparseVector, ...], steps, tick) -> tuple[SparseVector, ...] | None:
-    """Grow a base's vectors by one 2-final expansion per step: a step of 1
-    adds one to the first vector's norm and puts a new 2 after the last, a
-    step of 0 is the mirror image.  None when a step finds no unit
-    coordinate that the two end vectors share with no other vector."""
-    vecs = [dict(v) for v in base]
+    """Grow a base's vectors by one :func:`~ribbonlens.subsets.two_final_step`
+    per step, at the least of its ends' :func:`two_final_coordinates`: a step
+    of 1 adds one to the first vector's norm and puts a new 2 after the last,
+    a step of 0 is the mirror image.  None when a step finds no such
+    coordinate."""
+    vecs = deque(dict(v) for v in base)
     use = [0] * len(base)  # per coordinate, how many vectors are nonzero there
     for v in vecs:
         for k in v:
             use[k] += 1
-    before, after = [], []  # the new 2s, outward from the base
-    ends = [vecs[0], vecs[-1]]
     for step in steps:
         tick()
         # a grows, and the new 2 sits beside b
-        a, b = ends[1 - step], ends[step]
-        # h: the least unit coordinate of both and of no other vector, found
-        # on the smaller support
-        small, large = sorted((a, b), key=len)
-        shared = [k for k, x in small.items() if use[k] == 2 and x * x == 1 == large.get(k, 0) ** 2]
+        a, b = (vecs[0], vecs[-1]) if step else (vecs[-1], vecs[0])
+        shared = two_final_coordinates(a, b, use)
         if not shared:
             return None
-        h = min(shared)
-        # a new coordinate e: a + sigma e and tau e_h + e pair to 0, and the
-        # new vector pairs to tau^2 = 1 with b, to 0 with every other one
-        e, tau = len(use), b[h]
-        a[e] = -tau * a[h]
-        new = {h: tau, e: 1}
-        use[h] += 1
-        use.append(2)
-        (after if step else before).append(new)
-        ends[step] = new
+        new = two_final_step(a, b, use, min(shared))
+        if step:
+            vecs.append(new)
+        else:
+            vecs.appendleft(new)
     # coordinates join each vector in increasing order, so its items are sorted
-    return tuple(tuple(v.items()) for v in (*before[::-1], *vecs, *after))
+    return tuple(tuple(v.items()) for v in vecs)
 
 
 def _built(problem: SearchProblem, budget: SearchBudget, cache: EmbeddingCache) -> SearchOutcome:

@@ -5,12 +5,17 @@ Gram pattern (norms >= 2, consecutive pairings 0 or 1, all other pairings
 zero).  This module implements the move calculus on such subsets:
 contractions, 2-final expansions, intersection-graph components and
 bad-component detection with complement computation.
+
+The 2-final expansion (Lisca 2007) is stated once, on sparse vectors:
+:func:`two_final_coordinates` finds where it applies and
+:func:`two_final_step` takes it.  :func:`two_final_expansions` lists a
+component's expansions with them, and :mod:`ribbonlens.search` grows
+chains' certificates with them.  Contractions stay on dense vectors.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 from .lattice import EmbeddedLattice, Matrix, Vector, dot, orthogonal_complement, stably_isometric_linear
 
@@ -182,36 +187,62 @@ def _two_final_move(subset: LinearSubset, component: tuple[int, ...]):
     return None
 
 
+def two_final_coordinates(a: dict, b: dict, use: list[int]) -> list[int]:
+    """The coordinates h at which ends a and b, sparse vectors, admit a
+    2-final expansion: both are units there and no other vector is nonzero,
+    as ``use`` counts per coordinate.  Found on the smaller support."""
+    small, large = sorted((a, b), key=len)
+    return [h for h, x in small.items() if use[h] == 2 and x * x == 1 == large.get(h, 0) ** 2]
+
+
+def two_final_step(a: dict, b: dict, use: list[int], h: int) -> dict:
+    """One 2-final expansion (Lisca 2007) at a coordinate h of
+    :func:`two_final_coordinates`.  With tau = b[h], a gains the entry
+    -tau a[h] at the new coordinate e = len(use), and the returned vector
+    tau e_h + e goes beside b: it pairs to 0 with the grown a, to tau^2 = 1
+    with b and to 0 with every other vector.  Grows ``a`` and ``use`` in
+    place.  Contracting at e, with the new vector as s and a as t, gives the
+    vectors back."""
+    e, tau = len(use), b[h]
+    a[e] = -tau * a[h]
+    use[h] += 1
+    use.append(2)
+    return {h: tau, e: 1}
+
+
 def two_final_expansions(subset: LinearSubset, component: tuple[int, ...]) -> list[LinearSubset]:
     """Every linear subset in Z^(N+1) whose 2-final contraction at the new
-    coordinate gives the subset back.  A candidate extends a vector t of the
-    component by +-1 in the new coordinate and puts s = sigma e_c + e_N at the
-    first end of the run where s joins the component and (N, s, t) is its
-    2-final move.  One candidate per signed coordinate permutation is kept,
-    so the list is exhaustive up to one.
+    coordinate gives the subset back, one per signed coordinate permutation.
+    The new vector s = sigma e_c + e_N and the grown t are the grown
+    component's two ends, so with unit coefficients s pairs to 1 with the
+    end b other than t, and c is a coordinate of t and b alone.  So the
+    expansions are :func:`two_final_step` at each of
+    :func:`two_final_coordinates`, the step that builds chains in
+    :mod:`ribbonlens.search`: for each end t, the first end first, ordered
+    by (t[h] b[h], h).  A single vector t has no other end: s = e_c + e_N,
+    with c the first unused coordinate, goes in front of t + e_N.
     """
     if tuple(component) not in components(subset):
         raise ValueError(f"{tuple(component)} is not a component of the subset")
-    n, vecs, lo, hi = subset.ambient_rank, subset.vectors, component[0], component[-1]
-    grown = tuple(range(lo, hi + 2))
-    columns = {(c, sigma): [sigma * v[c] for v in vecs] for c in range(n) for sigma in (1, -1)}
+    n, lo, hi = subset.ambient_rank, component[0], component[-1]
+    if any(x * x > 1 for v in subset.vectors for x in v):
+        return []
+    vecs = [{k: x for k, x in enumerate(v) if x} for v in subset.vectors]
+    use = [sum(k in v for v in vecs) for k in range(n)]
+    steps = []  # (t, grown t, the new vector, its index)
+    for t, s in ((lo, hi + 1), (hi, lo)) if lo < hi else ():
+        a, b = vecs[t], vecs[lo + hi - t]
+        for h in sorted(two_final_coordinates(a, b, use), key=lambda h: (a[h] * b[h], h)):
+            grown = dict(a)
+            steps.append((t, grown, two_final_step(grown, b, use[:], h), s))
+    if lo == hi and 0 in use:
+        steps.append((lo, {**vecs[lo], n: 1}, {use.index(0): 1, n: 1}, lo))
     kept: dict = {}
-    for t, eps, c, sigma in product(component, (1, -1), range(n), (1, -1)):
-        # cheap filter: the new vector meets exactly one vector, to 1
-        pairings = columns[c, sigma][:]
-        pairings[t] += eps
-        if pairings.count(0) != len(vecs) - 1 or 1 not in pairings:
-            continue
-        rows = [v + ((eps if j == t else 0),) for j, v in enumerate(vecs)]
-        new = tuple(sigma if j == c else 0 for j in range(n)) + (1,)
-        for s in (lo, hi + 1):
-            candidate = LinearSubset(n + 1, tuple(rows[:s] + [new] + rows[s:]))
-            if _pairing_violation(candidate.vectors) is not None:
-                continue
-            back = (n, s, t + (t >= s))  # the move that undoes this expansion
-            if grown in components(candidate) and _two_final_move(candidate, grown) == back:
-                kept.setdefault(subset_key(candidate), candidate)
-                break
+    for t, grown, new, s in steps:
+        rows = [tuple(v.get(k, 0) for k in range(n + 1)) for v in (*vecs[:t], grown, *vecs[t + 1 :])]
+        rows.insert(s, tuple(new.get(k, 0) for k in range(n + 1)))
+        candidate = LinearSubset(n + 1, tuple(rows))
+        kept.setdefault(subset_key(candidate), candidate)
     return list(kept.values())
 
 

@@ -59,6 +59,22 @@ class TestRibbonLeqLens:
                 yes_pairs += d_passes
         assert (len(spaces) ** 2, yes_pairs) == (16384, 232)
 
+    def test_classifier_is_the_d_invariant_test_up_to_sixty(self):
+        # the same route on every pair whose orders differ by a square factor
+        spaces = all_lens_spaces(60)
+        pairs = yes_pairs = 0
+        for l1 in spaces:
+            for l2 in spaces:
+                if not square_ratio_check([l1], [l2]):
+                    continue
+                verdict = ribbon_leq_lens(l1, l2, cache=CACHE)
+                assert verdict.answer != "inconclusive", (str(l1), str(l2))
+                d_passes = not d_obstruction(l1.p, l1.q, l2.p, l2.q, lambda: False)
+                assert verdict.yes == d_passes, (str(l1), str(l2))
+                pairs += 1
+                yes_pairs += d_passes
+        assert (len(spaces), pairs, yes_pairs) == (1102, 32410, 2126)
+
     def test_family_case(self):
         verdict = ribbon_leq_lens(L(2, 1), L(8, 5), cache=CACHE)
         pair = verdict.witness[0]

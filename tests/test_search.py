@@ -715,6 +715,9 @@ class TestTwoFinalBuild:
                     assert subsets._two_final_move(grown, tuple(range(n))) == (e, s, t)
                     back = subsets.contract(grown, e, s, t)
                     assert back.vectors == tuple(dense(v, n - 1) for v in before)
+                    # the enumeration holds every step the build takes
+                    expansions = subsets.two_final_expansions(back, tuple(range(n - 1)))
+                    assert subsets.subset_key(grown) in {subsets.subset_key(x) for x in expansions}
         assert (sides, unit_sides) == (94, 48)
 
     def test_long_member_is_built(self):
