@@ -26,7 +26,9 @@ close the output; they are printed, not asserted:
   on a "DT" line).  Again the theorem says 0.
 
 A stdout that closes early or fills up ends the survey as it ends the CLI:
-exit 74 with one "output error" line on stderr.
+exit 74 with one "output error" line on stderr.  So does a bad budget in
+RIBBONLENS_MAX_NODES or RIBBONLENS_MAX_SECONDS: exit 64 with one "usage
+error" line.
 
 Usage: python scripts/survey_ribbon_pairs.py [P] [--cache FILE]
 """
@@ -43,12 +45,12 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 from ribbonlens.arith import d_obstruction, lens_homeomorphic, square_ratio_check
 from ribbonlens.classify import ribbon_leq_lens
-from ribbonlens.cli import EXIT_IOERR, cache_session, flush_standard_streams, print_lines
+from ribbonlens.cli import EXIT_IOERR, EXIT_USAGE, cache_session, flush_standard_streams, print_lines
 from ribbonlens.search import SearchBudget, two_sided_embeddings
 from ribbonlens.selfcheck import all_lens_spaces
 
 
-def survey(max_p: int, cache):
+def survey(max_p: int, cache, budget: SearchBudget):
     """The survey's output lines, computed as they are consumed."""
     spaces = all_lens_spaces(max_p)
     t0 = time.monotonic()
@@ -57,9 +59,9 @@ def survey(max_p: int, cache):
     inconclusive = 0
     for l1 in spaces:
         for l2 in spaces:
-            verdict = ribbon_leq_lens(l1, l2, cache=cache)
+            verdict = ribbon_leq_lens(l1, l2, budget, cache)
             statuses = [outcome.status for outcome in two_sided_embeddings(l1, l2, cache=cache)]
-            expired = SearchBudget.from_env().started().expired
+            expired = budget.started().expired
             d = d_obstruction(l1.p, l1.q, l2.p, l2.q, expired) if square_ratio_check([l1], [l2]) else True
             if verdict.answer == "inconclusive" or "inconclusive" in statuses or d is None:
                 inconclusive += 1
@@ -101,12 +103,18 @@ def main() -> int:
     parser.add_argument("max_p", nargs="?", type=int, default=12)
     parser.add_argument("--cache", default=None)
     args = parser.parse_args()
+    try:
+        budget = SearchBudget.from_env()
+    except ValueError as exc:
+        # one line on stderr, dropped if stderr is closed
+        print_lines([f"usage error: {exc}"], sys.stderr, None)
+        return EXIT_USAGE
 
     # an unreadable or unwritable cache file costs a warning, as in the CLI;
     # the session saves what was found even if stdout failed
     with cache_session(args.cache, sys.stderr) as cache:
         loaded = [f"loaded {len(cache)} cache entries"] if args.cache else []
-        written = print_lines(itertools.chain(loaded, survey(args.max_p, cache)), sys.stdout, sys.stderr)
+        written = print_lines(itertools.chain(loaded, survey(args.max_p, cache, budget)), sys.stdout, sys.stderr)
     return 0 if written else EXIT_IOERR
 
 

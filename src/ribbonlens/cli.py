@@ -397,6 +397,8 @@ def cmd_selfcheck(args) -> tuple[int, dict, list[str]]:
     for flag, value in (("--max-nodes", args.max_nodes), ("--max-seconds", args.max_seconds), ("--cache", args.cache)):
         if value is not None:
             raise UsageError(f"selfcheck does not take {flag}; its budget comes from the environment only")
+    # a bad environment budget is a usage error here, not a failure in every suite
+    _budget(args)
     if args.max_p is not None and args.max_p < 2:
         raise UsageError(f"--max-p must be at least 2, got {args.max_p}")
     results = selfcheck.run_all(max_p=args.max_p)

@@ -74,12 +74,6 @@ class SearchBudget:
     def expired(self) -> bool:
         return time.monotonic() > self.deadline
 
-    def after(self, nodes: int) -> SearchBudget:
-        """This running budget with ``nodes`` of its node cap used."""
-        rest = SearchBudget(self.max_nodes - nodes, self.max_seconds)
-        object.__setattr__(rest, "deadline", self.deadline)
-        return rest
-
     @classmethod
     def from_env(cls) -> SearchBudget:
         """Budget from RIBBONLENS_MAX_NODES / RIBBONLENS_MAX_SECONDS; ValueError
@@ -180,31 +174,40 @@ class SearchOutcome:
     status: str  # "found" | "absent" | "inconclusive"
     certificate: Certificate | None
     nodes: int
-    seconds: float
 
     @property
     def found(self) -> bool:
         return self.status == "found"
 
 
+class _Meter:
+    """One search problem's node count, with its node cap and the query's
+    deadline.  The engine, the ribbon leaf and each expansion step tick it
+    once per node; a tick over the cap, or past the deadline, which it reads
+    every 2,048 nodes, raises :class:`BudgetExceededError`."""
+
+    def __init__(self, budget: SearchBudget):
+        self.nodes = 0
+        self.max_nodes = budget.max_nodes
+        self.deadline = budget.deadline
+
+    def tick(self) -> None:
+        self.nodes += 1
+        if self.nodes > self.max_nodes:
+            raise BudgetExceededError
+        if not (self.nodes & 2047) and time.monotonic() > self.deadline:
+            raise BudgetExceededError
+
+
 class _Engine:
     """DFS over chain-vector assignments; first hit wins, in canonical order."""
 
-    def __init__(self, summands: tuple[CF, ...], ambient: int, budget: SearchBudget):
+    def __init__(self, summands: tuple[CF, ...], ambient: int, meter: _Meter):
         self.N = ambient
         # (pairs with the previous vector, norm), in the order placed
         self.flat = [(ti > 0, a) for terms in summands for ti, a in enumerate(terms)]
         self.n = len(self.flat)
-        self.budget = budget
-        self.nodes = 0
-        self.deadline = budget.deadline
-
-    def _tick(self) -> None:
-        self.nodes += 1
-        if self.nodes > self.budget.max_nodes:
-            raise BudgetExceededError
-        if not (self.nodes & 2047) and time.monotonic() > self.deadline:
-            raise BudgetExceededError
+        self.meter = meter
 
     def run(self, leaf_check):
         # frame d holds the remaining candidates for vector d together with
@@ -218,7 +221,7 @@ class _Engine:
         while True:
             # a frame or a leaf can cost seconds on a long chain or in a
             # ribbon leaf, where the tick's every 2,048 nodes come far apart
-            if time.monotonic() > self.deadline:
+            if time.monotonic() > self.meter.deadline:
                 raise BudgetExceededError
             if len(vecs) == self.n:
                 got = leaf_check(tuple(vecs))
@@ -277,7 +280,7 @@ class _Engine:
 
         k = 0
         while True:
-            self._tick()
+            self.meter.tick()
             left = lefts[k]
             # Cauchy-Schwarz: coordinates k.. must still supply each pairing
             # owed; a pairing already paid passes whatever k and left are.
@@ -348,15 +351,14 @@ def _ribbon_leaf(problem: SearchProblem, tick):
     return leaf
 
 
-def _run_problem(problem: SearchProblem, budget: SearchBudget) -> SearchOutcome:
-    start = time.monotonic()
+def _run_problem(problem: SearchProblem, meter: _Meter) -> SearchOutcome:
     ribbon = problem.ribbon_split is not None
     placed = problem.placed
     # each chain is placed from its cheaper end; a reversed chain spans the
     # same lattice, so the search stays exhaustive
     flips = [_end_cost(t[::-1]) < _end_cost(t) for t in placed]
     engine = _Engine(
-        tuple(t[::-1] if flip else t for t, flip in zip(placed, flips)), problem.ambient_rank, budget
+        tuple(t[::-1] if flip else t for t, flip in zip(placed, flips)), problem.ambient_rank, meter
     )
     ends = list(accumulate(len(t) for t in placed))
 
@@ -368,7 +370,7 @@ def _run_problem(problem: SearchProblem, budget: SearchBudget) -> SearchOutcome:
     if not ribbon:
         leaf = given_order
     else:
-        ribbon_leaf = _ribbon_leaf(problem, engine._tick)
+        ribbon_leaf = _ribbon_leaf(problem, meter.tick)
 
         def leaf(vecs: tuple[Vector, ...]):
             return ribbon_leaf(*given_order(vecs))
@@ -376,13 +378,12 @@ def _run_problem(problem: SearchProblem, budget: SearchBudget) -> SearchOutcome:
     try:
         groups = engine.run(leaf)
     except BudgetExceededError:
-        return SearchOutcome("inconclusive", None, engine.nodes, time.monotonic() - start)
-    seconds = time.monotonic() - start
+        return SearchOutcome("inconclusive", None, meter.nodes)
     if groups is None:
-        return SearchOutcome("absent", None, engine.nodes, seconds)
+        return SearchOutcome("absent", None, meter.nodes)
     # the engine's vectors are dense; a certificate keeps their nonzero entries
     groups = tuple(tuple(tuple((k, x) for k, x in enumerate(v) if x) for v in group) for group in groups)
-    return SearchOutcome("found", Certificate(groups, engine.nodes), engine.nodes, seconds)
+    return SearchOutcome("found", Certificate(groups, meter.nodes), meter.nodes)
 
 
 def _square_refuted(problem: SearchProblem) -> bool:
@@ -475,23 +476,17 @@ def _built(problem: SearchProblem, budget: SearchBudget, cache: EmbeddingCache) 
     contraction path that passes the square-index rule, when that base is
     found and expands all the way; else searched whole.  The base is asked
     through :func:`find_embedding` on the query's budget, so it is looked
-    up, searched and stored like any problem.  Its nodes count as spent.
-    The build ends inconclusive when the base is, or when the base's nodes,
-    stored or searched, exceed ``max_nodes``; then at ``max_nodes + 1``, as
-    a search that ran out would, so under a node budget no answer depends
-    on the cache.  A clock already spent is inconclusive at 0 nodes, before
-    the base is asked.  Every expansion step ticks a node and checks the
-    clock, so a built chain of n vectors costs at least n nodes."""
-    start = time.monotonic()
+    up, searched and stored like any problem.  The chain's one meter starts
+    at the base's nodes, stored or searched, and every expansion step and
+    then the whole search, when the build fails, tick it on, so the node
+    cap bounds the three together and a built chain of n vectors costs at
+    least n nodes.  The build ends inconclusive when the base is, or when
+    the base's nodes exceed ``max_nodes``; then at ``max_nodes + 1``, as a
+    search that ran out would, so under a node budget no answer depends on
+    the cache.  A clock already spent is inconclusive at 0 nodes, before
+    the base is asked."""
     (terms,) = problem.summands
-    nodes = 0
-
-    def tick() -> None:
-        nonlocal nodes
-        nodes += 1
-        if nodes > budget.max_nodes or budget.expired():
-            raise BudgetExceededError
-
+    meter = _Meter(budget)
     try:
         # a spent clock answers before the base is asked, so the answer and
         # its 0 nodes do not depend on whether the base is cached
@@ -504,18 +499,15 @@ def _built(problem: SearchProblem, budget: SearchBudget, cache: EmbeddingCache) 
             # no shorter string on the path passes the rule, so the base's own
             # query searches it whole: find_embedding re-enters once, no deeper
             outcome = find_embedding(plain_problem((base(),)), budget, cache)
-            nodes = min(outcome.nodes, budget.max_nodes + 1)
-            if outcome.status == "inconclusive" or nodes > budget.max_nodes:
+            meter.nodes = min(outcome.nodes, budget.max_nodes + 1)
+            if outcome.status == "inconclusive" or meter.nodes > budget.max_nodes:
                 raise BudgetExceededError
-            group = outcome.found and _expand(outcome.certificate.groups[0], steps, tick)
+            group = outcome.found and _expand(outcome.certificate.groups[0], steps, meter.tick)
             if group:
-                return SearchOutcome("found", Certificate((group,), nodes), nodes, time.monotonic() - start)
-        outcome = _run_problem(problem, budget.after(nodes))
+                return SearchOutcome("found", Certificate((group,), meter.nodes), meter.nodes)
     except BudgetExceededError:
-        return SearchOutcome("inconclusive", None, nodes, time.monotonic() - start)
-    nodes += outcome.nodes
-    cert = outcome.certificate and Certificate(outcome.certificate.groups, nodes)
-    return SearchOutcome(outcome.status, cert, nodes, time.monotonic() - start)
+        return SearchOutcome("inconclusive", None, meter.nodes)
+    return _run_problem(problem, meter)
 
 
 def verify_certificate(problem: SearchProblem, cert: Certificate) -> bool:
@@ -607,7 +599,7 @@ class EmbeddingCache:
                 cert = None
             if cert is None or not verify_certificate(problem, cert):
                 return None
-            self._entries[key] = SearchOutcome("found", cert, cert.nodes, 0.0)
+            self._entries[key] = SearchOutcome("found", cert, cert.nodes)
         return self._entries.get(key)
 
     def put(self, problem: SearchProblem, outcome: SearchOutcome) -> None:
@@ -678,16 +670,18 @@ def find_embedding(
     Exhaustive up to signed coordinate permutation: "absent" is a proof.
     A plain problem of one chain is built by 2-final expansions where it can
     be, and searched otherwise; its base is asked for here too, so the cache
-    holds the problem asked and its base.  A problem whose determinants
-    break the square-index rule is "absent" with 0 nodes before the cache is
-    asked or the clock started, and is never stored.  Every found outcome
-    not taken from the cache is verified before it is stored; one that
-    fails is a RuntimeError that stores nothing.  Without a cache the
-    process-wide one serves, without a budget the one from the environment;
-    its clock starts here unless it is running.
+    holds the problem asked and its base.  Each problem counts its nodes on
+    one meter against ``max_nodes``: a built chain's base, expansion steps
+    and whole search together.  A problem whose determinants break the
+    square-index rule is "absent" with 0 nodes before the cache is asked or
+    the clock started, and is never stored.  Every found outcome not taken
+    from the cache is verified before it is stored; one that fails is a
+    RuntimeError that stores nothing.  Without a cache the process-wide one
+    serves, without a budget the one from the environment; its clock starts
+    here unless it is running.
     """
     if _square_refuted(problem):
-        return SearchOutcome("absent", None, 0, 0.0)
+        return SearchOutcome("absent", None, 0)
     cache = cache if cache is not None else _shared_cache
     hit = cache.get(problem)
     if hit is not None:
@@ -696,7 +690,7 @@ def find_embedding(
     if problem.ribbon_split is None and len(problem.summands) == 1:
         outcome = _built(problem, budget, cache)
     else:
-        outcome = _run_problem(problem, budget)
+        outcome = _run_problem(problem, _Meter(budget))
     if outcome.found and not verify_certificate(problem, outcome.certificate):
         raise RuntimeError(f"internal error: unverifiable certificate for {problem.key}")
     cache.put(problem, outcome)
@@ -774,9 +768,9 @@ def r_membership(
         # every chain vector costs a node, so a longer chain cannot be found
         # within the budget, nor any chain on a spent clock; neither is expanded
         if budget.expired():
-            outcome = SearchOutcome("inconclusive", None, 0, 0.0)
+            outcome = SearchOutcome("inconclusive", None, 0)
         elif cf_length(g) > budget.max_nodes:
-            outcome = SearchOutcome("inconclusive", None, budget.max_nodes + 1, 0.0)
+            outcome = SearchOutcome("inconclusive", None, budget.max_nodes + 1)
         else:
             outcome = find_embedding(plain_problem((cf_expand(g),)), budget, cache)
         searches.append((str(g), outcome))

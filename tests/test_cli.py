@@ -88,6 +88,8 @@ class TestExitCodes:
             ({}, ["--max-seconds", "0", "in-r", "4/3"], "--max-seconds"),
             ({}, ["--max-nodes", "-5", "cf", "7/4"], "--max-nodes"),
             ({"RIBBONLENS_MAX_NODES": "abc"}, ["cf", "7/4"], "RIBBONLENS_MAX_NODES"),
+            # the suites read the environment budget themselves
+            ({"RIBBONLENS_MAX_SECONDS": "0"}, ["selfcheck"], "RIBBONLENS_MAX_SECONDS"),
         ],
     )
     def test_bad_budget_is_usage_error(self, monkeypatch, env, argv, named):
@@ -499,7 +501,7 @@ class TestCacheFile:
             "certificates": {"plain|2,2,2": printed},
         }))
 
-        def no_search(problem, budget):
+        def no_search(problem, meter):
             raise AssertionError(f"searched {problem.key}")
 
         monkeypatch.setattr(search, "_run_problem", no_search)
@@ -528,7 +530,7 @@ class TestCacheFile:
             assert doc["certificates"] == {"plain|2,2,2": printed}
 
     def test_query_that_raises_skips_the_save(self, tmp_path, monkeypatch):
-        def crash(problem, budget):
+        def crash(problem, meter):
             raise RuntimeError("boom")
 
         monkeypatch.setattr(search, "_run_problem", crash)
@@ -566,8 +568,8 @@ class TestCacheFile:
             counts["hits"] += hit is not None
             return hit
 
-        def counted_run(problem, budget):
-            outcome = run_problem(problem, budget)
+        def counted_run(problem, meter):
+            outcome = run_problem(problem, meter)
             counts["found"] += outcome.found
             return outcome
 
