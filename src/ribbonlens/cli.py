@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import os
 import sys
@@ -309,8 +310,11 @@ def cmd_cf(args) -> tuple[int, dict, list[str]]:
     value = cf_evaluate(terms)
     if value != f:
         raise RuntimeError(f"the expansion of {f} evaluates to {value}")
-    doc = {"fraction": str(f), "terms": [str(a) for a in terms], "value": str(value)}
-    text = [f"{f} = [{','.join(str(a) for a in terms)}]^-"]
+    # one string per distinct term, shared by the JSON list and the text line
+    rendered = {a: str(a) for a in set(terms)}
+    strings = [rendered[a] for a in terms]
+    doc = {"fraction": str(f), "terms": strings, "value": str(value)}
+    text = [f"{f} = [{','.join(strings)}]^-"]
     return EXIT_YES, doc, text
 
 
@@ -364,8 +368,13 @@ def cmd_in_r(args) -> tuple[int, dict, list[str]]:
 
 def cmd_verdict(args) -> tuple[int, dict, list[str]]:
     """ribbon, ribbon-sum and bridge: the subcommand's (parse, query, render)
-    triple reads both operands, answers the query and renders each operand."""
-    parse, query, render = args.verdict_query
+    triple reads both operands, answers the query and renders each operand.
+    The triple is looked up on each call, not held by the parser."""
+    parse, query, render = {
+        "ribbon": (parse_lens, ribbon_leq_lens, lens_to_json),
+        "ribbon-sum": (parse_sum, ribbon_leq_sum, lambda y: [lens_to_json(x) for x in y.summands]),
+        "bridge": (parse_links, chi_leq_bridge, lambda links: [lens_to_json(k) for k in links]),
+    }[args.command]
     first = parse(args.first)
     second = parse(args.second)
     verdict = _cached(args, query, first, second)
@@ -418,7 +427,11 @@ def cmd_selfcheck(args) -> tuple[int, dict, list[str]]:
 # -- parser --------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The one parser of this process, built on the first call, not at
+    import.  It holds each subcommand's handler by name, never a function,
+    so a handler or query rebound on this module is the one that runs."""
     parser = _Parser(prog="ribbonlens", description=__doc__)
     parser.add_argument("--format", choices=("text", "json"), default="text")
     parser.add_argument("--max-nodes", type=int, default=None, help="search node budget")
@@ -428,7 +441,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("cf", help="negative continued fraction expansion")
     p.add_argument("fraction")
-    p.set_defaults(func=cmd_cf)
+    p.set_defaults(handler="cmd_cf")
 
     lens = sub.add_parser("lens", help="lens space utilities")
     lens_sub = lens.add_subparsers(dest="lens_command", required=True)
@@ -436,46 +449,34 @@ def build_parser() -> _Parser:
     p.add_argument("first")
     p.add_argument("second")
     p.add_argument("--oriented", action="store_true")
-    p.set_defaults(func=cmd_lens_cmp)
+    p.set_defaults(handler="cmd_lens_cmp")
 
     p = sub.add_parser("fn", help="square-multiple family witnesses")
     p.add_argument("fraction")
-    p.set_defaults(func=cmd_fn)
+    p.set_defaults(handler="cmd_fn")
 
     p = sub.add_parser("in-r", help="rational-ball membership oracle")
     p.add_argument("fraction")
-    p.set_defaults(func=cmd_in_r)
+    p.set_defaults(handler="cmd_in_r")
 
-    for name, help_text, parse, query, render in (
-        ("ribbon", "ribbon cobordism between two lens spaces", parse_lens, ribbon_leq_lens, lens_to_json),
-        (
-            "ribbon-sum",
-            "ribbon cobordism between connected sums",
-            parse_sum,
-            ribbon_leq_sum,
-            lambda y: [lens_to_json(x) for x in y.summands],
-        ),
-        (
-            "bridge",
-            "chi-concordance of 2-bridge link sums",
-            parse_links,
-            chi_leq_bridge,
-            lambda links: [lens_to_json(k) for k in links],
-        ),
+    for name, help_text in (
+        ("ribbon", "ribbon cobordism between two lens spaces"),
+        ("ribbon-sum", "ribbon cobordism between connected sums"),
+        ("bridge", "chi-concordance of 2-bridge link sums"),
     ):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("first")
         p.add_argument("second")
-        p.set_defaults(func=cmd_verdict, verdict_query=(parse, query, render))
+        p.set_defaults(handler="cmd_verdict")
 
     p = sub.add_parser("embed", help="raw lattice embedding search")
     p.add_argument("--summands", action="append", required=True, metavar="a1,a2,...")
     p.add_argument("--ribbon-split", type=int, default=None)
-    p.set_defaults(func=cmd_embed)
+    p.set_defaults(handler="cmd_embed")
 
     p = sub.add_parser("selfcheck", help="run the acceptance cross-validation suites")
     p.add_argument("--max-p", type=int, default=None)
-    p.set_defaults(func=cmd_selfcheck)
+    p.set_defaults(handler="cmd_selfcheck")
 
     return parser
 
@@ -488,7 +489,7 @@ def run(argv, stdout=None, stderr=None) -> int:
         with contextlib.redirect_stdout(stdout):  # where --help prints before exiting 0
             args = parser.parse_args(argv)
         args.stderr = stderr
-        code, doc, text = args.func(args)
+        code, doc, text = globals()[args.handler](args)
         if args.format == "json":
             envelope = {"schema": SCHEMA, "command": args.command, "result": doc}
             text = [json.dumps(envelope, sort_keys=True, separators=(",", ":"))]

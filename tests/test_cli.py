@@ -7,6 +7,7 @@ import shlex
 import subprocess
 import sys
 import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -100,6 +101,51 @@ class TestExitCodes:
         assert named in err and not out
 
 
+class TestOneParser:
+    """run parses every call with the one parser of the process."""
+
+    @pytest.mark.parametrize(
+        "command, query",
+        [("ribbon", "ribbon_leq_lens"), ("ribbon-sum", "ribbon_leq_sum"), ("bridge", "chi_leq_bridge")],
+    )
+    def test_query_is_looked_up_on_each_call(self, monkeypatch, command, query):
+        # the parser is built before the query is rebound, so a parser that
+        # held the query would still call the original
+        assert run_cli(command, "2/1", "8/5")[0] == 0
+        original = getattr(cli, query)
+        calls = []
+
+        def recorder(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cli, query, recorder)
+        assert run_cli(command, "2/1", "8/5")[0] == 0
+        assert len(calls) == 1
+
+    def test_no_state_carries_from_one_call_to_the_next(self, monkeypatch):
+        for name in ("RIBBONLENS_CACHE", "RIBBONLENS_MAX_NODES", "RIBBONLENS_MAX_SECONDS"):
+            monkeypatch.delenv(name, raising=False)
+        assert cli.build_parser() is cli.build_parser()
+        # each pair differs only in a flag or an appended option, whose
+        # default must come back on the next call
+        argvs = [
+            ["--max-nodes", "1", "embed", "--summands", "2,2,2"],
+            ["embed", "--summands", "2,2,2"],
+            ["--format", "json", "lens", "cmp", "--oriented", "5/1", "5/4"],
+            ["--format", "json", "lens", "cmp", "5/1", "5/4"],
+            ["embed", "--summands", "2,2,2", "--summands", "2,2,2"],
+            ["embed", "--summands", "2,2,2"],
+            ["ribbon", "--", "-7/4", "7/3"],
+            ["ribbon", "--help"],
+        ]
+        forwards = [run_cli(*argv) for argv in argvs]
+        backwards = [run_cli(*argv) for argv in reversed(argvs)][::-1]
+        assert forwards == backwards
+        assert [code for code, _, _ in forwards] == [2, 0, 1, 0, 0, 0, 0, 0]
+        assert forwards[2][1] != forwards[3][1] and forwards[4][1] != forwards[5][1]
+
+
 class TestContinuedFractionBudget:
     """cf counts the terms first and builds no expansion over the node budget."""
 
@@ -124,6 +170,32 @@ class TestContinuedFractionBudget:
             monkeypatch.delenv(name, raising=False)
         _, out, _ = run_cli("--format", "json", "cf", "7/4")
         assert out.encode() == selfcheck.golden_path("cf-7-4").read_bytes()
+
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_long_expansion_renders_each_term_once(self, monkeypatch, fmt):
+        # 100001/100000 is 10**5 terms 2; the JSON list and the text line
+        # share one string per distinct term
+        for name in ("RIBBONLENS_MAX_NODES", "RIBBONLENS_MAX_SECONDS"):
+            monkeypatch.delenv(name, raising=False)
+        terms = [str(a) for a in cf_expand(Fraction(100001, 100000))]
+        if fmt == "json":
+            result = {"fraction": "100001/100000", "terms": terms, "value": "100001/100000"}
+            envelope = {"schema": cli.SCHEMA, "command": "cf", "result": result}
+            expected = json.dumps(envelope, sort_keys=True, separators=(",", ":")) + "\n"
+        else:
+            expected = f"100001/100000 = [{','.join(terms)}]^-\n"
+        del terms
+        run_cli("cf", "7/4")  # the parser is built outside the measurement
+        out, err = io.StringIO(), io.StringIO()
+        tracemalloc.start()
+        try:
+            code = cli.run(["--format", fmt, "cf", "100001/100000"], stdout=out, stderr=err)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, out.getvalue(), err.getvalue()) == (0, expected, "")
+        # a new string per term and per rendering peaks at 12 MB in either format
+        assert peak < 6 * 2**20
 
     def test_failed_round_trip_is_an_internal_error(self, monkeypatch):
         # a check that python -O would not remove
