@@ -16,10 +16,11 @@ import json
 import os
 import sys
 from fractions import Fraction
+from itertools import islice
 from math import gcd
 
 from . import search, selfcheck
-from .arith import FnWitness, LensSpace, cf_evaluate, cf_expand, cf_length, fn_membership, lens_homeomorphic, lens_normalize
+from .arith import FnWitness, LensSpace, cf_expand, cf_length, continuant, fn_membership, lens_homeomorphic, lens_normalize
 from .classify import (
     ConnectedSum,
     PairType,
@@ -307,7 +308,9 @@ def cmd_cf(args) -> tuple[int, dict, list[str]]:
         doc = {"fraction": str(f), "terms": None, "value": None}
         return EXIT_INCONCLUSIVE, doc, [f"{f}: inconclusive"]
     terms = cf_expand(f)
-    value = cf_evaluate(terms)
+    # [a1,...,an]^- = continuant(a1..an) / continuant(a2..an): O(n) integer
+    # steps and one gcd
+    value = Fraction(continuant(terms), continuant(islice(terms, 1, None)))
     if value != f:
         raise RuntimeError(f"the expansion of {f} evaluates to {value}")
     # one string per distinct term, shared by the JSON list and the text line

@@ -83,6 +83,24 @@ class TestContinuedFractions:
     def test_continuant_is_numerator(self, f):
         assert continuant(cf_expand(f)) == f.numerator
 
+    def test_continuant_quotient_is_the_fold(self):
+        # the CLI checks its round trip by continuant(a1..an) / continuant(a2..an);
+        # it must equal the reference fold on the fractions of cf-round-trip
+        # and on long strings, runs of 2 included
+        def quotient(terms):
+            return Fraction(continuant(terms), continuant(itertools.islice(terms, 1, None)))
+
+        fractions = [Fraction(p, q) for p in range(2, 201) for q in range(1, p) if gcd(p, q) == 1]
+        assert len(fractions) == 12231
+        for f in fractions:
+            terms = cf_expand(f)
+            assert quotient(terms) == cf_evaluate(terms) == f
+        rng = random.Random(35)
+        for _ in range(200):
+            top = rng.choice((2, 3, 10, 1000))
+            terms = tuple(rng.randint(2, top) for _ in range(rng.randint(1, 2000)))
+            assert quotient(terms) == cf_evaluate(terms), terms[:10]
+
     @given(coprime_fractions())
     def test_length_without_expanding(self, f):
         terms = cf_expand(f)

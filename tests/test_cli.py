@@ -198,10 +198,22 @@ class TestContinuedFractionBudget:
         assert peak < 6 * 2**20
 
     def test_failed_round_trip_is_an_internal_error(self, monkeypatch):
-        # a check that python -O would not remove
-        monkeypatch.setattr(cli, "cf_evaluate", lambda terms: Fraction(5, 3))
+        # a check that python -O would not remove: [2,3]^- is 5/3, not 7/4
+        monkeypatch.setattr(cli, "cf_expand", lambda f: (2, 3))
         code, out, err = run_cli("cf", "7/4")
-        assert code == cli.EXIT_SOFTWARE and not out and "evaluates to 5/3" in err
+        assert code == cli.EXIT_SOFTWARE == 70 and not out and "evaluates to 5/3" in err
+
+    def test_long_expansion_checks_its_round_trip_in_linear_time(self, monkeypatch):
+        # 10**6 terms are checked by two integer continuants in about 0.5 s;
+        # a Fraction per term took about 3-4 s (2-vCPU machine, CPython 3.11)
+        for name in ("RIBBONLENS_MAX_NODES", "RIBBONLENS_MAX_SECONDS"):
+            monkeypatch.delenv(name, raising=False)
+        run_cli("cf", "7/4")  # the parser is built outside the measurement
+        start = time.perf_counter()
+        code, out, err = run_cli("--max-seconds", "1", "--format", "json", "cf", "1000001/1000000")
+        assert time.perf_counter() - start < 2.5
+        assert (code, err) == (0, "")
+        assert len(json.loads(out)["result"]["terms"]) == 10**6
 
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
