@@ -33,8 +33,6 @@ from .lattice import (
     gram_of,
     orthogonal_complement,
     primitivity_test,
-    stably_isometric_linear,
-    strip_unit_summands,
 )
 from .search import (
     Certificate,

@@ -100,10 +100,11 @@ def lens_homeomorphic(a: LensSpace, b: LensSpace, oriented: bool = True) -> bool
     return False
 
 
-def cf_expand(f: Fraction) -> CF:
+def cf_expand(f: Fraction, expired: Callable[[], bool] | None = None) -> CF | None:
     """Expand f > 1 as [a1,...,an]^- = a1 - 1/(a2 - 1/(...)), all terms >= 2.
 
-    The expansion with every term >= 2 is unique.
+    The expansion with every term >= 2 is unique.  An ``expired`` callable is
+    asked every 2,048 terms, and the expansion is None once it answers True.
     """
     if f <= 1:
         raise ValueError(f"negative continued fraction expansion needs f > 1, got {f}")
@@ -113,6 +114,8 @@ def cf_expand(f: Fraction) -> CF:
         a = -(-p // q)  # ceil(p / q)
         terms.append(a)
         p, q = q, a * q - p
+        if expired is not None and not len(terms) & 2047 and expired():
+            return None
     return tuple(terms)
 
 

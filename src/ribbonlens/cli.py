@@ -300,14 +300,26 @@ def cmd_cf(args) -> tuple[int, dict, list[str]]:
     if f <= 1:
         raise UsageError(f"expansion needs p/q > 1: {args.fraction!r}")
     budget = _budget(args)
+
+    def inconclusive(over: str):
+        _note(args.stderr, f"cf: the expansion has {length} terms, over {over}")
+        doc = {"fraction": str(f), "terms": None, "value": None}
+        return EXIT_INCONCLUSIVE, doc, [f"{f}: inconclusive"]
+
     # every term costs a node, so an expansion longer than the budget is
     # counted in closed form and never built
     length = cf_length(f)
     if length > budget.max_nodes:
-        _note(args.stderr, f"cf: the expansion has {length} terms, over the node budget of {budget.max_nodes}")
-        doc = {"fraction": str(f), "terms": None, "value": None}
-        return EXIT_INCONCLUSIVE, doc, [f"{f}: inconclusive"]
-    terms = cf_expand(f)
+        return inconclusive(f"the node budget of {budget.max_nodes}")
+    # an expansion of 2,048 terms or more reads the query's clock every 2,048
+    # terms and once more before its round trip; a shorter one reads none
+    if length < 2048:
+        terms = cf_expand(f)
+    else:
+        budget = budget.started()
+        terms = cf_expand(f, budget.expired)
+        if terms is None or budget.expired():
+            return inconclusive(f"the clock of {budget.max_seconds} s")
     # [a1,...,an]^- = continuant(a1..an) / continuant(a2..an): O(n) integer
     # steps and one gcd
     value = Fraction(continuant(terms), continuant(islice(terms, 1, None)))

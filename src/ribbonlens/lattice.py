@@ -2,8 +2,8 @@
 
 Gram matrices, one column reduction A V = [H | 0] that gives integer
 kernels, spans and primitivity, orthogonal complements inside Z^N, short
-vectors by norm, unit-summand stripping and chain bases of a given linear
-isometry type.
+vectors by norm, and one chain backtracker over candidate vectors of Z^N,
+:func:`chain_among`, which finds chain bases of a given linear isometry type.
 Everything is integer or Fraction exact; matrices are tuples of tuples of
 ints.
 """
@@ -267,55 +267,28 @@ def enumerate_short_vectors(lattice: GramLattice, bound: int, tick=None) -> dict
         x[i] = _floor_sqrt_minus(r, s[i]) + 1
 
 
-# -- unit summands and chain bases --------------------------------------------
+# -- chain bases ----------------------------------------------------------------
 
 
-def strip_unit_summands(lattice: GramLattice) -> tuple[int, GramLattice]:
-    """Split off a maximal Z^k orthogonal summand: G = G' + Z^k, G' unit-free.
+def chain_among(by_norm: dict[int, list[Vector]], terms: CF, tick=None) -> tuple[Vector, ...] | None:
+    """Vectors v1..vn drawn from by_norm, with v_i.v_i = terms[i], consecutive
+    pairings 1 and all other pairings 0; None if there are none.
 
-    Norm-1 vectors u != +/-v have |u.v| < 1 by Cauchy-Schwarz, so u.v = 0 in
-    an integral lattice: all the units span one Z^k, and G' is its complement.
-    """
-    units = enumerate_short_vectors(lattice, 1).get(1, [])
-    if not units:
-        return 0, lattice
-    g = lattice.gram
-    basis = integer_kernel(tuple(tuple(dot(row, u) for row in g) for u in units), lattice.rank)
-    gram = tuple(tuple(dot(a, tuple(dot(row, b) for row in g)) for b in basis) for a in basis)
-    return len(units), GramLattice(gram)
-
-
-def chain_basis_for(lattice: GramLattice, terms: CF, tick=None) -> tuple[Vector, ...] | None:
-    """Basis v1..vn with v_i.v_i = terms[i], consecutive pairings 1 and all
-    other pairings 0, in the lattice's coordinates; None if there is none.
-
-    Rank and determinant are checked first, so any such chain spans the
-    lattice.  The backtracking search over exact-norm short vectors, on an
-    explicit stack, takes one vector of each +/- pair at the first position
-    and the sign the pairing forces after it, so it is exhaustive up to a
-    global sign.  A chain read backwards realizes the reversed string, so
-    this one search decides both orientations.  An optional tick callable is
-    invoked per short-vector enumeration node, on entry to the chain search
-    and per vector placed, so callers can meter the work against their own
-    budgets.
+    by_norm lists the candidates of each norm as Z^N vectors, one of each
+    +/- pair.  The backtracking search, on an explicit stack, takes the
+    candidates as listed at the first position and the sign the pairing
+    forces after it, so it is exhaustive up to a global sign.  An optional
+    tick callable is invoked on entry, once every norm has a candidate, and
+    per vector placed.
     """
     terms = tuple(terms)
-    if lattice.rank != len(terms):
-        return None
-    if lattice.rank == 0:
+    if not terms:
         return ()
-    if det(lattice.gram) != continuant(terms):
-        return None
-    by_norm = enumerate_short_vectors(lattice, max(terms), tick)
-    if by_norm.get(1):
-        # chain lattices with all terms >= 2 have minimum norm 2
-        return None
-    if any(norm not in by_norm for norm in set(terms)):
+    if not all(by_norm.get(norm) for norm in set(terms)):
         return None
     if tick is not None:
         tick()
     chain: list[Vector] = []
-    images: list[Vector] = []  # G v for each v in the chain
     stack = [iter(by_norm[terms[0]])]
     while stack:
         cand = next(stack[-1], None)
@@ -323,12 +296,11 @@ def chain_basis_for(lattice: GramLattice, terms: CF, tick=None) -> tuple[Vector,
             stack.pop()
             if chain:
                 chain.pop()
-                images.pop()
             continue
         if chain:
             # exactly one of cand and -cand can pair to 1 with the previous vector
-            sign = dot(cand, images[-1])
-            if sign not in (1, -1) or any(dot(cand, w) for w in images[:-1]):
+            sign = dot(cand, chain[-1])
+            if sign not in (1, -1) or any(dot(cand, w) for w in chain[:-1]):
                 continue
             cand = tuple(sign * x for x in cand)
         if tick is not None:
@@ -336,15 +308,34 @@ def chain_basis_for(lattice: GramLattice, terms: CF, tick=None) -> tuple[Vector,
         chain.append(cand)
         if len(chain) == len(terms):
             return tuple(chain)
-        images.append(tuple(dot(row, cand) for row in lattice.gram))
         stack.append(iter(by_norm[terms[len(chain)]]))
     return None
 
 
-def stably_isometric_linear(embedded: EmbeddedLattice, target: CF) -> bool:
-    """Is the embedded lattice isometric to (chain of target) + Z^k, some k >= 0?"""
-    k, core = strip_unit_summands(gram_of(embedded))
-    target = tuple(target)
-    if not target:
-        return core.rank == 0
-    return chain_basis_for(core, target) is not None
+def chain_basis_for(basis: tuple[Vector, ...], terms: CF, tick=None) -> tuple[Vector, ...] | None:
+    """A chain basis for terms, in Z^N, of the lattice the given Z^N vectors
+    span; None if there is none.
+
+    Rank and determinant are checked first, so any such chain spans the
+    lattice.  Its short vectors are enumerated in the basis's coordinates
+    and lifted to Z^N for :func:`chain_among`.  A chain read backwards
+    realizes the reversed string, so this one search decides both
+    orientations.  An optional tick callable is invoked per short-vector
+    enumeration node and as :func:`chain_among` invokes it, so callers can
+    meter the work against their own budgets.
+    """
+    terms = tuple(terms)
+    if len(basis) != len(terms):
+        return None
+    if not basis:
+        return ()
+    gram = tuple(tuple(dot(a, b) for b in basis) for a in basis)
+    if det(gram) != continuant(terms):
+        return None
+    by_norm = enumerate_short_vectors(GramLattice(gram), max(terms), tick)
+    if by_norm.get(1):
+        # chain lattices with all terms >= 2 have minimum norm 2
+        return None
+    cols = tuple(zip(*basis))
+    lifted = {norm: [tuple(dot(x, col) for col in cols) for x in by_norm.get(norm, ())] for norm in set(terms)}
+    return chain_among(lifted, terms, tick)

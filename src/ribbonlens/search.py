@@ -43,7 +43,7 @@ from .arith import (
     d_obstruction,
     square_index,
 )
-from .lattice import GramLattice, Vector, chain_basis_for, dot, integer_kernel, saturation_index
+from .lattice import Vector, chain_basis_for, integer_kernel, saturation_index
 from .subsets import two_final_coordinates, two_final_step
 
 ENGINE_VERSION = "6"
@@ -336,17 +336,9 @@ def _ribbon_leaf(problem: SearchProblem, tick):
     N = problem.ambient_rank
 
     def leaf(vecs: tuple[Vector, ...]):
-        kernel = integer_kernel(vecs, N)
-        gram = tuple(tuple(dot(a, b) for b in kernel) for a in kernel)
         # chain_basis_for compares the determinant with lambda1's continuant first
-        chain = chain_basis_for(GramLattice(gram), lambda1, tick=tick)
-        if chain is None:
-            return None
-        lifted = tuple(
-            tuple(sum(coeff * kernel[r][c] for r, coeff in enumerate(ch)) for c in range(N))
-            for ch in chain
-        )
-        return (lifted, vecs)
+        chain = chain_basis_for(integer_kernel(vecs, N), lambda1, tick=tick)
+        return None if chain is None else (chain, vecs)
 
     return leaf
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .lattice import EmbeddedLattice, Matrix, Vector, dot, orthogonal_complement, stably_isometric_linear
+from .lattice import EmbeddedLattice, Matrix, Vector, chain_among, dot, orthogonal_complement, saturation_index
 
 
 @dataclass(frozen=True)
@@ -311,17 +311,30 @@ def _search_bad(subset: LinearSubset, comp: tuple[int, ...]):
 
 
 def bad_component_complement(subset: LinearSubset, bad: BadComponent) -> EmbeddedLattice:
-    """Orthogonal complement of the bad component's span inside Z^N.
+    """Orthogonal complement C of the bad component's span inside Z^N,
+    checked in Z^N to be Z^k + (chain of m - 1 twos) before it is returned.
 
-    The result is always stably isometric to the chain of (m - 1) twos; this
-    is checked before returning.
+    C's units are the e_i of the k coordinates that no component vector
+    meets, and its norm-2 vectors on the others are the e_i +- e_j there that
+    pair to 0 with every component vector.  C is primitive, so a chain of
+    m - 1 of those twos and the units are a basis of C exactly when they
+    number its rank and span a saturated sublattice; where the lemma holds,
+    every such chain has the determinant m of C's non-unit part, so the first
+    one found decides.
     """
-    component_vectors = tuple(subset.vectors[i] for i in bad.component)
-    embedded = EmbeddedLattice(subset.ambient_rank, component_vectors)
-    complement = orthogonal_complement(embedded)
-    expected = (2,) * (bad.m - 1)
-    if not stably_isometric_linear(complement, expected):
-        raise RuntimeError(
-            f"bad-component complement is not stably the chain of {bad.m - 1} twos"
-        )
+    n = subset.ambient_rank
+    vecs = tuple(subset.vectors[i] for i in bad.component)
+    complement = orthogonal_complement(EmbeddedLattice(n, vecs))
+    used = [k for k in range(n) if any(v[k] for v in vecs)]
+    units = tuple(tuple(int(k == i) for k in range(n)) for i in range(n) if i not in used)
+    twos = [
+        tuple(1 if k == i else sign if k == j else 0 for k in range(n))
+        for a, i in enumerate(used)
+        for j in used[a + 1 :]
+        for sign in (1, -1)
+        if all(v[i] + sign * v[j] == 0 for v in vecs)
+    ]
+    chain = chain_among({2: twos}, (2,) * (bad.m - 1))
+    if chain is None or len(chain + units) != complement.rank or saturation_index(chain + units, n) != 1:
+        raise RuntimeError(f"bad-component complement is not stably the chain of {bad.m - 1} twos")
     return complement

@@ -109,6 +109,18 @@ class TestContinuedFractions:
         dual = Fraction(f.numerator, f.numerator - f.denominator)
         assert cf_length(dual) == sum(terms) - 2 * len(terms) + 1
 
+    def test_expansion_reads_the_clock_every_2048_terms(self):
+        # (n + 1)/n is a run of n terms 2
+        reads = []
+
+        def expired():
+            reads.append(1)
+            return False
+
+        assert cf_expand(Fraction(2048, 2047), expired) == (2,) * 2047 and reads == []
+        assert cf_expand(Fraction(4097, 4096), expired) == (2,) * 4096 and len(reads) == 2
+        assert cf_expand(Fraction(4097, 4096), lambda: True) is None
+
 
 class TestLensSpaces:
     def test_normalize_examples(self):

@@ -147,7 +147,8 @@ class TestOneParser:
 
 
 class TestContinuedFractionBudget:
-    """cf counts the terms first and builds no expansion over the node budget."""
+    """cf counts the terms first and builds no expansion over the node budget,
+    and an expansion under it stops at the query's clock."""
 
     def test_expansion_over_the_node_budget_is_not_built(self):
         # 1000001/1000000 is a run of 10**6 terms 2 and one 1000001
@@ -158,6 +159,16 @@ class TestContinuedFractionBudget:
         assert json.loads(out)["result"] == {"fraction": "1000001/1000000", "terms": None, "value": None}
         # one line naming the term count and the budget
         assert err.count("\n") == 1 and "1000000 terms" in err and err.rstrip().endswith(" 1000")
+
+    def test_expansion_stops_at_the_clock(self):
+        # 5000001/5000000 is a run of 5 * 10**6 terms 2, well under the node
+        # budget; the expansion reads the clock every 2,048 terms
+        start = time.perf_counter()
+        code, out, err = run_cli("--max-seconds", "0.2", "--format", "json", "cf", "5000001/5000000")
+        assert time.perf_counter() - start < 1.0
+        assert code == cli.EXIT_INCONCLUSIVE == 2
+        assert json.loads(out)["result"] == {"fraction": "5000001/5000000", "terms": None, "value": None}
+        assert err.count("\n") == 1 and "5000000 terms" in err and err.rstrip().endswith("0.2 s")
 
     def test_expansion_at_the_node_budget_is_built(self):
         code, out, err = run_cli("--max-nodes", "2", "cf", "7/4")

@@ -10,13 +10,14 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from ribbonlens.arith import continuant
+from ribbonlens.arith import cf_expand, continuant
 from ribbonlens.lattice import (
     EmbeddedLattice,
     GramLattice,
     _column_reduce,
     _floor_sqrt_minus,
     _ldl,
+    chain_among,
     chain_basis_for,
     det,
     enumerate_short_vectors,
@@ -27,9 +28,8 @@ from ribbonlens.lattice import (
     primitivity_test,
     primitivity_test_saturation,
     saturation,
-    stably_isometric_linear,
-    strip_unit_summands,
 )
+from ribbonlens.search import find_embedding, plain_problem
 
 
 def freeze(rows):
@@ -154,7 +154,7 @@ class TestComplementAndPrimitivity:
         triple = EmbeddedLattice(4, ((0, 0, 1, 1), (1, 1, 1, 0), (0, 0, 1, -1)))
         comp = orthogonal_complement(triple)
         assert comp.rank == 1
-        assert stably_isometric_linear(comp, (2,))
+        assert chain_basis_for(comp.vectors, (2,)) is not None
 
     def test_primitivity_examples(self):
         assert not primitivity_test(EmbeddedLattice(1, ((2,),)))
@@ -188,7 +188,7 @@ class TestComplementAndPrimitivity:
                 u = random_unimodular(rng, n)
                 embedded = EmbeddedLattice(n, u)
                 assert primitivity_test(embedded)
-                assert stably_isometric_linear(embedded, ())
+                assert all(in_span(u, tuple(int(i == j) for j in range(n))) for i in range(n))
 
     def test_kernel_of_nothing_is_everything(self):
         assert integer_kernel((), 3) == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
@@ -313,11 +313,9 @@ class TestShortVectors:
         sys.setrecursionlimit(recursion_headroom(30))
         try:
             units = enumerate_short_vectors(identity, 1)
-            k, core = strip_unit_summands(identity)
         finally:
             sys.setrecursionlimit(limit)
         assert list(units) == [1] and len(units[1]) == 60
-        assert (k, core.rank) == (60, 0)
 
 
 def test_nothing_in_the_package_recurses():
@@ -392,41 +390,6 @@ def test_every_definition_in_the_package_is_referenced():
     assert unreferenced == []
 
 
-class TestUnitSummands:
-    def test_examples(self):
-        assert strip_unit_summands(GramLattice(((1,),)))[0] == 1
-        k, core = strip_unit_summands(GramLattice(((2, 1), (1, 2))))
-        assert (k, core.gram) == (0, ((2, 1), (1, 2)))
-        k, core = strip_unit_summands(GramLattice(((1, 0, 0), (0, 1, 0), (0, 0, 3))))
-        assert (k, core.gram) == (2, ((3,),))
-
-
-class TestStripRoundTrip:
-    @given(
-        st.sampled_from([(2,), (3,), (2, 2), (2, 3), (4, 2, 2), (2, 2, 2)]),
-        st.integers(min_value=0, max_value=2),
-        st.integers(min_value=0, max_value=2**30),
-    )
-    def test_strip_recovers_planted_units(self, terms, units, seed):
-        # plant G = P (I_k + chain) P^t with P unimodular; stripping must
-        # recover exactly k units and a core isometric to the chain
-        rng = random.Random(seed)
-        n = units + len(terms)
-        gram = [[0] * n for _ in range(n)]
-        for i in range(units):
-            gram[i][i] = 1
-        for i, a in enumerate(terms):
-            gram[units + i][units + i] = a
-            if i + 1 < len(terms):
-                gram[units + i][units + i + 1] = gram[units + i + 1][units + i] = 1
-        u = random_unimodular(rng, n)
-        conjugated = freeze(mat_mul(mat_mul(u, freeze(gram)), tuple(zip(*u))))
-        k, core = strip_unit_summands(GramLattice(conjugated))
-        assert k == units
-        assert det(core.gram) == det(gram)
-        assert chain_basis_for(core, terms) is not None
-
-
 def chain_gram(terms):
     n = len(terms)
     return freeze(
@@ -434,74 +397,86 @@ def chain_gram(terms):
     )
 
 
-def pairings(lattice, basis):
-    """Gram matrix of the given vectors, in the lattice's coordinates."""
-    return freeze(mat_mul(mat_mul(basis, lattice.gram), tuple(zip(*basis))))
+def gram_of_rows(rows):
+    return freeze(mat_mul(rows, tuple(zip(*rows))))
+
+
+def chain_rows(terms):
+    """The chain of the string as rows of Z^N: find_embedding's certificate
+    for it beside the chain of its dual string, which fills out Z^N."""
+    p, q = continuant(terms), continuant(terms[1:])
+    problem = plain_problem([terms, cf_expand(Fraction(p, p - q))])
+    groups = find_embedding(problem).certificate.groups
+    return tuple(tuple(dict(v).get(k, 0) for k in range(problem.ambient_rank)) for v in groups[0])
+
+
+def conjugated_chain(terms, rng):
+    """A Z^N basis of the chain lattice of the string: its rows, mixed by a
+    random unimodular matrix."""
+    return freeze(mat_mul(random_unimodular(rng, len(terms)), chain_rows(terms)))
+
+
+class TestChainAmong:
+    def test_examples(self):
+        # the second vector takes the sign that pairs it to 1 with the first
+        assert chain_among({2: [(1, -1, 0), (0, 1, -1)]}, (2, 2)) == ((1, -1, 0), (0, -1, 1))
+        assert chain_among({2: [(1, -1, 0), (0, 0, 2)]}, (2, 2)) is None
+        assert chain_among({2: [(1, -1, 0)]}, (2, 3)) is None
+        assert chain_among({}, ()) == ()
+
+    def test_ticks_on_entry_and_per_vector_placed(self):
+        ticks = []
+        by_norm = {2: [(1, -1, 0), (0, 1, -1)]}
+        assert chain_among(by_norm, (2, 2), lambda: ticks.append(1)) is not None
+        assert len(ticks) == 3
+        ticks.clear()
+        assert chain_among({2: [(1, -1, 0)]}, (2, 3), lambda: ticks.append(1)) is None
+        assert ticks == []
 
 
 class TestRecognition:
     def test_examples(self):
-        assert chain_basis_for(GramLattice(((2, 1), (1, 2))), (2, 2)) is not None
-        assert chain_basis_for(GramLattice(((3,),)), (3,)) is not None
-        assert chain_basis_for(GramLattice(((2, 0), (0, 2))), (2, 2)) is None
+        assert chain_basis_for(((1, 1, 0), (0, 1, 1)), (2, 2)) is not None
+        assert chain_basis_for(((1, 1, 1),), (3,)) == ((1, 1, 1),)
+        assert chain_basis_for(((1, 1, 0, 0), (0, 0, 1, 1)), (2, 2)) is None
+        assert chain_basis_for((), ()) == ()
 
     @given(st.sampled_from([(2, 2), (3,), (2, 3), (4, 2, 2), (2, 2, 2), (5, 3)]), st.integers(0, 2**30))
     def test_invariant_under_unimodular_conjugation(self, terms, seed):
-        rng = random.Random(seed)
-        n = len(terms)
-        gram = [[0] * n for _ in range(n)]
-        for i, a in enumerate(terms):
-            gram[i][i] = a
-            if i + 1 < n:
-                gram[i][i + 1] = gram[i + 1][i] = 1
-        u = random_unimodular(rng, n)
-        conjugated = mat_mul(mat_mul(u, freeze(gram)), tuple(zip(*u)))
-        assert chain_basis_for(GramLattice(freeze(conjugated)), terms) is not None
+        basis = conjugated_chain(terms, random.Random(seed))
+        assert chain_basis_for(basis, terms) is not None
 
     @given(st.sampled_from([(2, 2), (3,), (2, 3), (4, 2, 2), (2, 2, 2), (5, 3)]), st.integers(0, 2**30))
     def test_one_search_decides_both_orientations(self, terms, seed):
         # read backwards, a basis for either string is one for the other
-        u = random_unimodular(random.Random(seed), len(terms))
-        lattice = GramLattice(freeze(mat_mul(mat_mul(u, chain_gram(terms)), tuple(zip(*u)))))
+        rows = conjugated_chain(terms, random.Random(seed))
         for string in (terms, terms[::-1]):
-            basis = chain_basis_for(lattice, string)
+            basis = chain_basis_for(rows, string)
             assert basis is not None
-            assert pairings(lattice, basis[::-1]) == chain_gram(string[::-1])
+            assert gram_of_rows(basis[::-1]) == chain_gram(string[::-1])
+            # the chain is written in Z^N, inside the lattice the rows span
+            assert all(in_span(rows, v) for v in basis)
 
     @given(st.integers(2, 3), st.integers(0, 2**30))
     def test_no_basis_for_a_string_means_none_for_its_reverse(self, n, seed):
         rng = random.Random(seed)
-        gram = [[0] * n for _ in range(n)]
-        for i in range(n):
-            gram[i][i] = rng.randint(2, 6)
-            for j in range(i):
-                gram[i][j] = gram[j][i] = rng.randint(-2, 2)
-        # positive definite: every leading minor is positive
-        assume(all(det([row[:k] for row in gram[:k]]) > 0 for k in range(1, n + 1)))
-        lattice = GramLattice(freeze(gram))
+        rows = freeze([[rng.randint(-2, 2) for _ in range(n + 1)] for _ in range(n)])
+        assume(fraction_rank(rows) == n)
+        gram_det = det(gram_of_rows(rows))
         for terms in itertools.product(range(2, 7), repeat=n):
-            if continuant(terms) == det(lattice.gram):
-                found = chain_basis_for(lattice, terms) is not None
-                assert found == (chain_basis_for(lattice, terms[::-1]) is not None), terms
+            if continuant(terms) == gram_det:
+                found = chain_basis_for(rows, terms) is not None
+                assert found == (chain_basis_for(rows, terms[::-1]) is not None), terms
 
     def test_conjugated_rank_five_chain(self):
         # a rank-5 chain the unpruned search needed minutes to recognize
         terms = (2, 2, 3, 2, 3)
-        gram = tuple(
-            tuple(terms[i] if i == j else int(abs(i - j) == 1) for j in range(5)) for i in range(5)
-        )
-        u = random_unimodular(random.Random(5), 5)
-        conjugated = freeze(mat_mul(mat_mul(u, gram), tuple(zip(*u))))
-        assert conjugated != gram and det(conjugated) == 26
-        assert chain_basis_for(GramLattice(conjugated), terms) is not None
+        basis = conjugated_chain(terms, random.Random(5))
+        assert gram_of_rows(basis) != chain_gram(terms) and det(gram_of_rows(basis)) == 26
+        assert chain_basis_for(basis, terms) is not None
 
     def test_chain_basis_for_targets(self):
-        a3 = GramLattice(((2, 1, 0), (1, 2, 1), (0, 1, 2)))
+        a3 = ((1, -1, 0, 0), (0, 1, -1, 0), (0, 0, 1, -1))
         assert chain_basis_for(a3, (2, 2, 2)) is not None
         assert chain_basis_for(a3, (2, 2)) is None
         assert chain_basis_for(a3, (2, 2, 3)) is None
-
-    def test_stably_isometric_examples(self):
-        assert stably_isometric_linear(EmbeddedLattice(4, ((1, -1, 0, 0), (0, 0, 0, 1))), (2,))
-        assert stably_isometric_linear(EmbeddedLattice(1, ((1,),)), ())
-        assert not stably_isometric_linear(EmbeddedLattice(1, ((2,),)), ())

@@ -2,8 +2,19 @@ import random
 
 import pytest
 
-from ribbonlens.lattice import dot, gram_of
+from ribbonlens import lattice
+from ribbonlens.lattice import (
+    EmbeddedLattice,
+    GramLattice,
+    chain_basis_for,
+    dot,
+    enumerate_short_vectors,
+    gram_of,
+    integer_kernel,
+    orthogonal_complement,
+)
 from ribbonlens.subsets import (
+    BadComponent,
     LinearSubset,
     _triple_witness,
     _two_final_move,
@@ -441,6 +452,77 @@ class TestBadComponents:
         bad = detect_bad_components(triple)[0]
         complement = bad_component_complement(triple, bad)
         assert complement.rank == 3  # chain of one two plus two unit vectors
+
+
+def reference_stably_linear(embedded, target):
+    """The route the Z^N check replaced: is the lattice (chain of target) +
+    Z^k?  Its units are enumerated on its Gram matrix and split off in Gram
+    coordinates (they pair to 0 with each other, by Cauchy-Schwarz); the rest
+    is lifted to Z^N and must have the chain's rank, determinant and no
+    units, and a chain basis among its enumerated short vectors."""
+    gram = gram_of(embedded).gram
+    units = enumerate_short_vectors(GramLattice(gram), 1).get(1, [])
+    core = integer_kernel([[dot(row, u) for row in gram] for u in units], embedded.rank)
+    cols = tuple(zip(*embedded.vectors))
+    lifted = tuple(tuple(dot(x, col) for col in cols) for x in core)
+    return chain_basis_for(lifted, target) is not None
+
+
+def complement_is_stable(subset, bad):
+    try:
+        bad_component_complement(subset, bad)
+    except RuntimeError:
+        return False
+    return True
+
+
+def bad_components_with_controls():
+    """Every bad component of the selfcheck frontier, of 2,000 expanded
+    subsets and of two disjoint triples, then every 20th of them with its
+    central norm one too high and one too low (above 2)."""
+    subsets = [*selfcheck_frontier(), *random_expanded_subsets(2000, seed=7), two_disjoint_triples()]
+    found = [(s, b) for s in subsets for b in detect_bad_components(s)]
+    controls = [
+        (s, BadComponent(b.component, norm, b.trace))
+        for s, b in found[::20]
+        for norm in (b.central_norm + 1, b.central_norm - 1)
+        if norm > 2
+    ]
+    return found, controls
+
+
+class TestComplementCheck:
+    def test_agrees_with_the_gram_route(self):
+        found, controls = bad_components_with_controls()
+        assert len(found) == 2062 and len(controls) == 174
+        # the lemma: every bad component passes both routes, and no wrong m does
+        for cases, stable in ((found, True), (controls, False)):
+            for subset, bad in cases:
+                vectors = tuple(subset.vectors[i] for i in bad.component)
+                complement = orthogonal_complement(EmbeddedLattice(subset.ambient_rank, vectors))
+                reference = reference_stably_linear(complement, (2,) * (bad.m - 1))
+                assert complement_is_stable(subset, bad) == reference == stable, (subset, bad)
+
+    def test_enumerates_nothing(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the complement check reached the short-vector layer")
+
+        for name in ("enumerate_short_vectors", "_ldl", "det"):
+            monkeypatch.setattr(lattice, name, forbidden)
+        for m in (2, 3, 4, 5):
+            for subset in (core_triple(m), *two_final_expansions(core_triple(m), (0, 1, 2))):
+                bad_component_complement(subset, detect_bad_components(subset)[0])
+
+    def test_wrong_type_of_the_right_rank_raises(self):
+        # the complement is span(1, 1, 1), of rank 1 but norm 3, not 2
+        subset = linear_subset([(1, -1, 0), (0, -1, 1)])
+        with pytest.raises(RuntimeError):
+            bad_component_complement(subset, BadComponent((0, 1), 3, ()))
+
+    def test_central_norm_one_too_high_raises(self):
+        for m in (2, 3, 4, 5):
+            with pytest.raises(RuntimeError):
+                bad_component_complement(core_triple(m), BadComponent((0, 1, 2), m + 2, ()))
 
 
 class TestCanonicalForm:
