@@ -28,9 +28,7 @@ from .classify import (
 )
 from .lattice import (
     EmbeddedLattice,
-    GramLattice,
     enumerate_short_vectors,
-    gram_of,
     orthogonal_complement,
     primitivity_test,
 )

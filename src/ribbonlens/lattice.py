@@ -1,11 +1,11 @@
 """Exact integer-lattice kernel.
 
-Gram matrices, one column reduction A V = [H | 0] that gives integer
-kernels, spans and primitivity, orthogonal complements inside Z^N, short
-vectors by norm, and one chain backtracker over candidate vectors of Z^N,
-:func:`chain_among`, which finds chain bases of a given linear isometry type.
-Everything is integer or Fraction exact; matrices are tuples of tuples of
-ints.
+One column reduction A V = [H | 0] that gives integer kernels, spans,
+saturation indices and primitivity, orthogonal complements inside Z^N, short
+vectors of a Gram matrix by norm, and one chain backtracker over candidate
+vectors of Z^N, :func:`chain_among`, which finds chain bases of a given
+linear isometry type.  Everything is integer or Fraction exact; matrices
+are tuples of tuples of ints.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt, prod
 
-from .arith import CF, continuant
+from .arith import CF
 
 Matrix = tuple[tuple[int, ...], ...]
 Vector = tuple[int, ...]
@@ -22,52 +22,6 @@ Vector = tuple[int, ...]
 
 def dot(v: Vector, w: Vector) -> int:
     return sum(a * b for a, b in zip(v, w))
-
-
-def det(matrix) -> int:
-    """Exact determinant via fraction-free (Bareiss) elimination."""
-    n = len(matrix)
-    if n == 0:
-        return 1
-    a = [list(row) for row in matrix]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k]:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
-
-
-@dataclass(frozen=True)
-class GramLattice:
-    """Abstract lattice given by a symmetric integer Gram matrix."""
-
-    gram: Matrix
-
-    def __post_init__(self) -> None:
-        g = self.gram
-        n = len(g)
-        if any(len(row) != n for row in g):
-            raise ValueError("Gram matrix must be square")
-        for i in range(n):
-            for j in range(i):
-                if g[i][j] != g[j][i]:
-                    raise ValueError("Gram matrix must be symmetric")
-
-    @property
-    def rank(self) -> int:
-        return len(self.gram)
 
 
 @dataclass(frozen=True)
@@ -124,11 +78,6 @@ def _column_reduce(rows, width: int) -> tuple[list[int], list[Vector]]:
                 if q:
                     cols[j] = [x - q * y for x, y in zip(cols[j], pivot)]
     return pivots, [tuple(col[m:]) for col in cols]
-
-
-def gram_of(embedded: EmbeddedLattice) -> GramLattice:
-    vs = embedded.vectors
-    return GramLattice(tuple(tuple(dot(v, w) for w in vs) for v in vs))
 
 
 def integer_kernel(rows, width: int) -> tuple[Vector, ...]:
@@ -219,21 +168,26 @@ def _floor_sqrt_minus(r: Fraction, s: Fraction) -> int:
     return candidate
 
 
-def enumerate_short_vectors(lattice: GramLattice, bound: int, tick=None) -> dict[int, list[Vector]]:
+def enumerate_short_vectors(gram: Matrix, bound: int, tick=None) -> dict[int, list[Vector]]:
     """All x != 0 with x^T G x <= bound, one representative per +/- pair,
     bucketed by exact norm in enumeration order.
 
     Exact Fincke-Pohst style enumeration over the rational quadratic
     completion, depth first from the last coordinate down, on per-level
-    arrays; rejects non-positive-definite input.  left[i] is what the bound
-    leaves after x[i]..x[n-1] are chosen, so a vector's norm is
-    bound - left[0].  An optional tick callable is invoked once per
-    enumeration node: on entry to each level and at each completed vector.
+    arrays; rejects a Gram matrix that is not square, not symmetric or not
+    positive definite.  left[i] is what the bound leaves after x[i]..x[n-1]
+    are chosen, so a vector's norm is bound - left[0].  An optional tick
+    callable is invoked once per enumeration node: on entry to each level
+    and at each completed vector.
     """
-    n = lattice.rank
+    n = len(gram)
+    if any(len(row) != n for row in gram):
+        raise ValueError("Gram matrix must be square")
+    if any(gram[i][j] != gram[j][i] for i in range(n) for j in range(i)):
+        raise ValueError("Gram matrix must be symmetric")
     if n == 0:
         return {}
-    c, u = _ldl(lattice.gram)  # raises if not positive definite
+    c, u = _ldl(gram)  # raises if not positive definite
     out: dict[int, list[Vector]] = {}
     x = [0] * n
     lo = [0] * n
@@ -313,16 +267,20 @@ def chain_among(by_norm: dict[int, list[Vector]], terms: CF, tick=None) -> tuple
 
 
 def chain_basis_for(basis: tuple[Vector, ...], terms: CF, tick=None) -> tuple[Vector, ...] | None:
-    """A chain basis for terms, in Z^N, of the lattice the given Z^N vectors
-    span; None if there is none.
+    """A chain basis for terms, in Z^N, of the lattice the given linearly
+    independent Z^N vectors span; None if there is none, and ValueError,
+    from the enumeration, for dependent vectors.
 
-    Rank and determinant are checked first, so any such chain spans the
-    lattice.  Its short vectors are enumerated in the basis's coordinates
-    and lifted to Z^N for :func:`chain_among`.  A chain read backwards
-    realizes the reversed string, so this one search decides both
-    orientations.  An optional tick callable is invoked per short-vector
-    enumeration node and as :func:`chain_among` invokes it, so callers can
-    meter the work against their own budgets.
+    The rank is checked first.  Short vectors are enumerated in the basis's
+    coordinates and lifted to Z^N for :func:`chain_among`, whose chain lies
+    in the lattice and is kept only when it spans it, i.e. has the basis's
+    saturation index.  That is exact: every chain of the string has
+    determinant continuant(terms), so the first one found spans the lattice
+    exactly when any does.  A chain read backwards realizes the reversed
+    string, so this one search decides both orientations.  An optional tick
+    callable is invoked per short-vector enumeration node and as
+    :func:`chain_among` invokes it, so callers can meter the work against
+    their own budgets.
     """
     terms = tuple(terms)
     if len(basis) != len(terms):
@@ -330,12 +288,14 @@ def chain_basis_for(basis: tuple[Vector, ...], terms: CF, tick=None) -> tuple[Ve
     if not basis:
         return ()
     gram = tuple(tuple(dot(a, b) for b in basis) for a in basis)
-    if det(gram) != continuant(terms):
-        return None
-    by_norm = enumerate_short_vectors(GramLattice(gram), max(terms), tick)
+    by_norm = enumerate_short_vectors(gram, max(terms), tick)
     if by_norm.get(1):
         # chain lattices with all terms >= 2 have minimum norm 2
         return None
     cols = tuple(zip(*basis))
     lifted = {norm: [tuple(dot(x, col) for col in cols) for x in by_norm.get(norm, ())] for norm in set(terms)}
-    return chain_among(lifted, terms, tick)
+    chain = chain_among(lifted, terms, tick)
+    width = len(basis[0])
+    if chain is None or saturation_index(chain, width) != saturation_index(basis, width):
+        return None
+    return chain

@@ -7,6 +7,12 @@ embedding is asked for like any problem's and so searched once per cache.  A cha
 "absent" still only comes from an exhausted search.  Every certificate that
 a query builds or finds is verified before it is stored.
 
+:attr:`SearchProblem.index` states the square-index rule once, for the
+prefilter, the ribbon leaf and the verifier.  A ribbon leaf first asks the
+verifier's question, whether the second chain's vectors have that
+saturation index, which holds exactly when their complement has the first
+chain's determinant; only then does it search that complement.
+
 The engine places each chain from its cheaper end (the smaller end term, then
 the longer run of 2s), since a reversed chain spans the same lattice.  It
 assigns one chain vector at a time, propagating the required pairings; a used
@@ -125,6 +131,15 @@ class SearchProblem:
         """The chains the engine places: every summand in plain mode, the
         second in constrained mode, where the first is their complement."""
         return self.summands if self.ribbon_split is None else self.summands[1:]
+
+    @property
+    def index(self) -> int | None:
+        """The square-index rule, stated once: the placed chains' determinant
+        is index^2 times their complement's, the first chain's in constrained
+        mode and 1 at full rank, so index is the saturation index the placed
+        vectors must have; None where no integer index exists."""
+        p1 = 1 if self.ribbon_split is None else continuant(self.summands[0])
+        return square_index(p1, prod(continuant(t) for t in self.placed))
 
     @property
     def key(self) -> str:
@@ -334,9 +349,13 @@ def _end_cost(terms: CF) -> tuple:
 def _ribbon_leaf(problem: SearchProblem, tick):
     lambda1 = problem.summands[0]
     N = problem.ambient_rank
+    index = problem.index
 
     def leaf(vecs: tuple[Vector, ...]):
-        # chain_basis_for compares the determinant with lambda1's continuant first
+        # the verifier's test: the complement, primitive, has determinant
+        # p2 / index^2, which is lambda1's exactly at the problem's index
+        if saturation_index(vecs, N) != index:
+            return None
         chain = chain_basis_for(integer_kernel(vecs, N), lambda1, tick=tick)
         return None if chain is None else (chain, vecs)
 
@@ -376,13 +395,6 @@ def _run_problem(problem: SearchProblem, meter: _Meter) -> SearchOutcome:
     # the engine's vectors are dense; a certificate keeps their nonzero entries
     groups = tuple(tuple(tuple((k, x) for k, x in enumerate(v) if x) for v in group) for group in groups)
     return SearchOutcome("found", Certificate(groups, meter.nodes), meter.nodes)
-
-
-def _square_refuted(problem: SearchProblem) -> bool:
-    """The square-index rule: the placed chains' determinant is index^2 times
-    their complement's, the first chain's in constrained mode, 1 at full rank."""
-    p1 = 1 if problem.ribbon_split is None else continuant(problem.summands[0])
-    return square_index(p1, prod(continuant(t) for t in problem.placed)) is None
 
 
 def _bases(terms: CF):
@@ -544,9 +556,8 @@ def verify_certificate(problem: SearchProblem, cert: Certificate) -> bool:
     # group1 sits inside the complement of group2 (cross pairings vanish) with
     # equal rank, and the pairings above make their determinants p1 and p2;
     # the complement's is p2 / index^2, and equal determinants force equality
-    p1, p2 = (continuant(t) for t in problem.summands)
     rows = [[dict(v).get(k, 0) for k in range(N)] for v in groups[1]]
-    return saturation_index(rows, N) == square_index(p1, p2)
+    return saturation_index(rows, N) == problem.index
 
 
 class EmbeddingCache:
@@ -672,7 +683,7 @@ def find_embedding(
     serves, without a budget the one from the environment; its clock starts
     here unless it is running.
     """
-    if _square_refuted(problem):
+    if problem.index is None:
         return SearchOutcome("absent", None, 0)
     cache = cache if cache is not None else _shared_cache
     hit = cache.get(problem)

@@ -13,15 +13,12 @@ from hypothesis import strategies as st
 from ribbonlens.arith import cf_expand, continuant
 from ribbonlens.lattice import (
     EmbeddedLattice,
-    GramLattice,
     _column_reduce,
     _floor_sqrt_minus,
     _ldl,
     chain_among,
     chain_basis_for,
-    det,
     enumerate_short_vectors,
-    gram_of,
     in_span,
     integer_kernel,
     orthogonal_complement,
@@ -30,6 +27,8 @@ from ribbonlens.lattice import (
     saturation,
 )
 from ribbonlens.search import find_embedding, plain_problem
+
+from reference import fraction_det, gram_of_rows
 
 
 def freeze(rows):
@@ -107,7 +106,7 @@ class TestColumnReduction:
         assert r == fraction_rank(matrix)
         # V is unimodular and A V vanishes from the rank on, so those columns
         # of V span the kernel
-        assert abs(det(tuple(zip(*v)))) == 1
+        assert abs(fraction_det(tuple(zip(*v)))) == 1
         av = mat_mul(matrix, tuple(zip(*v)))
         assert all(row[j] == 0 for row in av for j in range(r, len(v)))
         if r == len(matrix):
@@ -115,7 +114,7 @@ class TestColumnReduction:
             assert all(av[i][j] == 0 for i in range(r) for j in range(i + 1, r))
             assert [av[i][i] for i in range(r)] == pivots
             if r == len(v):
-                assert abs(math.prod(pivots)) == abs(det(matrix))
+                assert abs(math.prod(pivots)) == abs(fraction_det(matrix))
 
     @given(integer_matrices(max_dim=3, lo=-2, hi=2))
     def test_in_span_matches_brute_force(self, matrix):
@@ -139,13 +138,13 @@ class TestColumnReduction:
 
 class TestComplementAndPrimitivity:
     def test_gram_examples(self):
-        assert gram_of(EmbeddedLattice(1, ((1,),))).gram == ((1,),)
-        assert gram_of(EmbeddedLattice(3, ((1, 1, 0), (0, 1, -1)))).gram == ((2, 1), (1, 2))
-        assert gram_of(EmbeddedLattice(1, ((2,),))).gram == ((4,),)
+        assert gram_of_rows(EmbeddedLattice(1, ((1,),)).vectors) == ((1,),)
+        assert gram_of_rows(EmbeddedLattice(3, ((1, 1, 0), (0, 1, -1))).vectors) == ((2, 1), (1, 2))
+        assert gram_of_rows(EmbeddedLattice(1, ((2,),)).vectors) == ((4,),)
 
     def test_complement_examples(self):
         comp = orthogonal_complement(EmbeddedLattice(2, ((1, 1),)))
-        assert gram_of(comp).gram == ((2,),)
+        assert gram_of_rows(comp.vectors) == ((2,),)
         assert orthogonal_complement(EmbeddedLattice(1, ((1,),))).rank == 0
 
     def test_triple_complement_from_minimal_bad_component(self):
@@ -194,13 +193,13 @@ class TestComplementAndPrimitivity:
         assert integer_kernel((), 3) == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
 
-def reference_short_vectors(lattice, bound, tick=None):
+def reference_short_vectors(gram, bound, tick=None):
     """The recursive enumeration the explicit-stack walk replaced, with its
     norms recomputed from the Gram matrix: the reference for order and ticks."""
-    n = lattice.rank
+    n = len(gram)
     if n == 0:
         return {}
-    c, u = _ldl(lattice.gram)
+    c, u = _ldl(gram)
     out = []
     x = [0] * n
 
@@ -224,20 +223,20 @@ def reference_short_vectors(lattice, bound, tick=None):
     descend(n - 1, Fraction(bound), True)
     by_norm = {}
     for v in out:
-        norm = sum(v[i] * sum(lattice.gram[i][j] * v[j] for j in range(n)) for i in range(n))
+        norm = sum(v[i] * sum(gram[i][j] * v[j] for j in range(n)) for i in range(n))
         by_norm.setdefault(norm, []).append(v)
     return by_norm
 
 
 def seeded_lattices():
-    """Conjugated chain lattices and random positive-definite Gram matrices
-    of rank <= 6."""
+    """Gram matrices of rank <= 6: conjugated chain lattices' and random
+    positive-definite ones."""
     rng = random.Random(9)
     lattices = []
     for terms in [(2,), (3,), (2, 2), (2, 3), (4, 2, 2), (2, 2, 2), (5, 3), (2, 2, 3, 2, 3), (2, 3, 2, 2, 4, 2)]:
         for _ in range(3):
             u = random_unimodular(rng, len(terms))
-            lattices.append(GramLattice(freeze(mat_mul(mat_mul(u, chain_gram(terms)), tuple(zip(*u))))))
+            lattices.append(freeze(mat_mul(mat_mul(u, chain_gram(terms)), tuple(zip(*u)))))
     while len(lattices) < 60:
         n = rng.randint(1, 6)
         gram = [[0] * n for _ in range(n)]
@@ -245,8 +244,8 @@ def seeded_lattices():
             gram[i][i] = rng.randint(1, 6)
             for j in range(i):
                 gram[i][j] = gram[j][i] = rng.randint(-2, 2)
-        if all(det([row[:k] for row in gram[:k]]) > 0 for k in range(1, n + 1)):
-            lattices.append(GramLattice(freeze(gram)))
+        if all(fraction_det([row[:k] for row in gram[:k]]) > 0 for k in range(1, n + 1)):
+            lattices.append(freeze(gram))
     return lattices
 
 
@@ -260,33 +259,40 @@ def recursion_headroom(frames):
 
 class TestShortVectors:
     def test_examples(self):
-        assert enumerate_short_vectors(GramLattice(((2,),)), 2) == {2: [(1,)]}
-        assert enumerate_short_vectors(GramLattice(((1, 0), (0, 1))), 1) == {1: [(0, 1), (1, 0)]}
-        assert enumerate_short_vectors(GramLattice(((1, 0), (0, 1))), 2) == {
+        assert enumerate_short_vectors(((2,),), 2) == {2: [(1,)]}
+        assert enumerate_short_vectors(((1, 0), (0, 1)), 1) == {1: [(0, 1), (1, 0)]}
+        assert enumerate_short_vectors(((1, 0), (0, 1)), 2) == {
             2: [(1, 1), (-1, 1)],
             1: [(0, 1), (1, 0)],
         }
-        found = enumerate_short_vectors(GramLattice(((2, 1), (1, 2))), 2)
+        found = enumerate_short_vectors(((2, 1), (1, 2)), 2)
         assert found == {2: [(0, 1), (-1, 1), (1, 0)]}
-        assert enumerate_short_vectors(GramLattice(()), 5) == {}
+        assert enumerate_short_vectors((), 5) == {}
 
     def test_tick_meets_every_enumeration_node(self):
         # x = 1 and x = 0 under the root; x = 0 is the zero vector, dropped
         ticks = []
-        assert enumerate_short_vectors(GramLattice(((2,),)), 2, lambda: ticks.append(1)) == {2: [(1,)]}
+        assert enumerate_short_vectors(((2,),), 2, lambda: ticks.append(1)) == {2: [(1,)]}
         assert len(ticks) == 3
 
     def test_rejects_indefinite(self):
         with pytest.raises(ValueError):
-            enumerate_short_vectors(GramLattice(((0, 1), (1, 0))), 2)
+            enumerate_short_vectors(((0, 1), (1, 0)), 2)
         with pytest.raises(ValueError):
-            enumerate_short_vectors(GramLattice(((-2,),)), 2)
+            enumerate_short_vectors(((-2,),), 2)
+
+    def test_rejects_a_matrix_that_is_no_gram_matrix(self):
+        with pytest.raises(ValueError, match="square"):
+            enumerate_short_vectors(((2, 1),), 2)
+        with pytest.raises(ValueError, match="square"):
+            enumerate_short_vectors(((2, 1), (1,)), 2)
+        with pytest.raises(ValueError, match="symmetric"):
+            enumerate_short_vectors(((2, 1), (0, 2)), 2)
 
     @given(st.integers(min_value=1, max_value=12))
     def test_counts_on_square_lattice(self, bound):
         # Z^2 norms are sums of two squares; count one vector per +/- pair
-        lattice = GramLattice(((1, 0), (0, 1)))
-        by_norm = enumerate_short_vectors(lattice, bound)
+        by_norm = enumerate_short_vectors(((1, 0), (0, 1)), bound)
         found = [v for vs in by_norm.values() for v in vs]
         assert all(x * x + y * y == norm for norm, vs in by_norm.items() for x, y in vs)
         brute = set()
@@ -299,16 +305,16 @@ class TestShortVectors:
 
     def test_matches_the_recursive_walk(self):
         # same buckets, same keys in the same order, same lists, same ticks
-        for lattice in seeded_lattices():
+        for gram in seeded_lattices():
             for bound in range(9):
                 ticks, reference_ticks = [], []
-                found = enumerate_short_vectors(lattice, bound, lambda: ticks.append(1))
-                reference = reference_short_vectors(lattice, bound, lambda: reference_ticks.append(1))
-                assert list(found.items()) == list(reference.items()), (lattice.gram, bound)
-                assert len(ticks) == len(reference_ticks), (lattice.gram, bound)
+                found = enumerate_short_vectors(gram, bound, lambda: ticks.append(1))
+                reference = reference_short_vectors(gram, bound, lambda: reference_ticks.append(1))
+                assert list(found.items()) == list(reference.items()), (gram, bound)
+                assert len(ticks) == len(reference_ticks), (gram, bound)
 
     def test_rank_sixty_under_a_low_recursion_limit(self):
-        identity = GramLattice(freeze([[int(i == j) for j in range(60)] for i in range(60)]))
+        identity = freeze([[int(i == j) for j in range(60)] for i in range(60)])
         limit = sys.getrecursionlimit()
         sys.setrecursionlimit(recursion_headroom(30))
         try:
@@ -397,10 +403,6 @@ def chain_gram(terms):
     )
 
 
-def gram_of_rows(rows):
-    return freeze(mat_mul(rows, tuple(zip(*rows))))
-
-
 def chain_rows(terms):
     """The chain of the string as rows of Z^N: find_embedding's certificate
     for it beside the chain of its dual string, which fills out Z^N."""
@@ -440,6 +442,8 @@ class TestRecognition:
         assert chain_basis_for(((1, 1, 1),), (3,)) == ((1, 1, 1),)
         assert chain_basis_for(((1, 1, 0, 0), (0, 0, 1, 1)), (2, 2)) is None
         assert chain_basis_for((), ()) == ()
+        with pytest.raises(ValueError):
+            chain_basis_for(((1, 1, 0), (2, 2, 0)), (2, 2))
 
     @given(st.sampled_from([(2, 2), (3,), (2, 3), (4, 2, 2), (2, 2, 2), (5, 3)]), st.integers(0, 2**30))
     def test_invariant_under_unimodular_conjugation(self, terms, seed):
@@ -462,7 +466,7 @@ class TestRecognition:
         rng = random.Random(seed)
         rows = freeze([[rng.randint(-2, 2) for _ in range(n + 1)] for _ in range(n)])
         assume(fraction_rank(rows) == n)
-        gram_det = det(gram_of_rows(rows))
+        gram_det = fraction_det(gram_of_rows(rows))
         for terms in itertools.product(range(2, 7), repeat=n):
             if continuant(terms) == gram_det:
                 found = chain_basis_for(rows, terms) is not None
@@ -472,8 +476,16 @@ class TestRecognition:
         # a rank-5 chain the unpruned search needed minutes to recognize
         terms = (2, 2, 3, 2, 3)
         basis = conjugated_chain(terms, random.Random(5))
-        assert gram_of_rows(basis) != chain_gram(terms) and det(gram_of_rows(basis)) == 26
+        assert gram_of_rows(basis) != chain_gram(terms) and fraction_det(gram_of_rows(basis)) == 26
         assert chain_basis_for(basis, terms) is not None
+
+    def test_a_chain_that_does_not_span_is_refused(self):
+        # A2 (determinant 3) holds the (2, 14) chain (1, -1, 0), (-1, -2, 3)
+        # of determinant 27, so of index 3 in A2: no (2, 14) chain spans it
+        a2 = ((1, -1, 0), (0, 1, -1))
+        chain = ((1, -1, 0), (-1, -2, 3))
+        assert gram_of_rows(chain) == chain_gram((2, 14)) and all(in_span(a2, v) for v in chain)
+        assert chain_basis_for(a2, (2, 14)) is None
 
     def test_chain_basis_for_targets(self):
         a3 = ((1, -1, 0, 0), (0, 1, -1, 0), (0, 0, 1, -1))

@@ -31,6 +31,8 @@ from ribbonlens.search import (
 )
 from ribbonlens.subsets import linear_subset
 
+from reference import fraction_det, gram_of_rows
+
 
 def fresh_cache():
     return EmbeddingCache()
@@ -972,6 +974,58 @@ class TestRibbonSearch:
             for w in group2:
                 assert sum(x * dict(w).get(k, 0) for k, x in v) == 0
 
+    def test_leaf_gate_is_the_determinant_test(self, monkeypatch):
+        # every placement of lambda2 that reaches a ribbon leaf, over the
+        # ordered lens pairs with p <= 12 in both orientations: the leaf's
+        # gate, the verifier's saturation_index(vecs, N) == problem.index,
+        # holds exactly where the kernel's Gram determinant is lambda1's
+        # continuant, and only a placement that passes it reaches the kernel
+        from ribbonlens.lattice import integer_kernel, saturation_index
+        from ribbonlens.selfcheck import all_lens_spaces
+
+        calls = []
+
+        def recorded(name):
+            original = getattr(search, name)
+
+            def record(rows, width):
+                calls.append((name, tuple(map(tuple, rows))))
+                return original(rows, width)
+
+            monkeypatch.setattr(search, name, record)
+
+        recorded("saturation_index")
+        recorded("integer_kernel")
+        spaces = all_lens_spaces(12)
+        problems = dict.fromkeys(
+            ribbon_problem(a.reverse().cf(), b.cf())
+            for l1 in spaces
+            for l2 in spaces
+            for a, b in ((l1, l2), (l1.reverse(), l2.reverse()))
+        )
+        leaves = passed = 0
+        for problem in problems:
+            calls.clear()
+            outcome = find_embedding(problem, cache=fresh_cache())
+            if outcome.found:
+                # the verifier's one call, on the certificate's second group
+                assert calls.pop()[0] == "saturation_index"
+            N = problem.ambient_rank
+            gated = [vecs for name, vecs in calls if name == "saturation_index"]
+            kernels = [vecs for name, vecs in calls if name == "integer_kernel"]
+            passing = []
+            for vecs in gated:
+                gate = saturation_index(vecs, N) == problem.index
+                kernel = integer_kernel(vecs, N)
+                reference = fraction_det(gram_of_rows(kernel)) == continuant(problem.summands[0])
+                assert gate == reference, (problem.key, vecs)
+                if gate:
+                    passing.append(vecs)
+            assert kernels == passing, problem.key
+            leaves += len(gated)
+            passed += len(passing)
+        assert (len(problems), leaves, passed) == (2116, 385, 329)
+
 
 def has_square_ratio(p1: int, p2: int) -> bool:
     return p2 % p1 == 0 and isqrt(p2 // p1) ** 2 == p2 // p1
@@ -1190,7 +1244,7 @@ def dense_verify(problem, cert):
     """Reference for verify_certificate: the engine version 3 checker, which
     takes the dot product of every pair of vectors, each written out to its N
     entries."""
-    from ribbonlens.lattice import det, dot, integer_kernel
+    from ribbonlens.lattice import dot, integer_kernel
 
     groups = cert.groups
     if len(groups) != len(problem.summands):
@@ -1215,8 +1269,7 @@ def dense_verify(problem, cert):
         return len(flat) == N
     group1, group2 = groups
     kernel = integer_kernel([dense(v, N) for v in group2], N)
-    gram_kernel = tuple(tuple(dot(a, b) for b in kernel) for a in kernel)
-    return len(group1) == len(kernel) and det(gram_kernel) == search.continuant(problem.summands[0])
+    return len(group1) == len(kernel) and fraction_det(gram_of_rows(kernel)) == search.continuant(problem.summands[0])
 
 
 def mutations(cert, N, rng):
