@@ -27,10 +27,9 @@ from .classify import (
     two_summand_ball,
 )
 from .lattice import (
-    EmbeddedLattice,
     enumerate_short_vectors,
-    orthogonal_complement,
-    primitivity_test,
+    integer_kernel,
+    saturation_index,
 )
 from .search import (
     Certificate,

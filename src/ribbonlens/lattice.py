@@ -1,16 +1,18 @@
 """Exact integer-lattice kernel.
 
-One column reduction A V = [H | 0] that gives integer kernels, spans,
-saturation indices and primitivity, orthogonal complements inside Z^N, short
-vectors of a Gram matrix by norm, and one chain backtracker over candidate
-vectors of Z^N, :func:`chain_among`, which finds chain bases of a given
-linear isometry type.  Everything is integer or Fraction exact; matrices
-are tuples of tuples of ints.
+One column reduction A V = [H | 0] that gives, for integer rows in Z^width,
+the integer kernel (the orthogonal complement inside Z^width), span
+membership and the saturation index (primitive means index 1), with the
+saturation as the kernel of the kernel for an independent primitivity route.
+Every function here takes a sublattice as its rows and a width; there is no
+lattice object.  Then short vectors of a Gram matrix by norm, and one chain
+backtracker over candidate vectors of Z^N, :func:`chain_among`, which finds
+chain bases of a given linear isometry type.  Everything is integer or
+Fraction exact; matrices are tuples of tuples of ints.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt, prod
 
@@ -22,30 +24,6 @@ Vector = tuple[int, ...]
 
 def dot(v: Vector, w: Vector) -> int:
     return sum(a * b for a, b in zip(v, w))
-
-
-@dataclass(frozen=True)
-class EmbeddedLattice:
-    """Sublattice of Z^N spanned by an ordered tuple of integer vectors.
-
-    The vectors are required to be linearly independent over Q.
-    """
-
-    ambient_rank: int
-    vectors: tuple[Vector, ...]
-
-    def __post_init__(self) -> None:
-        for v in self.vectors:
-            if len(v) != self.ambient_rank:
-                raise ValueError("vector length does not match ambient rank")
-        if len(self.vectors) > self.ambient_rank:
-            raise ValueError("more vectors than the ambient rank")
-        if len(_column_reduce(self.vectors, self.ambient_rank)[0]) != len(self.vectors):
-            raise ValueError("vectors are linearly dependent")
-
-    @property
-    def rank(self) -> int:
-        return len(self.vectors)
 
 
 def _column_reduce(rows, width: int) -> tuple[list[int], list[Vector]]:
@@ -87,12 +65,6 @@ def integer_kernel(rows, width: int) -> tuple[Vector, ...]:
     return tuple(v[len(pivots) :])
 
 
-def orthogonal_complement(embedded: EmbeddedLattice) -> EmbeddedLattice:
-    """All of Z^N orthogonal to the given vectors; always a primitive sublattice."""
-    basis = integer_kernel(embedded.vectors, embedded.ambient_rank)
-    return EmbeddedLattice(embedded.ambient_rank, basis)
-
-
 def in_span(rows, x: Vector) -> bool:
     """Is x an integer combination of the given linearly independent rows?
 
@@ -110,11 +82,6 @@ def in_span(rows, x: Vector) -> bool:
     return not any(x)
 
 
-def saturation(embedded: EmbeddedLattice) -> EmbeddedLattice:
-    """(span_Q of the vectors) intersected with Z^N, via a double complement."""
-    return orthogonal_complement(orthogonal_complement(embedded))
-
-
 def saturation_index(rows, width: int) -> int:
     """[sat : span] for linearly independent rows in Z^width, sat the span over
     Q intersected with Z^width: |product of pivots|, as A V = [H | 0] with V
@@ -123,15 +90,11 @@ def saturation_index(rows, width: int) -> int:
     return abs(prod(pivots))
 
 
-def primitivity_test(embedded: EmbeddedLattice) -> bool:
-    """True iff Z^N modulo the span is torsion-free: the span is its saturation."""
-    return saturation_index(embedded.vectors, embedded.ambient_rank) == 1
-
-
-def primitivity_test_saturation(embedded: EmbeddedLattice) -> bool:
-    """Independent route: the saturation must already lie in the integer span."""
-    sat = saturation(embedded)
-    return all(in_span(embedded.vectors, v) for v in sat.vectors)
+def primitivity_test_saturation(rows, width: int) -> bool:
+    """Is the span of the given linearly independent rows in Z^width
+    primitive?  The route independent of :func:`saturation_index`: the
+    saturation, the kernel of the kernel, must already lie in the span."""
+    return all(in_span(rows, v) for v in integer_kernel(integer_kernel(rows, width), width))
 
 
 # -- short vectors -----------------------------------------------------------

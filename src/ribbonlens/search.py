@@ -83,7 +83,8 @@ class SearchBudget:
     @classmethod
     def from_env(cls) -> SearchBudget:
         """Budget from RIBBONLENS_MAX_NODES / RIBBONLENS_MAX_SECONDS; ValueError
-        naming the variable when one is set to anything but a positive number."""
+        naming the variable when one is set to anything but a positive integer
+        (nodes) or number (seconds)."""
         return cls(
             max_nodes=_env_positive("RIBBONLENS_MAX_NODES", int, cls.max_nodes),
             max_seconds=_env_positive("RIBBONLENS_MAX_SECONDS", float, cls.max_seconds),
@@ -100,7 +101,7 @@ def _env_positive(name: str, kind, default):
             return value
     except ValueError:
         pass
-    raise ValueError(f"{name} must be a positive number, got {raw!r}")
+    raise ValueError(f"{name} must be a positive {'integer' if kind is int else 'number'}, got {raw!r}")
 
 
 @dataclass(frozen=True)

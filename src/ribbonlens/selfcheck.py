@@ -18,7 +18,7 @@ from math import gcd
 from . import cli, search
 from .arith import LensSpace, cf_evaluate, cf_expand, fn_membership, lens_normalize, square_index
 from .classify import ConnectedSum, ribbon_leq_lens, ribbon_leq_sum, replay_witness
-from .lattice import EmbeddedLattice, orthogonal_complement, primitivity_test, primitivity_test_saturation
+from .lattice import integer_kernel, primitivity_test_saturation, saturation_index
 from .subsets import (
     bad_component_complement,
     components,
@@ -80,16 +80,14 @@ def check_primitivity_routes() -> tuple[bool, str]:
         rows = tuple(
             tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(k)
         )
-        try:
-            embedded = EmbeddedLattice(n, rows)
-        except ValueError:  # dependent rows
+        complement = integer_kernel(rows, n)
+        if len(complement) != n - k:  # dependent rows
             continue
-        via_pivots = primitivity_test(embedded)
-        via_sat = primitivity_test_saturation(embedded)
+        via_pivots = saturation_index(rows, n) == 1
+        via_sat = primitivity_test_saturation(rows, n)
         if via_pivots != via_sat:
             return False, f"routes disagree on {rows}"
-        complement = orthogonal_complement(embedded)
-        if not primitivity_test(complement) or not primitivity_test_saturation(complement):
+        if saturation_index(complement, n) != 1 or not primitivity_test_saturation(complement, n):
             return False, f"complement of {rows} is not primitive"
         accepted += 1
     return True, f"{PRIMITIVITY_SAMPLES} sublattices agreed on both primitivity routes"

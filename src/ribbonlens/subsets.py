@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .lattice import EmbeddedLattice, Matrix, Vector, chain_among, dot, orthogonal_complement, saturation_index
+from .lattice import Matrix, Vector, chain_among, dot, integer_kernel, saturation_index
 
 
 @dataclass(frozen=True)
@@ -310,21 +310,22 @@ def _search_bad(subset: LinearSubset, comp: tuple[int, ...]):
     return trace, norm
 
 
-def bad_component_complement(subset: LinearSubset, bad: BadComponent) -> EmbeddedLattice:
-    """Orthogonal complement C of the bad component's span inside Z^N,
-    checked in Z^N to be Z^k + (chain of m - 1 twos) before it is returned.
+def bad_component_complement(subset: LinearSubset, bad: BadComponent) -> tuple[Vector, ...]:
+    """A basis of the orthogonal complement C of the bad component's span
+    inside Z^N in Lisca's form Z^k + (chain of m - 1 twos): the k units,
+    then the chain.  It is checked in Z^N before it is returned, and
+    RuntimeError is raised where C has no such basis.
 
     C's units are the e_i of the k coordinates that no component vector
     meets, and its norm-2 vectors on the others are the e_i +- e_j there that
-    pair to 0 with every component vector.  C is primitive, so a chain of
-    m - 1 of those twos and the units are a basis of C exactly when they
-    number its rank and span a saturated sublattice; where the lemma holds,
-    every such chain has the determinant m of C's non-unit part, so the first
-    one found decides.
+    pair to 0 with every component vector.  Those vectors lie in C, and C is
+    primitive, so the units and a chain of m - 1 of those twos are a basis of
+    C exactly when they number its rank, the size of an integer kernel, and
+    span a saturated sublattice; where the lemma holds, every such chain has
+    the determinant m of C's non-unit part, so the first one found decides.
     """
     n = subset.ambient_rank
     vecs = tuple(subset.vectors[i] for i in bad.component)
-    complement = orthogonal_complement(EmbeddedLattice(n, vecs))
     used = [k for k in range(n) if any(v[k] for v in vecs)]
     units = tuple(tuple(int(k == i) for k in range(n)) for i in range(n) if i not in used)
     twos = [
@@ -335,6 +336,6 @@ def bad_component_complement(subset: LinearSubset, bad: BadComponent) -> Embedde
         if all(v[i] + sign * v[j] == 0 for v in vecs)
     ]
     chain = chain_among({2: twos}, (2,) * (bad.m - 1))
-    if chain is None or len(chain + units) != complement.rank or saturation_index(chain + units, n) != 1:
+    if chain is None or len(units + chain) != len(integer_kernel(vecs, n)) or saturation_index(units + chain, n) != 1:
         raise RuntimeError(f"bad-component complement is not stably the chain of {bad.m - 1} twos")
-    return complement
+    return units + chain

@@ -91,6 +91,10 @@ class TestExitCodes:
             ({"RIBBONLENS_MAX_NODES": "abc"}, ["cf", "7/4"], "RIBBONLENS_MAX_NODES"),
             # the suites read the environment budget themselves
             ({"RIBBONLENS_MAX_SECONDS": "0"}, ["selfcheck"], "RIBBONLENS_MAX_SECONDS"),
+            # the node budget is a count, so the message asks for an integer
+            ({"RIBBONLENS_MAX_NODES": "2.5"}, ["cf", "7/4"], "RIBBONLENS_MAX_NODES must be a positive integer, got '2.5'"),
+            ({"RIBBONLENS_MAX_NODES": "1e3"}, ["cf", "7/4"], "RIBBONLENS_MAX_NODES must be a positive integer, got '1e3'"),
+            ({"RIBBONLENS_MAX_SECONDS": "abc"}, ["cf", "7/4"], "RIBBONLENS_MAX_SECONDS must be a positive number, got 'abc'"),
         ],
     )
     def test_bad_budget_is_usage_error(self, monkeypatch, env, argv, named):

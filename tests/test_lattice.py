@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from ribbonlens.arith import cf_expand, continuant
 from ribbonlens.lattice import (
-    EmbeddedLattice,
     _column_reduce,
     _floor_sqrt_minus,
     _ldl,
@@ -21,10 +20,8 @@ from ribbonlens.lattice import (
     enumerate_short_vectors,
     in_span,
     integer_kernel,
-    orthogonal_complement,
-    primitivity_test,
     primitivity_test_saturation,
-    saturation,
+    saturation_index,
 )
 from ribbonlens.search import find_embedding, plain_problem
 
@@ -61,8 +58,8 @@ def sublattices(draw, max_dim=5):
         for _ in range(k)
     )
     if len(_column_reduce(rows, n)[0]) != k:
-        return EmbeddedLattice(n, rows[:0])
-    return EmbeddedLattice(n, rows)
+        return rows[:0], n
+    return rows, n
 
 
 def random_unimodular(rng, n):
@@ -138,55 +135,56 @@ class TestColumnReduction:
 
 class TestComplementAndPrimitivity:
     def test_gram_examples(self):
-        assert gram_of_rows(EmbeddedLattice(1, ((1,),)).vectors) == ((1,),)
-        assert gram_of_rows(EmbeddedLattice(3, ((1, 1, 0), (0, 1, -1))).vectors) == ((2, 1), (1, 2))
-        assert gram_of_rows(EmbeddedLattice(1, ((2,),)).vectors) == ((4,),)
+        assert gram_of_rows(((1,),)) == ((1,),)
+        assert gram_of_rows(((1, 1, 0), (0, 1, -1))) == ((2, 1), (1, 2))
+        assert gram_of_rows(((2,),)) == ((4,),)
 
     def test_complement_examples(self):
-        comp = orthogonal_complement(EmbeddedLattice(2, ((1, 1),)))
-        assert gram_of_rows(comp.vectors) == ((2,),)
-        assert orthogonal_complement(EmbeddedLattice(1, ((1,),))).rank == 0
+        comp = integer_kernel(((1, 1),), 2)
+        assert gram_of_rows(comp) == ((2,),)
+        assert len(integer_kernel(((1,),), 1)) == 0
 
     def test_triple_complement_from_minimal_bad_component(self):
         # central norm 3 in ambient rank 4: complement is a single norm-2
         # vector, the chain of one two
-        triple = EmbeddedLattice(4, ((0, 0, 1, 1), (1, 1, 1, 0), (0, 0, 1, -1)))
-        comp = orthogonal_complement(triple)
-        assert comp.rank == 1
-        assert chain_basis_for(comp.vectors, (2,)) is not None
+        comp = integer_kernel(((0, 0, 1, 1), (1, 1, 1, 0), (0, 0, 1, -1)), 4)
+        assert len(comp) == 1
+        assert chain_basis_for(comp, (2,)) is not None
 
     def test_primitivity_examples(self):
-        assert not primitivity_test(EmbeddedLattice(1, ((2,),)))
-        assert primitivity_test(EmbeddedLattice(2, ((1, 1),)))
+        assert saturation_index(((2,),), 1) != 1
+        assert saturation_index(((1, 1),), 2) == 1
 
     @given(sublattices())
-    def test_two_routes_agree(self, embedded):
-        assert primitivity_test(embedded) == primitivity_test_saturation(embedded)
+    def test_two_routes_agree(self, lattice):
+        rows, n = lattice
+        assert (saturation_index(rows, n) == 1) == primitivity_test_saturation(rows, n)
 
     @given(sublattices())
-    def test_complements_are_primitive(self, embedded):
-        comp = orthogonal_complement(embedded)
-        assert primitivity_test(comp)
-        assert primitivity_test_saturation(comp)
+    def test_complements_are_primitive(self, lattice):
+        rows, n = lattice
+        comp = integer_kernel(rows, n)
+        assert saturation_index(comp, n) == 1
+        assert primitivity_test_saturation(comp, n)
 
     @given(sublattices())
-    def test_double_complement_is_saturation(self, embedded):
-        sat = saturation(embedded)
-        assert sat.rank == embedded.rank
+    def test_double_complement_is_saturation(self, lattice):
+        rows, n = lattice
+        sat = integer_kernel(integer_kernel(rows, n), n)
+        assert len(sat) == len(rows)
         # the saturation contains the lattice; primitivity means equality
-        for v in embedded.vectors:
-            assert in_span(sat.vectors, v)
-        if primitivity_test(embedded):
-            for v in sat.vectors:
-                assert in_span(embedded.vectors, v)
+        for v in rows:
+            assert in_span(sat, v)
+        if saturation_index(rows, n) == 1:
+            for v in sat:
+                assert in_span(rows, v)
 
     def test_full_rank_primitive_is_everything(self):
         rng = random.Random(7)
         for n in (1, 2, 3, 4):
             for _ in range(10):
                 u = random_unimodular(rng, n)
-                embedded = EmbeddedLattice(n, u)
-                assert primitivity_test(embedded)
+                assert saturation_index(u, n) == 1
                 assert all(in_span(u, tuple(int(i == j) for j in range(n))) for i in range(n))
 
     def test_kernel_of_nothing_is_everything(self):

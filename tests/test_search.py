@@ -1132,7 +1132,7 @@ def naive_ribbon_exists(lambda1, lambda2):
     first block is a primitive sublattice: a primitive orthogonal partner of
     full corank is automatically the whole orthogonal complement.
     """
-    from ribbonlens.lattice import EmbeddedLattice, primitivity_test_saturation
+    from ribbonlens.lattice import primitivity_test_saturation
 
     ambient = len(lambda1) + len(lambda2)
     flat = [(0, ti, a) for ti, a in enumerate(lambda1)]
@@ -1156,7 +1156,7 @@ def naive_ribbon_exists(lambda1, lambda2):
             block1 = tuple(chosen[: len(lambda1)])
             if not block1:
                 return True
-            return primitivity_test_saturation(EmbeddedLattice(ambient, block1))
+            return primitivity_test_saturation(block1, ambient)
         bi, ti, a = flat[i]
         for v in vectors_of_norm(a):
             good = True

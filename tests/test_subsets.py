@@ -4,12 +4,11 @@ import pytest
 
 from ribbonlens import lattice
 from ribbonlens.lattice import (
-    EmbeddedLattice,
     chain_basis_for,
     dot,
     enumerate_short_vectors,
+    in_span,
     integer_kernel,
-    orthogonal_complement,
 )
 from ribbonlens.subsets import (
     BadComponent,
@@ -443,27 +442,28 @@ class TestBadComponents:
             bad = detect_bad_components(triple)[0]
             complement = bad_component_complement(triple, bad)
             # rank (m + 2) - 3 with the chain of (m - 1) twos inside
-            assert complement.rank == m - 1
+            assert len(complement) == m - 1
             if m == 2:
-                assert gram_of_rows(complement.vectors) == ((2,),)
+                assert gram_of_rows(complement) == ((2,),)
 
     def test_unused_coordinates_become_units(self):
         triple = core_triple(2, ambient_rank=6)
         bad = detect_bad_components(triple)[0]
         complement = bad_component_complement(triple, bad)
-        assert complement.rank == 3  # chain of one two plus two unit vectors
+        assert len(complement) == 3  # chain of one two plus two unit vectors
 
 
-def reference_stably_linear(embedded, target):
-    """The route the Z^N check replaced: is the lattice (chain of target) +
-    Z^k?  Its units are enumerated on its Gram matrix and split off in Gram
-    coordinates (they pair to 0 with each other, by Cauchy-Schwarz); the rest
-    is lifted to Z^N and must have the chain's rank and no units, and a
-    chain basis, a chain that spans it, among its enumerated short vectors."""
-    gram = gram_of_rows(embedded.vectors)
+def reference_stably_linear(rows, target):
+    """The route the Z^N check replaced: is the lattice the rows span (chain
+    of target) + Z^k?  Its units are enumerated on its Gram matrix and split
+    off in Gram coordinates (they pair to 0 with each other, by
+    Cauchy-Schwarz); the rest is lifted to Z^N and must have the chain's rank
+    and no units, and a chain basis, a chain that spans it, among its
+    enumerated short vectors."""
+    gram = gram_of_rows(rows)
     units = enumerate_short_vectors(gram, 1).get(1, [])
-    core = integer_kernel([[dot(row, u) for row in gram] for u in units], embedded.rank)
-    cols = tuple(zip(*embedded.vectors))
+    core = integer_kernel([[dot(row, u) for row in gram] for u in units], len(rows))
+    cols = tuple(zip(*rows))
     lifted = tuple(tuple(dot(x, col) for col in cols) for x in core)
     return chain_basis_for(lifted, target) is not None
 
@@ -499,9 +499,28 @@ class TestComplementCheck:
         for cases, stable in ((found, True), (controls, False)):
             for subset, bad in cases:
                 vectors = tuple(subset.vectors[i] for i in bad.component)
-                complement = orthogonal_complement(EmbeddedLattice(subset.ambient_rank, vectors))
-                reference = reference_stably_linear(complement, (2,) * (bad.m - 1))
+                reference = reference_stably_linear(integer_kernel(vectors, subset.ambient_rank), (2,) * (bad.m - 1))
                 assert complement_is_stable(subset, bad) == reference == stable, (subset, bad)
+
+    def test_returns_a_basis_of_the_complement_in_lisca_form(self):
+        # units first, then a chain of m - 1 twos, each orthogonal to the
+        # component, spanning what the integer kernel spans
+        found, _ = bad_components_with_controls()
+        for subset, bad in found:
+            n = subset.ambient_rank
+            vectors = tuple(subset.vectors[i] for i in bad.component)
+            basis = bad_component_complement(subset, bad)
+            kernel = integer_kernel(vectors, n)
+            k = len(basis) - (bad.m - 1)
+            # I_k + the Gram matrix of the chain of m - 1 twos
+            expected = tuple(
+                tuple(int(i == j) if min(i, j) < k else 2 * (i == j) + (abs(i - j) == 1) for j in range(len(basis)))
+                for i in range(len(basis))
+            )
+            assert k >= 0 and gram_of_rows(basis) == expected, (subset, bad)
+            assert all(dot(b, v) == 0 for b in basis for v in vectors), (subset, bad)
+            assert all(in_span(kernel, b) for b in basis), (subset, bad)
+            assert all(in_span(basis, x) for x in kernel), (subset, bad)
 
     def test_enumerates_nothing(self, monkeypatch):
         def forbidden(*args, **kwargs):
