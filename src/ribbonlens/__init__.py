@@ -47,7 +47,6 @@ from .search import (
 )
 from .subsets import (
     BadComponent,
-    LinearSubset,
     bad_component_complement,
     components,
     contract,

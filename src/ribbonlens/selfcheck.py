@@ -248,8 +248,18 @@ def golden_path(name: str):
 
 
 def render_golden(name: str) -> bytes:
+    """The golden command's transcript, rendered with no cache file: a
+    RIBBONLENS_CACHE in the environment is set aside for the run and put
+    back after it.  The budget variables still apply."""
+    import os
+
     out = io.StringIO()
-    code = cli.run(GOLDEN_COMMANDS[name], stdout=out, stderr=out)
+    cache = os.environ.pop("RIBBONLENS_CACHE", None)
+    try:
+        code = cli.run(GOLDEN_COMMANDS[name], stdout=out, stderr=out)
+    finally:
+        if cache is not None:
+            os.environ["RIBBONLENS_CACHE"] = cache
     if code not in (0, 1, 2):
         raise RuntimeError(f"golden command {name} exited {code}")
     return out.getvalue().encode()

@@ -1,10 +1,12 @@
 """Combinatorics of linear subsets of Z^N.
 
-A linear subset is an ordered tuple of integer vectors realizing a chain
-Gram pattern (norms >= 2, consecutive pairings 0 or 1, all other pairings
-zero).  This module implements the move calculus on such subsets:
-contractions, 2-final expansions, intersection-graph components and
-bad-component detection with complement computation.
+A linear subset is an ordered tuple of at most N integer rows of one
+length N realizing a chain Gram pattern (norms >= 2, consecutive pairings
+0 or 1, all other pairings zero).  There is no subset object: every
+function here takes the rows and reads N as the length of a row.  This
+module implements the move calculus on such subsets: contractions,
+2-final expansions, intersection-graph components and bad-component
+detection with complement computation.
 
 The 2-final expansion (Lisca 2007) is stated once, on sparse vectors:
 :func:`two_final_coordinates` finds where it applies and
@@ -18,19 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .lattice import Matrix, Vector, chain_among, dot, integer_kernel, saturation_index
-
-
-@dataclass(frozen=True)
-class LinearSubset:
-    """Ordered vectors in Z^N with a chain pairing pattern.
-
-    Cardinality below the ambient rank is allowed; a subset standing for a
-    full-rank configuration has cardinality equal to the ambient rank.
-    Construct through :func:`linear_subset` to get pairing validation.
-    """
-
-    ambient_rank: int
-    vectors: tuple[Vector, ...]
 
 
 def _pairing_violation(vectors: tuple[Vector, ...]) -> str | None:
@@ -53,49 +42,36 @@ def is_linear_subset(vectors) -> bool:
     return _pairing_violation(vectors) is None
 
 
-def linear_subset(vectors, ambient_rank: int | None = None) -> LinearSubset:
-    vectors = tuple(tuple(v) for v in vectors)
-    if ambient_rank is None:
-        if not vectors:
-            raise ValueError("ambient rank required for an empty subset")
-        ambient_rank = len(vectors[0])
-    for v in vectors:
-        if len(v) != ambient_rank:
-            raise ValueError("vector length does not match ambient rank")
-    if len(vectors) > ambient_rank:
+def linear_subset(vectors) -> Matrix:
+    """The vectors as a tuple of rows, checked to be a linear subset: the
+    rows have one length N, there are at most N of them, and they follow the
+    chain pairing pattern.  ValueError names the condition that fails."""
+    rows = tuple(tuple(v) for v in vectors)
+    if len({len(v) for v in rows}) > 1:
+        raise ValueError("rows of different lengths")
+    if rows and len(rows) > len(rows[0]):
         raise ValueError("more vectors than coordinates")
-    reason = _pairing_violation(vectors)
+    reason = _pairing_violation(rows)
     if reason is not None:
         raise ValueError(f"not a linear subset: {reason}")
-    return LinearSubset(ambient_rank, vectors)
+    return rows
 
 
-def core_triple(m: int, ambient_rank: int | None = None) -> LinearSubset:
-    """The minimal bad-component triple with central norm m + 1 in Z^(m+2)."""
+def core_triple(m: int) -> Matrix:
+    """The minimal bad-component triple with central norm m + 1 in Z^(m+2):
+    e_m + e_(m+1), e_0 + ... + e_m and e_m - e_(m+1)."""
     if m < 2:
         raise ValueError("central norm m + 1 needs m >= 2")
-    n = m + 2 if ambient_rank is None else ambient_rank
-    if n < m + 2:
-        raise ValueError("ambient rank too small for the triple")
-    e = lambda i: tuple(1 if j == i else 0 for j in range(n))
-
-    def add(*vs):
-        return tuple(sum(col) for col in zip(*vs))
-
-    v_mid = tuple(1 if j <= m else 0 for j in range(n))
-    v_left = add(e(m), e(m + 1))
-    v_right = tuple(a - 2 * b for a, b in zip(v_left, e(m + 1)))
-    return linear_subset([v_left, v_mid, v_right], n)
+    return linear_subset([(0,) * m + (1, 1), (1,) * (m + 1) + (0,), (0,) * m + (1, -1)])
 
 
-def components(subset: LinearSubset) -> tuple[tuple[int, ...], ...]:
+def components(rows: Matrix) -> tuple[tuple[int, ...], ...]:
     """The components of the intersection graph (one vertex per vector, an
     edge where the pairing equals 1): the runs of consecutive indices."""
-    vecs = subset.vectors
     runs, run = [], []
-    for i, v in enumerate(vecs):
+    for i, v in enumerate(rows):
         run.append(i)
-        if i + 1 == len(vecs) or dot(v, vecs[i + 1]) != 1:
+        if i + 1 == len(rows) or dot(v, rows[i + 1]) != 1:
             runs.append(tuple(run))
             run = []
     return tuple(runs)
@@ -124,49 +100,45 @@ def canonical_matrix(vectors: tuple[Vector, ...]) -> Matrix:
     return tuple(zip(*cols))
 
 
-def subset_key(subset: LinearSubset):
-    return (subset.ambient_rank, canonical_matrix(subset.vectors))
-
-
 # -- contractions and 2-final expansions --------------------------------------
 
 
-def contract(subset: LinearSubset, h: int, s: int, t: int) -> LinearSubset:
+def contract(rows: Matrix, h: int, s: int, t: int) -> Matrix:
     """Remove vector s, strip coordinate h from vector t, drop coordinate h.
 
-    Preconditions reported individually: indices in range, unit coefficient
-    bound, central norm above 2, and coordinate h supported on exactly {s, t}.
+    Preconditions reported individually: indices in range (s and t first,
+    then h against the length of row s), unit coefficient bound, central
+    norm above 2, and coordinate h supported on exactly {s, t}.
     """
-    vecs = subset.vectors
-    if h not in range(subset.ambient_rank) or s not in range(len(vecs)) or t not in range(len(vecs)):
+    if s not in range(len(rows)) or t not in range(len(rows)) or h not in range(len(rows[s])):
         raise ValueError(f"contraction indices out of range: h={h}, s={s}, t={t}")
     if s == t:
         raise ValueError("contraction needs distinct indices s and t")
-    for i, v in enumerate(vecs):
+    for i, v in enumerate(rows):
         for j, coeff in enumerate(v):
             if abs(coeff) > 1:
                 raise ValueError(f"coefficient bound violated: |v{i}[{j}]| = {abs(coeff)} > 1")
-    if dot(vecs[t], vecs[t]) <= 2:
-        raise ValueError(f"norm bound violated: v{t}.v{t} = {dot(vecs[t], vecs[t])} <= 2")
-    support = tuple(i for i, v in enumerate(vecs) if v[h])
+    if dot(rows[t], rows[t]) <= 2:
+        raise ValueError(f"norm bound violated: v{t}.v{t} = {dot(rows[t], rows[t])} <= 2")
+    support = tuple(i for i, v in enumerate(rows) if v[h])
     if support != tuple(sorted((s, t))):
         raise ValueError(
             f"coordinate support condition violated: e_{h} meets {support}, expected {tuple(sorted((s, t)))}"
         )
-    new_t = tuple(0 if j == h else x for j, x in enumerate(vecs[t]))
-    rows = []
-    for i, v in enumerate(vecs):
+    new_t = tuple(0 if j == h else x for j, x in enumerate(rows[t]))
+    out = []
+    for i, v in enumerate(rows):
         if i == s:
             continue
         row = new_t if i == t else v
-        rows.append(tuple(x for j, x in enumerate(row) if j != h))
-    reason = _pairing_violation(tuple(rows))
+        out.append(tuple(x for j, x in enumerate(row) if j != h))
+    reason = _pairing_violation(tuple(out))
     if reason is not None:
         raise ValueError(f"contraction result is not a linear subset: {reason}")
-    return LinearSubset(subset.ambient_rank - 1, tuple(rows))
+    return tuple(out)
 
 
-def _two_final_move(subset: LinearSubset, component: tuple[int, ...]):
+def _two_final_move(vecs: Matrix, component: tuple[int, ...]):
     """The 2-final contraction (h, s, t) inside the given component, or None.
 
     s and t have degree 1, so they are the component's two ends, and the
@@ -176,7 +148,6 @@ def _two_final_move(subset: LinearSubset, component: tuple[int, ...]):
     r is t, s.t = 1 is odd, so t misses a or b.  So at most one h qualifies,
     and a component has at most one 2-final move.
     """
-    vecs = subset.vectors
     if any(abs(c) > 1 for v in vecs for c in v):
         return None
     for s, t in ((component[0], component[-1]), (component[-1], component[0])):
@@ -210,9 +181,10 @@ def two_final_step(a: dict, b: dict, use: list[int], h: int) -> dict:
     return {h: tau, e: 1}
 
 
-def two_final_expansions(subset: LinearSubset, component: tuple[int, ...]) -> list[LinearSubset]:
+def two_final_expansions(rows: Matrix, component: tuple[int, ...]) -> list[Matrix]:
     """Every linear subset in Z^(N+1) whose 2-final contraction at the new
-    coordinate gives the subset back, one per signed coordinate permutation.
+    coordinate gives the rows back, one per signed coordinate permutation
+    of the same rows, told apart by :func:`canonical_matrix`.
     The new vector s = sigma e_c + e_N and the grown t are the grown
     component's two ends, so with unit coefficients s pairs to 1 with the
     end b other than t, and c is a coordinate of t and b alone.  So the
@@ -222,12 +194,12 @@ def two_final_expansions(subset: LinearSubset, component: tuple[int, ...]) -> li
     by (t[h] b[h], h).  A single vector t has no other end: s = e_c + e_N,
     with c the first unused coordinate, goes in front of t + e_N.
     """
-    if tuple(component) not in components(subset):
+    if tuple(component) not in components(rows):
         raise ValueError(f"{tuple(component)} is not a component of the subset")
-    n, lo, hi = subset.ambient_rank, component[0], component[-1]
-    if any(x * x > 1 for v in subset.vectors for x in v):
+    n, lo, hi = len(rows[0]), component[0], component[-1]
+    if any(x * x > 1 for v in rows for x in v):
         return []
-    vecs = [{k: x for k, x in enumerate(v) if x} for v in subset.vectors]
+    vecs = [{k: x for k, x in enumerate(v) if x} for v in rows]
     use = [sum(k in v for v in vecs) for k in range(n)]
     steps = []  # (t, grown t, the new vector, its index)
     for t, s in ((lo, hi + 1), (hi, lo)) if lo < hi else ():
@@ -239,10 +211,9 @@ def two_final_expansions(subset: LinearSubset, component: tuple[int, ...]) -> li
         steps.append((lo, {**vecs[lo], n: 1}, {use.index(0): 1, n: 1}, lo))
     kept: dict = {}
     for t, grown, new, s in steps:
-        rows = [tuple(v.get(k, 0) for k in range(n + 1)) for v in (*vecs[:t], grown, *vecs[t + 1 :])]
-        rows.insert(s, tuple(new.get(k, 0) for k in range(n + 1)))
-        candidate = LinearSubset(n + 1, tuple(rows))
-        kept.setdefault(subset_key(candidate), candidate)
+        expanded = [tuple(v.get(k, 0) for k in range(n + 1)) for v in (*vecs[:t], grown, *vecs[t + 1 :])]
+        expanded.insert(s, tuple(new.get(k, 0) for k in range(n + 1)))
+        kept.setdefault(canonical_matrix(expanded), tuple(expanded))
     return list(kept.values())
 
 
@@ -266,55 +237,54 @@ class BadComponent:
         return self.central_norm - 1
 
 
-def _triple_witness(subset: LinearSubset, comp: tuple[int, ...]):
+def _triple_witness(vecs: Matrix, comp: tuple[int, ...]):
     if len(comp) != 3:
         return None
     x, y, z = comp
-    vecs = subset.vectors
     if dot(vecs[x], vecs[x]) != 2 or dot(vecs[z], vecs[z]) != 2:
         return None
     if dot(vecs[y], vecs[y]) <= 2:
         return None
-    for j in range(subset.ambient_rank):
+    for j in range(len(vecs[0])):
         support = tuple(i for i, v in enumerate(vecs) if v[j])
         if support == (x, y, z):
             return dot(vecs[y], vecs[y])
     return None
 
 
-def detect_bad_components(subset: LinearSubset) -> list[BadComponent]:
+def detect_bad_components(rows: Matrix) -> list[BadComponent]:
     """Bad components of the subset, each with a contraction trace to its core."""
     out = []
-    for comp in components(subset):
+    for comp in components(rows):
         if len(comp) < 3:
             continue
-        witness = _search_bad(subset, comp)
+        witness = _search_bad(rows, comp)
         if witness is not None:
             trace, norm = witness
             out.append(BadComponent(comp, norm, trace))
     return out
 
 
-def _search_bad(subset: LinearSubset, comp: tuple[int, ...]):
+def _search_bad(rows: Matrix, comp: tuple[int, ...]):
     """Follow the component's one 2-final contraction at a time until it is
     a triple (bad) or has no move left (not bad)."""
     trace = ()
-    while (norm := _triple_witness(subset, comp)) is None:
-        move = _two_final_move(subset, comp) if len(comp) > 3 else None  # from 3 vectors no triple is left
+    while (norm := _triple_witness(rows, comp)) is None:
+        move = _two_final_move(rows, comp) if len(comp) > 3 else None  # from 3 vectors no triple is left
         if move is None:
             return None
         s = move[1]
-        subset = contract(subset, *move)
+        rows = contract(rows, *move)
         comp = tuple(p - (p > s) for p in comp if p != s)
         trace += (move,)
     return trace, norm
 
 
-def bad_component_complement(subset: LinearSubset, bad: BadComponent) -> tuple[Vector, ...]:
+def bad_component_complement(rows: Matrix, bad: BadComponent) -> tuple[Vector, ...]:
     """A basis of the orthogonal complement C of the bad component's span
-    inside Z^N in Lisca's form Z^k + (chain of m - 1 twos): the k units,
-    then the chain.  It is checked in Z^N before it is returned, and
-    RuntimeError is raised where C has no such basis.
+    inside Z^N, N the length of a row, in Lisca's form Z^k + (chain of
+    m - 1 twos): the k units, then the chain.  It is checked in Z^N before
+    it is returned, and RuntimeError is raised where C has no such basis.
 
     C's units are the e_i of the k coordinates that no component vector
     meets, and its norm-2 vectors on the others are the e_i +- e_j there that
@@ -324,8 +294,8 @@ def bad_component_complement(subset: LinearSubset, bad: BadComponent) -> tuple[V
     span a saturated sublattice; where the lemma holds, every such chain has
     the determinant m of C's non-unit part, so the first one found decides.
     """
-    n = subset.ambient_rank
-    vecs = tuple(subset.vectors[i] for i in bad.component)
+    n = len(rows[0])
+    vecs = tuple(rows[i] for i in bad.component)
     used = [k for k in range(n) if any(v[k] for v in vecs)]
     units = tuple(tuple(int(k == i) for k in range(n)) for i in range(n) if i not in used)
     twos = [

@@ -76,6 +76,16 @@ class TestExitCodes:
         assert code == 64
         assert flag[0] in err and not out
 
+    def test_selfcheck_ignores_the_cache_variable(self, monkeypatch, tmp_path):
+        # the goldens are rendered with no cache file, so the in-r golden's
+        # cache_path stays null, nothing is written, and the variable is
+        # back for whatever runs after the suite
+        path = tmp_path / "env-cache.json"
+        monkeypatch.setenv("RIBBONLENS_CACHE", str(path))
+        assert selfcheck.check_golden_transcripts() == (True, "5 transcripts byte-identical")
+        assert not path.exists()
+        assert os.environ["RIBBONLENS_CACHE"] == str(path)
+
     def test_help_is_zero_on_the_given_stdout(self):
         code, out, _ = run_cli("ribbon", "--help")
         assert code == 0 and out.startswith("usage:")

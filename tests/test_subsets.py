@@ -12,7 +12,6 @@ from ribbonlens.lattice import (
 )
 from ribbonlens.subsets import (
     BadComponent,
-    LinearSubset,
     _triple_witness,
     _two_final_move,
     bad_component_complement,
@@ -23,7 +22,6 @@ from ribbonlens.subsets import (
     detect_bad_components,
     is_linear_subset,
     linear_subset,
-    subset_key,
     two_final_expansions,
 )
 
@@ -45,8 +43,8 @@ def pairing_degrees(vecs):
 def reference_expansions(subset, component):
     """Reference enumeration of 2-final expansions, with the degree, neighbour
     and run-end rules stated by hand instead of through the 2-final move."""
-    n = subset.ambient_rank
-    vecs = subset.vectors
+    n = len(subset[0])
+    vecs = subset
     if any(abs(c) > 1 for v in vecs for c in v):
         return []
     deg = pairing_degrees(vecs)
@@ -97,25 +95,24 @@ def reference_expansions(subset, component):
                     rows = tuple(extended)
                     if not is_linear_subset(rows):
                         continue
-                    candidate = LinearSubset(n + 1, rows)
-                    key = subset_key(candidate)
+                    key = canonical_matrix(rows)
                     if key in seen:
                         continue
                     seen.add(key)
-                    results.append(candidate)
+                    results.append(rows)
     return results
 
 
 def reference_two_final_moves(subset, component):
     """Reference list of 2-final moves (h, s, t) inside a component: every
     coordinate is tried, with the degree and norm rules stated by hand."""
-    vecs = subset.vectors
+    vecs = subset
     if any(abs(c) > 1 for v in vecs for c in v):
         return []
     deg = pairing_degrees(vecs)
     comp = set(component)
     moves = []
-    for h in range(subset.ambient_rank):
+    for h in range(len(vecs[0])):
         support = [i for i, v in enumerate(vecs) if v[h]]
         if len(support) != 2 or not set(support) <= comp:
             continue
@@ -139,7 +136,7 @@ def reference_bad_components(subset):
         stack = [(subset, tuple(comp), ())]
         while stack:
             cur, cpos, trace = stack.pop()
-            key = (subset_key(cur), cpos)
+            key = (canonical_matrix(cur), cpos)
             if key in seen:
                 continue
             seen.add(key)
@@ -170,6 +167,11 @@ def selfcheck_frontier():
             frontier = grown
 
 
+def pad(rows, spare):
+    """The rows with spare zero coordinates appended."""
+    return tuple(v + (0,) * spare for v in rows)
+
+
 def random_linear_subsets(count, seed):
     """Seeded linear subsets with entries in {-1, 0, 1}, n <= 5 and k <= 4,
     grown one random vector at a time."""
@@ -185,7 +187,7 @@ def random_linear_subsets(count, seed):
                 vecs.append(v)
                 if len(vecs) == k:
                     made += 1
-                    yield linear_subset(vecs, n)
+                    yield linear_subset(vecs)
                     break
 
 
@@ -196,18 +198,18 @@ def random_expanded_subsets(count, seed):
     rng = random.Random(seed)
     for _ in range(count):
         m = rng.randint(2, 4)
-        subset = core_triple(m, m + 2 + rng.randint(0, 2))
+        subset = pad(core_triple(m), rng.randint(0, 2))
         for _ in range(rng.randint(0, 3)):
             subset = rng.choice(two_final_expansions(subset, components(subset)[0]))
-        n = subset.ambient_rank
+        n = len(subset[0])
         perm = rng.sample(range(n), n)
         signs = [rng.choice((1, -1)) for _ in range(n)]
-        yield linear_subset([tuple(signs[j] * v[perm[j]] for j in range(n)) for v in subset.vectors], n)
+        yield linear_subset([tuple(signs[j] * v[perm[j]] for j in range(n)) for v in subset])
 
 
 def two_disjoint_triples():
     a, b = core_triple(2), core_triple(3)
-    return linear_subset([v + (0,) * 5 for v in a.vectors] + [(0,) * 4 + v for v in b.vectors])
+    return linear_subset([v + (0,) * 5 for v in a] + [(0,) * 4 + v for v in b])
 
 
 class TestLinearSubsets:
@@ -225,6 +227,10 @@ class TestLinearSubsets:
             linear_subset([(1, 0)])
         with pytest.raises(ValueError, match="adjacent pairing"):
             linear_subset([(1, 1, 0), (1, 1, 1)])
+        with pytest.raises(ValueError, match="different lengths"):
+            linear_subset([(1, 1, 0), (0, 1, 1, 0)])
+        with pytest.raises(ValueError, match="more vectors than coordinates"):
+            linear_subset([(1, 1), (0, 1), (1, 0)])
 
     def test_intersection_graph_of_triple(self):
         assert components(core_triple(2)) == ((0, 1, 2),)
@@ -250,6 +256,9 @@ class TestMoves:
         for s, t in ((-1, 0), (3, 4), (9, 0)):
             with pytest.raises(ValueError, match="out of range"):
                 contract(e, 4, s, t)
+        # an empty subset has no row to read the coordinate range from
+        with pytest.raises(ValueError, match="out of range"):
+            contract((), 0, 0, 1)
 
     def test_expansion_rejects_index_outside_subset(self):
         with pytest.raises(ValueError, match="not a component"):
@@ -265,7 +274,7 @@ class TestMoves:
             contract(core_triple(2), 2, 0, 1)
 
     def test_contract_rejects_big_coefficients(self):
-        subset = linear_subset([(2, 0), (0, 3)], ambient_rank=2)
+        subset = linear_subset([(2, 0), (0, 3)])
         with pytest.raises(ValueError, match="coefficient"):
             contract(subset, 0, 0, 1)
 
@@ -273,13 +282,13 @@ class TestMoves:
         triple = core_triple(2)
         expansions = two_final_expansions(triple, (0, 1, 2))
         assert len(expansions) == 2
-        assert {e.vectors for e in expansions} == {EXPANSION_A, EXPANSION_B}
+        assert set(expansions) == {EXPANSION_A, EXPANSION_B}
 
     def test_expansions_are_linear_subsets(self):
         for m in (2, 3, 4):
             triple = core_triple(m)
             for expanded in two_final_expansions(triple, (0, 1, 2)):
-                assert is_linear_subset(expanded.vectors)
+                assert is_linear_subset(expanded)
 
     def test_expansion_contracts_back(self):
         for m in (2, 3, 4):
@@ -289,14 +298,14 @@ class TestMoves:
                 for subset in frontier:
                     comp = components(subset)[0]
                     for expanded in two_final_expansions(subset, comp):
-                        h = expanded.ambient_rank - 1
-                        support = [i for i, v in enumerate(expanded.vectors) if v[h]]
+                        h = len(expanded[0]) - 1
+                        support = [i for i, v in enumerate(expanded) if v[h]]
                         assert len(support) == 2
                         s, t = support
-                        if dot(expanded.vectors[s], expanded.vectors[s]) != 2:
+                        if dot(expanded[s], expanded[s]) != 2:
                             s, t = t, s
                         back = contract(expanded, h, s, t)
-                        assert subset_key(back) == subset_key(subset)
+                        assert canonical_matrix(back) == canonical_matrix(subset)
                         grown.append(expanded)
                 frontier = grown
 
@@ -320,16 +329,16 @@ class TestMoves:
             scrambled = linear_subset([scramble(v) for v in EXPANSION_A])
             # the removable coordinate is the unique one meeting two vectors
             h = next(
-                j for j in range(5) if sum(1 for v in scrambled.vectors if v[j]) == 2
+                j for j in range(5) if sum(1 for v in scrambled if v[j]) == 2
             )
-            s, t = (i for i, v in enumerate(scrambled.vectors) if v[h])
-            if dot(scrambled.vectors[s], scrambled.vectors[s]) != 2:
+            s, t = (i for i, v in enumerate(scrambled) if v[h])
+            if dot(scrambled[s], scrambled[s]) != 2:
                 s, t = t, s
             contracted = contract(scrambled, h, s, t)
             expansions = two_final_expansions(
                 contracted, components(contracted)[0]
             )
-            assert any(subset_key(e) == subset_key(scrambled) for e in expansions)
+            assert any(canonical_matrix(e) == canonical_matrix(scrambled) for e in expansions)
 
     def test_counts_stable_under_expansion(self):
         triple = core_triple(3)
@@ -347,8 +356,8 @@ class TestReferenceExpansions:
     def assert_same_on_every_component(subsets):
         for subset in subsets:
             for comp in components(subset):
-                got = [e.vectors for e in two_final_expansions(subset, comp)]
-                want = [e.vectors for e in reference_expansions(subset, comp)]
+                got = two_final_expansions(subset, comp)
+                want = reference_expansions(subset, comp)
                 assert got == want, (subset, comp)
 
     def test_selfcheck_frontier(self):
@@ -356,7 +365,7 @@ class TestReferenceExpansions:
 
     def test_spare_coordinates(self):
         self.assert_same_on_every_component(
-            core_triple(m, m + 2 + spare) for m in (2, 3, 4, 5) for spare in (1, 2)
+            pad(core_triple(m), spare) for m in (2, 3, 4, 5) for spare in (1, 2)
         )
 
     def test_two_disjoint_triples(self):
@@ -369,14 +378,14 @@ class TestReferenceExpansions:
 REFERENCE_INPUTS = {
     "selfcheck_frontier": selfcheck_frontier,
     "spare_coordinates": lambda: (
-        core_triple(m, m + 2 + spare) for m in (2, 3, 4, 5) for spare in (1, 2)
+        pad(core_triple(m), spare) for m in (2, 3, 4, 5) for spare in (1, 2)
     ),
     "two_disjoint_triples": lambda: [two_disjoint_triples()],
     "random_subsets": lambda: random_linear_subsets(1200, seed=14),
     "random_expanded_subsets": lambda: random_expanded_subsets(300, seed=14),
     # a vector with a coefficient 2 blocks every contraction in the subset
     "big_coefficient": lambda: (
-        linear_subset([v + (0,) for v in s.vectors] + [(0,) * s.ambient_rank + (2,)])
+        linear_subset([v + (0,) for v in s] + [(0,) * len(s[0]) + (2,)])
         for s in random_expanded_subsets(100, seed=15)
     ),
 }
@@ -424,9 +433,7 @@ class TestBadComponents:
             assert bad[0].trace  # one contraction recorded
 
     def test_all_twos_is_never_bad(self):
-        chain = linear_subset(
-            [(1, 1, 0, 0), (0, 1, 1, 0), (0, 0, 1, 1)], ambient_rank=4
-        )
+        chain = linear_subset([(1, 1, 0, 0), (0, 1, 1, 0), (0, 0, 1, 1)])
         assert detect_bad_components(chain) == []
 
     def test_b_at_most_c(self):
@@ -447,7 +454,7 @@ class TestBadComponents:
                 assert gram_of_rows(complement) == ((2,),)
 
     def test_unused_coordinates_become_units(self):
-        triple = core_triple(2, ambient_rank=6)
+        triple = pad(core_triple(2), 2)
         bad = detect_bad_components(triple)[0]
         complement = bad_component_complement(triple, bad)
         assert len(complement) == 3  # chain of one two plus two unit vectors
@@ -498,8 +505,8 @@ class TestComplementCheck:
         # the lemma: every bad component passes both routes, and no wrong m does
         for cases, stable in ((found, True), (controls, False)):
             for subset, bad in cases:
-                vectors = tuple(subset.vectors[i] for i in bad.component)
-                reference = reference_stably_linear(integer_kernel(vectors, subset.ambient_rank), (2,) * (bad.m - 1))
+                vectors = tuple(subset[i] for i in bad.component)
+                reference = reference_stably_linear(integer_kernel(vectors, len(subset[0])), (2,) * (bad.m - 1))
                 assert complement_is_stable(subset, bad) == reference == stable, (subset, bad)
 
     def test_returns_a_basis_of_the_complement_in_lisca_form(self):
@@ -507,8 +514,8 @@ class TestComplementCheck:
         # component, spanning what the integer kernel spans
         found, _ = bad_components_with_controls()
         for subset, bad in found:
-            n = subset.ambient_rank
-            vectors = tuple(subset.vectors[i] for i in bad.component)
+            n = len(subset[0])
+            vectors = tuple(subset[i] for i in bad.component)
             basis = bad_component_complement(subset, bad)
             kernel = integer_kernel(vectors, n)
             k = len(basis) - (bad.m - 1)
@@ -548,11 +555,10 @@ class TestCanonicalForm:
     def test_signed_permutation_equivalence(self):
         a = linear_subset([(1, 1, 0), (0, 1, 1)])
         b = linear_subset([(0, -1, 1), (1, -1, 0)])  # flip e2, swap e1 and e3
-        assert canonical_matrix(a.vectors) == canonical_matrix(b.vectors)
-        assert subset_key(a) == subset_key(b)
+        assert canonical_matrix(a) == canonical_matrix(b)
 
     def test_order_matters(self):
         # distinct norm sequences cannot be matched by any coordinate move
         a = linear_subset([(1, 1, 0, 0), (0, 1, 1, 1)])
         c = linear_subset([(0, 1, 1, 1), (1, 1, 0, 0)])
-        assert subset_key(a) != subset_key(c)
+        assert canonical_matrix(a) != canonical_matrix(c)
